@@ -19,9 +19,9 @@ from omnirate import (BitPoolSource, brute_min_sum_rate,
 FIVE_USERS = ["abcdfgij", "abcfij", "efhi", "bcej", "bcdhi"]
 
 
-def show_state(state):
+def show_state(state, minimizations):
     print(f"\n--- after user {state.carrier_size} "
-          f"(solver calls so far: {state.sfm_calls}) ---")
+          f"(submodular minimizations so far: {minimizations}) ---")
     for interval, slice_ in state.table:
         rates = ", ".join(str(r) for r in slice_.rates)
         print(f"  {str(interval):12s} {str(slice_.partition):28s} ({rates})")
@@ -39,8 +39,10 @@ def main():
           f"H(V) = {model.total_entropy}")
 
     final = None
+    minimizations = 0
     for state in iter_parametric(model):
-        show_state(state)
+        minimizations += len(state.last_probes)  # one minimization per probe
+        show_state(state, minimizations)
         if state.carrier_size >= 2:
             local = prefix_psp(state)
             print(f"  prefix solution: R_CO(V_{state.carrier_size}) = "

@@ -22,8 +22,8 @@ from .par import (MinimizerChain, ParState, PSPResult, StateSlice,
                   prefix_psp, run_parametric, solve_chain_breakpoints,
                   strong_map_chain)
 from .partition import (AffineValue, AlphaInterval, Partition, Segmented)
-from .sfm import (FusionOracle, SfmCounter, SfmResult, minimize,
-                  minimize_brute, minimize_mnp)
+from .sfm import (FusionOracle, SfmResult, minimize, minimize_brute,
+                  minimize_mnp)
 from .so import (SOPlan, decompose_rates, find_complimentary,
                  lower_bound_alpha, verify_complimentary)
 

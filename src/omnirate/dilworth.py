@@ -29,7 +29,7 @@ from typing import Iterable
 from .errors import DomainError
 from .model import SourceModel, as_rational
 from .partition import Partition
-from .sfm import FusionOracle, SfmCounter, minimize
+from .sfm import FusionOracle, minimize
 
 
 @dataclass(frozen=True)
@@ -63,14 +63,14 @@ class DilworthResult:
         return self.rates[self.users.index(user)]
 
 
-def _check_alpha(model: SourceModel, alpha) -> Fraction:
+def check_alpha(model: SourceModel, alpha) -> Fraction:
     alpha = as_rational(alpha)
     if not Fraction(0) <= alpha <= model.total_entropy:
         raise DomainError(f"alpha {alpha} outside [0, {model.total_entropy}]")
     return alpha
 
 
-def _check_carrier(model: SourceModel, carrier) -> tuple[int, ...]:
+def check_carrier(model: SourceModel, carrier) -> tuple[int, ...]:
     if carrier is None:
         return model.users
     users = tuple(sorted(set(carrier)))
@@ -81,17 +81,15 @@ def _check_carrier(model: SourceModel, carrier) -> tuple[int, ...]:
     return users
 
 
-def coordinate_saturation(model: SourceModel, alpha, carrier=None, *,
-                          solver: str = "auto",
-                          counter: SfmCounter | None = None) -> DilworthResult:
+def coordinate_saturation(model: SourceModel, alpha, carrier=None) -> DilworthResult:
     """Saturate rate coordinates one user at a time at a fixed alpha.
 
     Returns the finest partition minimizing f_alpha[.] over the carrier and
     a rate vector with r(X) <= f_alpha(X) for every nonempty X and
     r(carrier) equal to the truncation value.
     """
-    alpha = _check_alpha(model, alpha)
-    users = _check_carrier(model, carrier)
+    alpha = check_alpha(model, alpha)
+    users = check_carrier(model, carrier)
     f_alpha = AlphaFunction(model, alpha)
     base = alpha - model.total_entropy
 
@@ -102,7 +100,7 @@ def coordinate_saturation(model: SourceModel, alpha, carrier=None, *,
         blocks = partition.blocks + (frozenset({user}),)
         rates[user] = base
         oracle = FusionOracle(model, alpha, blocks, frozenset({user}), dict(rates))
-        result = minimize(oracle, solver=solver, counter=counter)
+        result = minimize(oracle)
         rates[user] = base + result.min_value
         partition = Partition(blocks).merge_blocks(result.minimal)
 
@@ -110,13 +108,9 @@ def coordinate_saturation(model: SourceModel, alpha, carrier=None, *,
     return DilworthResult(users, vector, partition, sum(vector, Fraction(0)))
 
 
-def dilworth_truncation(model: SourceModel, alpha, carrier=None, *,
-                        solver: str = "auto",
-                        counter: SfmCounter | None = None) -> Fraction:
+def dilworth_truncation(model: SourceModel, alpha, carrier=None) -> Fraction:
     """min over partitions P of the carrier of sum_{C in P} f_alpha(C)."""
-    return coordinate_saturation(
-        model, alpha, carrier, solver=solver, counter=counter
-    ).value
+    return coordinate_saturation(model, alpha, carrier).value
 
 
 def partition_value(model: SourceModel, alpha, partition: Partition) -> Fraction:

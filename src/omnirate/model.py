@@ -31,8 +31,6 @@ from .errors import CapacityError, DomainError
 # itself is impractical, so reject at construction time.
 MAX_TABLE_USERS = 24
 
-Rational = Fraction
-
 
 def as_rational(value) -> Fraction:
     """Coerce ints, strings like '5/2' or '6.5', and Fractions to an exact Fraction."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .dilworth import AlphaFunction, _check_alpha, _check_carrier
+from .dilworth import AlphaFunction, check_alpha, check_carrier
 from .errors import CapacityError, DomainError, InternalError
 from .model import SourceModel
 from .partition import Partition
@@ -58,7 +58,7 @@ def brute_min_sum_rate(model: SourceModel, carrier=None) -> tuple[Fraction, Part
     partitions with more than one block and returns the finest maximizer
     (the maximizer every other maximizer coarsens).
     """
-    users = _check_carrier(model, carrier)
+    users = check_carrier(model, carrier)
     if len(users) < 2:
         raise DomainError("minimum sum-rate needs a carrier of at least 2 users")
     h_total = model.entropy(users)
@@ -88,8 +88,8 @@ def brute_dilworth(model: SourceModel, alpha, carrier=None) -> tuple[Fraction, P
     partitions; the minimizer lattice guarantees the meet minimizes too,
     which is re-checked here.
     """
-    alpha = _check_alpha(model, alpha)
-    users = _check_carrier(model, carrier)
+    alpha = check_alpha(model, alpha)
+    users = check_carrier(model, carrier)
     f_alpha = AlphaFunction(model, alpha)
     best: Fraction | None = None
     argmin: list[Partition] = []
@@ -125,7 +125,7 @@ def check_achievable(model: SourceModel, rates, carrier=None) -> bool:
     True iff r(X) >= H(X | carrier \\ X) for every nonempty X strictly
     inside the carrier (2^n - 2 constraints).
     """
-    users = _check_carrier(model, carrier)
+    users = check_carrier(model, carrier)
     rates = tuple(Fraction(r) for r in rates)
     if len(rates) != len(users):
         raise InternalError(

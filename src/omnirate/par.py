@@ -37,7 +37,7 @@ from .dilworth import coordinate_saturation
 from .errors import DomainError, InternalError
 from .model import SourceModel, as_rational, partition_entropy
 from .partition import AffineValue, AlphaInterval, Partition, Segmented, split_pieces
-from .sfm import FusionOracle, SfmCounter, minimize
+from .sfm import FusionOracle, minimize
 
 
 @dataclass(frozen=True)
@@ -76,8 +76,9 @@ class ParState:
     """Segmented sweep state for the prefix carrier 1..carrier_size.
 
     `table` maps alpha segments to StateSlice values; `last_chain` and
-    `last_probes` document the iteration that produced this state (None for
-    the base state).  `sfm_calls` is the cumulative solver-call count.
+    `last_probes` document the iteration that produced this state (None and
+    () for the base state).  Each probe issued exactly one submodular
+    minimization, so the sweep's SFM count is the sum of len(last_probes).
     """
 
     model: SourceModel
@@ -85,7 +86,6 @@ class ParState:
     table: Segmented
     last_chain: MinimizerChain | None = field(default=None, compare=False)
     last_probes: tuple[Probe, ...] = field(default=(), compare=False)
-    sfm_calls: int = field(default=0, compare=False)
 
     @property
     def users(self) -> tuple[int, ...]:
@@ -175,7 +175,6 @@ def fusion_oracle_at(state: ParState, user: int, alpha) -> FusionOracle:
 
 
 def strong_map_chain(state: ParState, p_down: Partition, p_up: Partition, *,
-                     solver: str = "auto", counter: SfmCounter | None = None,
                      probes: list[Probe] | None = None) -> set[frozenset[int]]:
     """All distinct minimal-minimizer sets for the next user, by recursion.
 
@@ -191,11 +190,10 @@ def strong_map_chain(state: ParState, p_down: Partition, p_up: Partition, *,
     users = tuple(range(1, user + 1))
     if probes is None:
         probes = []
-    return _chain_search(state.model, table, users, user, p_down, p_up,
-                         solver, counter, probes)
+    return _chain_search(state.model, table, users, user, p_down, p_up, probes)
 
 
-def _chain_search(model, table, users, anchor, p_down, p_up, solver, counter,
+def _chain_search(model, table, users, anchor, p_down, p_up,
                   probes) -> set[frozenset[int]]:
     if p_down == p_up or not p_down.refines(p_up):
         raise DomainError("need p_down strictly finer than p_up")
@@ -205,14 +203,14 @@ def _chain_search(model, table, users, anchor, p_down, p_up, solver, counter,
     probes.append(Probe(alpha, p_down, p_up))
 
     oracle = _oracle_at(model, table, users, anchor, alpha)
-    found = minimize(oracle, solver=solver, counter=counter)
+    found = minimize(oracle)
     fused_partition = Partition(oracle.blocks).merge_blocks(found.minimal)
     if fused_partition == p_down:
         return {found.minimal}
     lower = _chain_search(model, table, users, anchor, p_down, fused_partition,
-                          solver, counter, probes)
+                          probes)
     upper = _chain_search(model, table, users, anchor, fused_partition, p_up,
-                          solver, counter, probes)
+                          probes)
     return lower | upper
 
 
@@ -263,8 +261,7 @@ def _solve_rate_equation(state: ParState, users: list[int], target: Fraction) ->
     )
 
 
-def parametric_iteration(state: ParState, *, solver: str = "auto",
-                         counter: SfmCounter | None = None) -> ParState:
+def parametric_iteration(state: ParState) -> ParState:
     """Extend the sweep state from carrier 1..i-1 to 1..i.
 
     Finds the minimizer chain and its critical points, refines the segment
@@ -272,9 +269,6 @@ def parametric_iteration(state: ParState, *, solver: str = "auto",
     user's rate gains f~(S_j) (an affine value) and the blocks of S_j fuse.
     Empty chain segments (equal adjacent critical points) are dropped.
     """
-    if counter is None:
-        counter = SfmCounter()
-    start_calls = counter.calls
     user = state.carrier_size + 1
     if user > state.model.size:
         raise DomainError("state already covers the whole ground set")
@@ -284,7 +278,7 @@ def parametric_iteration(state: ParState, *, solver: str = "auto",
         state,
         Partition.singletons(carrier),
         Partition.whole(carrier),
-        solver=solver, counter=counter, probes=probes,
+        probes=probes,
     )
     chain = sorted(found | {carrier}, key=len)
     alphas = solve_chain_breakpoints(state, chain)
@@ -317,31 +311,26 @@ def parametric_iteration(state: ParState, *, solver: str = "auto",
         state.model, user, Segmented(new_pieces),
         last_chain=MinimizerChain(tuple(chain), tuple(alphas)),
         last_probes=tuple(probes),
-        sfm_calls=state.sfm_calls + (counter.calls - start_calls),
     )
 
 
-def iter_parametric(model: SourceModel, *, solver: str = "auto",
-                    counter: SfmCounter | None = None) -> Iterator[ParState]:
+def iter_parametric(model: SourceModel) -> Iterator[ParState]:
     """Yield the sweep state after each user 1, 2, ..., n.
 
     This is the hand-off interface for a growing ground set: the state
     after user i is everything user i+1 needs (plus H(V)) to continue.
     """
-    if counter is None:
-        counter = SfmCounter()
     state = initial_state(model)
     yield state
     for _ in range(2, model.size + 1):
-        state = parametric_iteration(state, solver=solver, counter=counter)
+        state = parametric_iteration(state)
         yield state
 
 
-def run_parametric(model: SourceModel, *, solver: str = "auto",
-                   counter: SfmCounter | None = None) -> tuple[ParState, PSPResult]:
+def run_parametric(model: SourceModel) -> tuple[ParState, PSPResult]:
     """Full sweep over all users plus the extracted solution."""
     state = None
-    for state in iter_parametric(model, solver=solver, counter=counter):
+    for state in iter_parametric(model):
         pass
     return state, extract_psp(state)
 
@@ -409,8 +398,7 @@ def prefix_psp(state: ParState) -> PSPResult:
     return _psp_from_views(users, shifted.partition_view, shifted.rate_view)
 
 
-def mda_reference(model: SourceModel, *, solver: str = "auto",
-                  counter: SfmCounter | None = None) -> tuple[Fraction, Partition, tuple[Fraction, ...]]:
+def mda_reference(model: SourceModel) -> tuple[Fraction, Partition, tuple[Fraction, ...]]:
     """Baseline fixed-point iteration on alpha, as an independent cross-check.
 
     Starting from the all-singletons partition, repeatedly set alpha to the
@@ -425,7 +413,7 @@ def mda_reference(model: SourceModel, *, solver: str = "auto",
         if len(current) == 1:
             raise InternalError("reference iteration coarsened past the solution")
         alpha = h_total - (partition_entropy(model, current) - h_total) / (len(current) - 1)
-        result = coordinate_saturation(model, alpha, solver=solver, counter=counter)
+        result = coordinate_saturation(model, alpha)
         if result.partition == current:
             return alpha, current, result.rates
         current = result.partition

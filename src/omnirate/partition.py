@@ -118,10 +118,6 @@ class AffineValue:
     def of(cls, intercept, slope=0) -> "AffineValue":
         return cls(as_rational(intercept), as_rational(slope))
 
-    @classmethod
-    def constant(cls, value) -> "AffineValue":
-        return cls.of(value, 0)
-
     def at(self, alpha: Fraction) -> Fraction:
         return self.intercept + self.slope * alpha
 
@@ -230,13 +226,6 @@ class Segmented:
             if interval.contains(alpha):
                 return value
         raise DomainError(f"alpha {alpha} not covered (broken tiling)")
-
-    def interval_at(self, alpha) -> AlphaInterval:
-        alpha = as_rational(alpha)
-        for interval, _ in self.pieces:
-            if interval.contains(alpha):
-                return interval
-        raise DomainError(f"alpha {alpha} outside [0, {self.top}]")
 
     def map(self, fn: Callable[[Any], Any]) -> "Segmented":
         """Apply fn to every value; equal adjacent results are re-merged."""

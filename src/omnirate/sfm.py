@@ -10,18 +10,20 @@ it is an entropy-derived submodular function minus a modular rate term, so
 the minimizers form a lattice and the componentwise-minimal and -maximal
 minimizers both exist.
 
-Two interchangeable solvers are provided:
+`minimize` is the one entry point.  It picks a backend by lattice size:
 
 * `minimize_brute` enumerates all 2^(k) anchored block unions (k non-anchor
-  blocks).  It is the in-repo reference oracle.
+  blocks).  It runs for k <= AUTO_BRUTE_LIMIT and is the in-repo reference
+  oracle.
 * `minimize_mnp` runs the Fujishige-Wolfe minimum-norm-point algorithm on
   the base polytope of the function contracted onto the anchor, entirely in
   exact rational arithmetic, and reads both extreme minimizers off the sign
-  pattern of the norm point.
+  pattern of the norm point.  It runs above the limit; if it hits its
+  iteration cap, `minimize` falls back to brute enumeration.
 
-Both return the same canonical answer: the minimum value, the minimal
-minimizer (intersection of all minimizers) and the maximal minimizer
-(union), each expressed as a set of users.
+Both backends return the same canonical answer: the minimum value, the
+minimal minimizer (intersection of all minimizers) and the maximal
+minimizer (union), each expressed as a set of users.
 """
 
 from __future__ import annotations
@@ -34,20 +36,10 @@ from .errors import CapacityError, DomainError, InternalError, SolverError
 from .model import SourceModel
 
 # 2^11 brute evaluations is still instantaneous; larger lattices go to the
-# min-norm-point path under the "auto" policy.
+# min-norm-point path.
 AUTO_BRUTE_LIMIT = 11
 BRUTE_LIMIT = 24
 _MNP_ITERATION_CAP = 10_000
-
-
-@dataclass
-class SfmCounter:
-    """Counts solver invocations so a sweep's cost can be reported."""
-
-    calls: int = 0
-
-    def bump(self):
-        self.calls += 1
 
 
 @dataclass(frozen=True)
@@ -256,28 +248,17 @@ def dot_exact(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
     return sum((a * b for a, b in zip(u, v)), Fraction(0))
 
 
-def minimize(oracle: FusionOracle, solver: str = "auto",
-             counter: SfmCounter | None = None) -> SfmResult:
-    """Dispatch to a solver; "auto" uses brute force on small lattices.
+def minimize(oracle: FusionOracle) -> SfmResult:
+    """Canonical extreme minimizers of f~, with the backend picked by size.
 
-    The min-norm-point path falls back to brute enumeration if it fails to
-    converge, so the contract (exact canonical extreme minimizers) holds
-    for every solver choice.
+    Brute enumeration on lattices of at most AUTO_BRUTE_LIMIT non-anchor
+    blocks, min-norm-point above it.  If min-norm-point fails to converge
+    the call falls back to brute enumeration, so the answer is the same
+    exact one either way.
     """
-    if counter is not None:
-        counter.bump()
-    if solver == "brute":
+    if len(oracle.non_anchor_blocks) <= AUTO_BRUTE_LIMIT:
         return minimize_brute(oracle)
-    if solver == "mnp":
-        try:
-            return minimize_mnp(oracle)
-        except SolverError:
-            return minimize_brute(oracle)
-    if solver == "auto":
-        if len(oracle.non_anchor_blocks) <= AUTO_BRUTE_LIMIT:
-            return minimize_brute(oracle)
-        try:
-            return minimize_mnp(oracle)
-        except SolverError:
-            return minimize_brute(oracle)
-    raise DomainError(f"unknown solver {solver!r}; expected auto, brute or mnp")
+    try:
+        return minimize_mnp(oracle)
+    except SolverError:
+        return minimize_brute(oracle)

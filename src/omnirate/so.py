@@ -23,7 +23,6 @@ from .dilworth import AlphaFunction, dilworth_truncation
 from .errors import DecompositionError, DomainError, InternalError
 from .model import SourceModel, as_rational
 from .par import ParState, iter_parametric
-from .sfm import SfmCounter
 
 
 @dataclass(frozen=True)
@@ -84,9 +83,7 @@ def _plan_from_state(state: ParState, alpha_bar: Fraction) -> SOPlan | None:
                   state.carrier_size, state.model.size)
 
 
-def find_complimentary(model: SourceModel, alpha_bar=None, *,
-                       solver: str = "auto",
-                       counter: SfmCounter | None = None) -> SOPlan | None:
+def find_complimentary(model: SourceModel, alpha_bar=None) -> SOPlan | None:
     """Search the sweep for a complimentary subset; None if none shows up.
 
     With the default bound the sweep stops at the first iteration whose
@@ -106,7 +103,7 @@ def find_complimentary(model: SourceModel, alpha_bar=None, *,
         raise DomainError(f"alpha_bar {alpha_bar} outside [0, {model.total_entropy}]")
 
     plan = None
-    for state in iter_parametric(model, solver=solver, counter=counter):
+    for state in iter_parametric(model):
         if state.carrier_size == 1:
             continue
         if sweep_all and state.carrier_size < model.size:

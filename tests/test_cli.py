@@ -160,7 +160,7 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", five_user_path)
         assert code == 0
         assert "all checks passed" in out
-        assert "submodular minimizations used:" in out
+        assert "submodular minimizations used by the sweep:" in out
         assert "FAIL" not in out
 
     def test_seeded_random_model_passes(self, capsys, tmp_path):

@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from omnirate import (AffineValue, BitPoolSource, DomainError, Partition,
-                      SfmCounter, brute_min_sum_rate, check_achievable,
-                      coordinate_saturation)
+                      brute_min_sum_rate, check_achievable,
+                      coordinate_saturation, par, sfm)
 from omnirate.par import (MinimizerChain, extract_psp, initial_state,
                           iter_parametric, mda_reference,
                           parametric_iteration, prefix_psp, run_parametric,
@@ -252,10 +252,11 @@ class TestMdaReference:
             assert psp.finest_maximizer == partition
             assert psp.rates == rates
 
-    def test_large_ground_set_uses_min_norm_point_path(self):
-        # 12 users: saturation lattices grow past the brute auto-limit, so
-        # the sweep exercises the exact min-norm-point solver; the
-        # fixed-point baseline and a forced-solver rerun must agree.
+    def test_large_ground_set_uses_min_norm_point_path(self, monkeypatch):
+        # 12 users give at most 11 non-anchor blocks, within the brute
+        # limit, so the default sweep enumerates.  Lowering the limit to 0
+        # forces every lattice through min-norm-point; the fixed-point
+        # baseline and the forced rerun must agree with the default sweep.
         rng = random.Random(22)
         universe = [f"b{k}" for k in range(15)]
         model = BitPoolSource(
@@ -265,8 +266,18 @@ class TestMdaReference:
         value, partition, rates = mda_reference(model)
         assert (psp.min_sum_rate, psp.finest_maximizer, psp.rates) == \
             (value, partition, rates)
-        _, forced = run_parametric(model, solver="mnp")
+        mnp_calls = []
+        real_mnp = sfm.minimize_mnp
+
+        def counted(oracle):
+            mnp_calls.append(len(oracle.non_anchor_blocks))
+            return real_mnp(oracle)
+
+        monkeypatch.setattr(sfm, "AUTO_BRUTE_LIMIT", 0)
+        monkeypatch.setattr(sfm, "minimize_mnp", counted)
+        _, forced = run_parametric(model)
         assert forced == psp
+        assert mnp_calls
         assert check_achievable(model, psp.rates)
 
 
@@ -334,8 +345,19 @@ class TestStateInvariants:
                                                 and probe.alpha == lo)
                     assert probe.alpha <= hi
 
-    def test_counter_accumulates(self, five_user):
-        counter = SfmCounter()
-        states = list(iter_parametric(five_user, counter=counter))
-        assert states[-1].sfm_calls == counter.calls > 0
-        assert all(a.sfm_calls <= b.sfm_calls for a, b in zip(states, states[1:]))
+    def test_probe_record_counts_minimizations(self, five_user, monkeypatch):
+        # One submodular minimization per probe: the probe record is the
+        # sweep's SFM count, iteration by iteration.
+        calls = []
+        real_minimize = par.minimize
+
+        def counted(oracle):
+            calls.append(oracle.alpha)
+            return real_minimize(oracle)
+
+        monkeypatch.setattr(par, "minimize", counted)
+        seen = 0
+        for state in iter_parametric(five_user):
+            start, seen = seen, seen + len(state.last_probes)
+            assert calls[start:] == [p.alpha for p in state.last_probes]
+        assert seen > 0

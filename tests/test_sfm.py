@@ -4,8 +4,8 @@ from itertools import combinations
 
 import pytest
 
-from omnirate import (CapacityError, FusionOracle, SfmCounter, minimize,
-                      minimize_brute, minimize_mnp)
+from omnirate import (CapacityError, FusionOracle, minimize, minimize_brute,
+                      minimize_mnp, sfm)
 from omnirate.par import fusion_oracle_at, initial_state, iter_parametric
 
 from conftest import random_bitpool
@@ -37,13 +37,26 @@ class TestBruteOnGoldenSource:
         assert res.min_value == o.f_tilde(frozenset({1}))
         assert minimize_mnp(o) == res
 
-    def test_mnp_iteration_cap_raises(self, five_user):
+    def test_mnp_iteration_cap_raises(self, five_user, monkeypatch):
         from omnirate import SolverError
         o = oracle_for(five_user, 6, [[1], [2]], 2, {1: 4, 2: -4})
         with pytest.raises(SolverError):
             minimize_mnp(o, iteration_cap=0)
-        # the dispatcher falls back to brute force instead
-        assert minimize(o, "mnp") == minimize_brute(o)
+        # Route this lattice to min-norm-point and make it hit its cap:
+        # minimize must fall back to brute enumeration.
+        failures = []
+
+        def capped(oracle):
+            try:
+                return minimize_mnp(oracle, iteration_cap=0)
+            except SolverError:
+                failures.append(oracle)
+                raise
+
+        monkeypatch.setattr(sfm, "AUTO_BRUTE_LIMIT", 0)
+        monkeypatch.setattr(sfm, "minimize_mnp", capped)
+        assert minimize(o) == minimize_brute(o)
+        assert failures == [o]
 
     def test_capacity_cap(self, five_user):
         blocks = [[1], [2]]
@@ -188,16 +201,9 @@ class TestSaturationCapacity:
             assert tight
 
 
-def test_dispatch_and_counter(five_user):
+def test_backends_agree_through_minimize(five_user):
     o = oracle_for(five_user, 3, [[1], [2]], 2, {1: 1, 2: -7})
-    counter = SfmCounter()
-    a = minimize(o, "brute", counter)
-    b = minimize(o, "mnp", counter)
-    c = minimize(o, "auto", counter)
-    assert a == b == c
-    assert counter.calls == 3
-    with pytest.raises(Exception):
-        minimize(o, "nope")
+    assert minimize(o) == minimize_brute(o) == minimize_mnp(o)
 
 
 def test_fusion_oracle_helper_matches_manual(five_user):
