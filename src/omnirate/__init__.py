@@ -25,6 +25,6 @@ from .partition import (AffineValue, AlphaInterval, Partition, Segmented)
 from .sfm import (FusionOracle, SfmResult, minimize, minimize_brute,
                   minimize_mnp)
 from .so import (SOPlan, decompose_rates, find_complimentary,
-                 lower_bound_alpha, verify_complimentary)
+                 lower_bound_alpha, plan_from_state, verify_complimentary)
 
 __version__ = "0.1.0"

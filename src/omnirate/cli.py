@@ -45,7 +45,7 @@ from .modelfile import load_model
 from .oracle import MAX_ENUM_USERS, brute_dilworth, brute_min_sum_rate, check_achievable
 from .par import (extract_psp, fusion_oracle_at, iter_parametric,
                   mda_reference, run_parametric)
-from .so import find_complimentary, lower_bound_alpha
+from .so import find_complimentary, lower_bound_alpha, plan_from_state
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -117,23 +117,26 @@ def cmd_truncation_csv(args) -> int:
 
 def cmd_so(args) -> int:
     model = _load_validated(args.model)
-    override = None
-    if args.alpha_bar is not None:
+    d = args.decimal
+    if args.alpha_bar is None:
+        print(f"alpha-bar = {_fmt(lower_bound_alpha(model), d)}")
+        plan = find_complimentary(model)
+    else:
         try:
             override = Fraction(args.alpha_bar)
         except (ValueError, ZeroDivisionError):
             raise DomainError(f"--alpha-bar must be a rational, got {args.alpha_bar!r}")
-        _, psp = run_parametric(model)
+        state, psp = run_parametric(model)
         if override > psp.min_sum_rate:
             raise DomainError(
                 f"--alpha-bar {override} exceeds the minimum sum-rate "
                 f"{psp.min_sum_rate}; the bound must satisfy "
                 f"alpha_bar <= R_CO(V) for complimentary-subset detection"
             )
-    d = args.decimal
-    bound = override if override is not None else lower_bound_alpha(model)
-    print(f"alpha-bar = {_fmt(bound, d)}")
-    plan = find_complimentary(model, override)
+        print(f"alpha-bar = {_fmt(override, d)}")
+        if override < 0:
+            raise DomainError(f"alpha_bar {override} outside [0, {model.total_entropy}]")
+        plan = plan_from_state(state, override)
     if plan is None:
         print("no complimentary subset")
         return EXIT_OK

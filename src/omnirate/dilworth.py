@@ -28,7 +28,7 @@ from typing import Iterable
 
 from .errors import DomainError
 from .model import SourceModel, as_rational
-from .partition import Partition
+from .partition import Partition, singleton
 from .sfm import FusionOracle, minimize
 
 
@@ -97,9 +97,9 @@ def coordinate_saturation(model: SourceModel, alpha, carrier=None) -> DilworthRe
     rates: dict[int, Fraction] = {first: f_alpha({first})}
     partition = Partition.singletons([first])
     for user in users[1:]:
-        blocks = partition.blocks + (frozenset({user}),)
+        blocks = partition.blocks + (singleton(user),)
         rates[user] = base
-        oracle = FusionOracle(model, alpha, blocks, frozenset({user}), dict(rates))
+        oracle = FusionOracle(model, alpha, blocks, singleton(user), dict(rates))
         result = minimize(oracle)
         rates[user] = base + result.min_value
         partition = Partition(blocks).merge_blocks(result.minimal)

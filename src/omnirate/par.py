@@ -36,7 +36,8 @@ from typing import Iterator
 from .dilworth import coordinate_saturation
 from .errors import DomainError, InternalError
 from .model import SourceModel, as_rational, partition_entropy
-from .partition import AffineValue, AlphaInterval, Partition, Segmented, split_pieces
+from .partition import (AffineValue, AlphaInterval, Partition, Segmented, singleton,
+                        split_pieces)
 from .sfm import FusionOracle, minimize
 
 
@@ -133,7 +134,7 @@ def initial_state(model: SourceModel) -> ParState:
     """Sweep state after user 1: one block, r_1 = alpha - H(V) + H({1})."""
     top = model.total_entropy
     rate = AffineValue(model.entropy({1}) - top, Fraction(1))
-    slice_ = StateSlice(Partition([{1}]), (rate,))
+    slice_ = StateSlice(Partition([singleton(1)]), (rate,))
     return ParState(model, 1, Segmented.constant(top, slice_))
 
 
@@ -143,7 +144,7 @@ def _extended_table(state: ParState, user: int) -> Segmented:
 
     def extend(slice_: StateSlice) -> StateSlice:
         return StateSlice(
-            Partition(slice_.partition.blocks + (frozenset({user}),)),
+            Partition(slice_.partition.blocks + (singleton(user),)),
             slice_.rates + (fresh,),
         )
 
@@ -155,7 +156,7 @@ def _oracle_at(model: SourceModel, table: Segmented, users, anchor_user: int,
     slice_ = table.value_at(alpha)
     rates = {u: r.at(alpha) for u, r in zip(users, slice_.rates)}
     return FusionOracle(model, alpha, slice_.partition.blocks,
-                        frozenset({anchor_user}), rates)
+                        singleton(anchor_user), rates)
 
 
 def fusion_oracle_at(state: ParState, user: int, alpha) -> FusionOracle:

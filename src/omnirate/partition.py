@@ -16,10 +16,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Any, Callable, Iterable, Iterator
 
 from .errors import DomainError
 from .model import as_rational
+
+
+@cache
+def singleton(user: int) -> frozenset[int]:
+    """The block {user}, one shared frozenset per user.
+
+    Singleton blocks recur in every partition of a sweep and in every
+    result a caller keeps, so sharing them keeps retained results small.
+    """
+    return frozenset((user,))
 
 
 class Partition:
@@ -29,7 +40,7 @@ class Partition:
     makes equality, hashing and printing deterministic.
     """
 
-    __slots__ = ("blocks", "carrier")
+    __slots__ = ("blocks",)
 
     def __init__(self, blocks: Iterable[Iterable[int]]):
         frozen = [frozenset(b) for b in blocks]
@@ -45,18 +56,22 @@ class Partition:
         if total != len(carrier):
             raise DomainError("partition blocks must be pairwise disjoint")
         object.__setattr__(self, "blocks", tuple(sorted(frozen, key=min)))
-        object.__setattr__(self, "carrier", frozenset(carrier))
 
     def __setattr__(self, name, value):
         raise AttributeError("Partition is immutable")
 
     @classmethod
     def singletons(cls, carrier: Iterable[int]) -> "Partition":
-        return cls([{u} for u in carrier])
+        return cls([singleton(u) for u in carrier])
 
     @classmethod
     def whole(cls, carrier: Iterable[int]) -> "Partition":
         return cls([set(carrier)])
+
+    @property
+    def carrier(self) -> frozenset[int]:
+        """The union of the blocks (computed on demand, not stored)."""
+        return frozenset().union(*self.blocks)
 
     def __len__(self) -> int:
         return len(self.blocks)

@@ -13,13 +13,19 @@ minimizers both exist.
 `minimize` is the one entry point.  It picks a backend by lattice size:
 
 * `minimize_brute` enumerates all 2^(k) anchored block unions (k non-anchor
-  blocks).  It runs for k <= AUTO_BRUTE_LIMIT and is the in-repo reference
-  oracle.
+  blocks) in Gray-code order.  It runs for k <= AUTO_BRUTE_LIMIT.
 * `minimize_mnp` runs the Fujishige-Wolfe minimum-norm-point algorithm on
   the base polytope of the function contracted onto the anchor, entirely in
-  exact rational arithmetic, and reads both extreme minimizers off the sign
-  pattern of the norm point.  It runs above the limit; if it hits its
-  iteration cap, `minimize` falls back to brute enumeration.
+  exact arithmetic, and reads both extreme minimizers off the sign pattern
+  of the norm point.  It runs above the limit; if it hits its iteration
+  cap, `minimize` falls back to brute enumeration.
+
+Both backends work on user bitmasks and ints.  Once per call they compute
+the anchor's mask, one mask per non-anchor block and each block's rate sum
+scaled to an int by the lcm of those sums' denominators; entropies come
+straight from `SourceModel.entropy_of_mask`.  Nothing is rounded: values
+are compared by cross-multiplication and the min-norm-point's linear
+algebra is fraction-free, so the answers are the exact ones.
 
 Both backends return the same canonical answer: the minimum value, the
 minimal minimizer (intersection of all minimizers) and the maximal
@@ -30,10 +36,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, Sequence
 
 from .errors import CapacityError, DomainError, InternalError, SolverError
-from .model import SourceModel
+from .model import SourceModel, subset_mask
 
 # 2^11 brute evaluations is still instantaneous; larger lattices go to the
 # min-norm-point path.
@@ -82,36 +89,76 @@ class SfmResult:
     evaluations: int = field(compare=False, default=0)
 
 
-def minimize_brute(oracle: FusionOracle) -> SfmResult:
-    """Reference solver: enumerate every anchored union of blocks.
+def _scaled_lattice(oracle: FusionOracle):
+    """Per-call set-up shared by both backends.
 
-    The minimal minimizer is accumulated as the intersection of all
-    minimizers seen and the maximal one as their union; the minimizer
-    lattice guarantees both are themselves minimizers.
+    Returns the anchor's user mask, one user mask per non-anchor block, each
+    block's rate sum as an int over a common denominator, and that
+    denominator `scale` (the lcm of the block sums' denominators).
     """
     rest = oracle.non_anchor_blocks
-    if len(rest) > BRUTE_LIMIT:
+    sums = [sum((oracle.rates[u] for u in b), Fraction(0)) for b in rest]
+    scale = lcm(*(s.denominator for s in sums))
+    return (subset_mask(oracle.anchor), [subset_mask(b) for b in rest],
+            [s.numerator * (scale // s.denominator) for s in sums], scale)
+
+
+def _fused(oracle: FusionOracle, choice: int) -> frozenset[int]:
+    """The anchor plus the non-anchor blocks whose bits are set in `choice`."""
+    rest = oracle.non_anchor_blocks
+    chosen = [rest[j] for j in range(len(rest)) if choice >> j & 1]
+    return oracle.anchor.union(*chosen) if chosen else oracle.anchor
+
+
+def minimize_brute(oracle: FusionOracle) -> SfmResult:
+    """Exhaustive solver: enumerate every anchored union of blocks.
+
+    The 2^k unions are visited in Gray-code order, so each step toggles one
+    block: its user mask is xor-ed into the union and its int rate added or
+    subtracted, and the entropy is read straight from
+    `SourceModel.entropy_of_mask`.  Up to the constant alpha - H(V) - r(anchor),
+    a union's value times `scale` is (h.numerator*scale - rate*h.denominator)
+    / h.denominator, and two such values are compared by cross-multiplying,
+    so the walk stays on ints (bit-pool entropies have denominator 1) and
+    rational tables stay exact without a model-wide lcm.
+
+    The minimal minimizer is accumulated as the intersection of all
+    minimizers seen and the maximal one as their union, both as bitmasks of
+    block choices; the minimizer lattice guarantees both are themselves
+    minimizers.
+    """
+    k = len(oracle.non_anchor_blocks)
+    if k > BRUTE_LIMIT:
         raise CapacityError(
-            f"brute enumeration capped at {BRUTE_LIMIT} non-anchor blocks, got {len(rest)}"
+            f"brute enumeration capped at {BRUTE_LIMIT} non-anchor blocks, got {k}"
         )
-    best = oracle.f_tilde(oracle.anchor)
-    minimal = maximal = oracle.anchor
-    evaluations = 1
-    for choice in range(1, 1 << len(rest)):
-        fused = set(oracle.anchor)
-        for k in range(len(rest)):
-            if choice & (1 << k):
-                fused |= rest[k]
-        fused = frozenset(fused)
-        value = oracle.f_tilde(fused)
-        evaluations += 1
-        if value < best:
-            best = value
-            minimal = maximal = fused
-        elif value == best:
-            minimal = minimal & fused
-            maximal = maximal | fused
-    return SfmResult(best, minimal, maximal, evaluations)
+    users, masks, rates, scale = _scaled_lattice(oracle)
+    entropy = oracle.model.entropy_of_mask
+    h = entropy(users)
+    best_num, best_den = h.numerator * scale, h.denominator
+    choice = minimal = maximal = rate = 0
+    for step in range(1, 1 << k):
+        j = (step & -step).bit_length() - 1
+        users ^= masks[j]
+        if choice >> j & 1:
+            rate -= rates[j]
+        else:
+            rate += rates[j]
+        choice ^= 1 << j
+        h = entropy(users)
+        den = h.denominator
+        num = h.numerator * scale - rate * den
+        lhs = num * best_den
+        rhs = best_num * den
+        if lhs < rhs:
+            best_num, best_den = num, den
+            minimal = maximal = choice
+        elif lhs == rhs:
+            minimal &= choice
+            maximal |= choice
+    minimal_set = _fused(oracle, minimal)
+    return SfmResult(oracle.f_tilde(minimal_set), minimal_set,
+                     _fused(oracle, maximal), 1 << k)
 
 
 def minimize_mnp(oracle: FusionOracle, iteration_cap: int = _MNP_ITERATION_CAP) -> SfmResult:
@@ -119,40 +166,36 @@ def minimize_mnp(oracle: FusionOracle, iteration_cap: int = _MNP_ITERATION_CAP) 
 
     Works on g(S) = f~(anchor u S~) - f~(anchor) over the non-anchor blocks
     (contraction keeps submodularity exact and encodes the anchor
-    constraint).  With exact arithmetic the optimality test
-    <x, x> <= min_v <x, v> is decided exactly, so the extreme minimizers
-    are read directly off the sign pattern of the norm point x: strictly
-    negative coordinates give the minimal minimizer, nonpositive ones the
-    maximal.  Raises SolverError if the iteration cap is hit (callers may
-    fall back to minimize_brute).
+    constraint).  g is read through the same block masks and int block
+    rates as `minimize_brute`, cached per block-choice bitmask; the greedy
+    vertex builds its chain of unions one mask at a time.  With exact
+    arithmetic the optimality test <x, x> <= min_v <x, v> is decided
+    exactly, so the extreme minimizers are read directly off the sign
+    pattern of the norm point x: strictly negative coordinates give the
+    minimal minimizer, nonpositive ones the maximal.  Raises SolverError if
+    the iteration cap is hit (callers may fall back to minimize_brute).
     """
-    rest = oracle.non_anchor_blocks
-    k = len(rest)
-    anchor_value = oracle.f_tilde(oracle.anchor)
+    k = len(oracle.non_anchor_blocks)
     if k == 0:
-        return SfmResult(anchor_value, oracle.anchor, oracle.anchor, 1)
+        return SfmResult(oracle.f_tilde(oracle.anchor), oracle.anchor, oracle.anchor, 1)
 
+    anchor_mask, masks, rates, scale = _scaled_lattice(oracle)
+    entropy = oracle.model.entropy_of_mask
+    anchor_h = entropy(anchor_mask)
     cache: dict[int, Fraction] = {0: Fraction(0)}
 
-    def g_of_mask(mask: int) -> Fraction:
-        value = cache.get(mask)
-        if value is None:
-            fused = set(oracle.anchor)
-            for j in range(k):
-                if mask & (1 << j):
-                    fused |= rest[j]
-            value = oracle.f_tilde(frozenset(fused)) - anchor_value
-            cache[mask] = value
-        return value
-
     def greedy(weights: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        order = sorted(range(k), key=lambda j: weights[j])
         vertex = [Fraction(0)] * k
-        mask = 0
+        choice = rate = 0
+        users = anchor_mask
         prev = Fraction(0)
-        for j in order:
-            mask |= 1 << j
-            cur = g_of_mask(mask)
+        for j in sorted(range(k), key=weights.__getitem__):
+            choice |= 1 << j
+            users |= masks[j]
+            rate += rates[j]
+            cur = cache.get(choice)
+            if cur is None:
+                cur = cache[choice] = entropy(users) - anchor_h - Fraction(rate, scale)
             vertex[j] = cur - prev
             prev = cur
         return tuple(vertex)
@@ -189,15 +232,8 @@ def minimize_mnp(oracle: FusionOracle, iteration_cap: int = _MNP_ITERATION_CAP) 
     else:
         raise SolverError("minimum-norm-point iteration cap exceeded")
 
-    minimal = set(oracle.anchor)
-    maximal = set(oracle.anchor)
-    for j in range(k):
-        if x[j] < 0:
-            minimal |= rest[j]
-        if x[j] <= 0:
-            maximal |= rest[j]
-    minimal = frozenset(minimal)
-    maximal = frozenset(maximal)
+    minimal = _fused(oracle, sum(1 << j for j in range(k) if x[j] < 0))
+    maximal = _fused(oracle, sum(1 << j for j in range(k) if x[j] <= 0))
     value = oracle.f_tilde(minimal)
     if value != oracle.f_tilde(maximal):
         raise InternalError("extreme minimizers disagree on the minimum value")
@@ -207,39 +243,60 @@ def minimize_mnp(oracle: FusionOracle, iteration_cap: int = _MNP_ITERATION_CAP) 
 def _affine_minimizer(vertices: list[tuple[Fraction, ...]]):
     """Minimum-norm point of the affine hull of `vertices`, exactly.
 
-    Solves the bordered Gram system [[0, 1^T], [1, G]] (mu, lam) = (1, 0)
-    by fraction-exact Gaussian elimination and returns (lam, sum lam_i v_i).
+    The vertices are scaled to ints by the lcm of their coordinates'
+    denominators; the affine minimizer's coefficients do not depend on that
+    scale.  The bordered Gram system [[0, 1^T], [1, G]] (mu, lam) = (1, 0),
+    with G symmetric and filled by halves, is then solved by fraction-free
+    Gauss-Jordan elimination (Bareiss 1968): step t replaces every entry
+    off the pivot row by (p*a - b*c) / p', where p is the current pivot and
+    p' the previous one.  By Sylvester's determinant identity each entry
+    after step t is the determinant of a (t+1)-by-(t+1) matrix of entries
+    of the row-permuted system, an int, so every division is exact; a
+    nonzero remainder would mean corrupted state and raises InternalError.
+    At the end every diagonal entry is the determinant det, so
+    lam_i = num_i / det and the point is sum(num_i * v_i) / (det * scale).
     """
     m = len(vertices)
-    gram = [[dot_exact(a, b) for b in vertices] for a in vertices]
+    n = len(vertices[0])
+    scale = lcm(*(c.denominator for v in vertices for c in v))
+    ints = [[c.numerator * (scale // c.denominator) for c in v] for v in vertices]
     size = m + 1
-    aug = [[Fraction(0)] * (size + 1) for _ in range(size)]
-    aug[0][0] = Fraction(0)
-    for j in range(m):
-        aug[0][j + 1] = Fraction(1)
-        aug[j + 1][0] = Fraction(1)
+    aug = [[0] * (size + 1) for _ in range(size)]
+    aug[0][size] = 1
     for i in range(m):
-        for j in range(m):
-            aug[i + 1][j + 1] = gram[i][j]
-    aug[0][size] = Fraction(1)
+        aug[0][i + 1] = aug[i + 1][0] = 1
+        for j in range(i, m):
+            aug[i + 1][j + 1] = aug[j + 1][i + 1] = sum(
+                a * b for a, b in zip(ints[i], ints[j]))
 
+    prev = 1
     for col in range(size):
-        pivot = next((r for r in range(col, size) if aug[r][col] != 0), None)
+        pivot = next((r for r in range(col, size) if aug[r][col]), None)
         if pivot is None:
             raise InternalError("degenerate corral in min-norm-point solver")
         aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = aug[col][col]
-        aug[col] = [v / inv for v in aug[col]]
+        prow = aug[col]
+        p = prow[col]
         for r in range(size):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [v - factor * w for v, w in zip(aug[r], aug[col])]
+            if r == col:
+                continue
+            row = aug[r]
+            factor = row[col]
+            updated = []
+            for v, w in zip(row, prow):
+                q, rem = divmod(p * v - factor * w, prev)
+                if rem:
+                    raise InternalError("inexact division in fraction-free elimination")
+                updated.append(q)
+            aug[r] = updated
+        prev = p
 
-    lambdas = [aug[j + 1][size] for j in range(m)]
-    n = len(vertices[0])
+    det = prev
+    nums = [aug[j + 1][size] for j in range(m)]
+    lambdas = [Fraction(num, det) for num in nums]
     point = tuple(
-        sum((l * v[j] for l, v in zip(lambdas, vertices)), Fraction(0))
-        for j in range(n)
+        Fraction(sum(num * v[c] for num, v in zip(nums, ints)), det * scale)
+        for c in range(n)
     )
     return lambdas, point
 

@@ -55,7 +55,14 @@ def lower_bound_alpha(model: SourceModel) -> Fraction:
     return gaps / (model.size - 1)
 
 
-def _plan_from_state(state: ParState, alpha_bar: Fraction) -> SOPlan | None:
+def plan_from_state(state: ParState, alpha_bar: Fraction) -> SOPlan | None:
+    """The plan read off one sweep state at alpha_bar; None if none shows up.
+
+    The first nonsingleton block of the segmented partition at alpha_bar is
+    the complimentary subset (when alpha_bar is at most the minimum
+    sum-rate).  Its rate vector is the stored one at the alpha where its
+    sub-blocks finish merging.
+    """
     partition = state.partition_at(alpha_bar)
     block = next((b for b in partition.blocks if len(b) > 1), None)
     if block is None:
@@ -108,7 +115,7 @@ def find_complimentary(model: SourceModel, alpha_bar=None) -> SOPlan | None:
             continue
         if sweep_all and state.carrier_size < model.size:
             continue
-        plan = _plan_from_state(state, alpha_bar)
+        plan = plan_from_state(state, alpha_bar)
         if plan is not None:
             return plan
     return None

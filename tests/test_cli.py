@@ -138,6 +138,28 @@ class TestSo:
         assert "alpha_C = 6" in out
         assert "local rate vector: (4, 0, 1)" in out
 
+    def test_override_sweeps_once(self, capsys, five_user_path, monkeypatch):
+        # The bound check and the plan share one sweep of the 5 users.
+        from omnirate import par
+        iterations = []
+        real = par.parametric_iteration
+
+        def counted(state):
+            iterations.append(state.carrier_size)
+            return real(state)
+
+        monkeypatch.setattr(par, "parametric_iteration", counted)
+        code, out, _ = run_cli(capsys, "so", five_user_path, "--alpha-bar", "25/4")
+        assert code == 0
+        assert "complimentary subset: {1,2,5}" in out
+        assert iterations == [1, 2, 3, 4]
+
+    def test_negative_override_rejected(self, capsys, five_user_path):
+        code, out, err = run_cli(capsys, "so", five_user_path, "--alpha-bar", "-1")
+        assert code == 3
+        assert "alpha-bar = -1" in out
+        assert "alpha_bar -1 outside [0, 10]" in err
+
     def test_independent_sources(self, capsys, tmp_path):
         path = tmp_path / "indep.bitpool"
         path.write_text("type=bitpool\nuser 1: x\nuser 2: y\nuser 3: z\n")

@@ -4,8 +4,9 @@ from itertools import combinations
 
 import pytest
 
-from omnirate import (CapacityError, FusionOracle, minimize, minimize_brute,
-                      minimize_mnp, sfm)
+from omnirate import (CapacityError, EntropyTable, FusionOracle, InternalError,
+                      minimize, minimize_brute, minimize_mnp, sfm)
+from omnirate.model import subset_mask
 from omnirate.par import fusion_oracle_at, initial_state, iter_parametric
 
 from conftest import random_bitpool
@@ -212,3 +213,164 @@ def test_fusion_oracle_helper_matches_manual(five_user):
     assert o.blocks == (frozenset({1, 2}), frozenset({3}), frozenset({4}), frozenset({5}))
     assert o.f_tilde(frozenset({5})) == 5
     assert o.f_tilde(frozenset({1, 2, 5})) == Fraction(21, 4)
+
+
+def rank_sum_table(rng, n):
+    """Seeded rational polymatroid: sum_k w_k min(|X & S_k|, r_k) + sum_{u in X} c_u.
+
+    Each term is a weighted uniform-matroid rank on a random support, with
+    p/q weights; the private parts c_u are p/q too and may be 0.
+    """
+    terms = []
+    for _ in range(rng.randint(1, 4)):
+        support = frozenset(rng.sample(range(1, n + 1), rng.randint(1, n)))
+        terms.append((support, rng.randint(1, len(support)),
+                      Fraction(rng.randint(1, 9), rng.randint(1, 6))))
+    private = [Fraction(rng.randint(0, 3), rng.randint(1, 4)) for _ in range(n)]
+    values = {}
+    for r in range(1, n + 1):
+        for combo in combinations(range(1, n + 1), r):
+            x = frozenset(combo)
+            values[x] = (sum((w * min(len(x & s), k) for s, k, w in terms), Fraction(0))
+                         + sum((private[u - 1] for u in x), Fraction(0)))
+    return EntropyTable(n, values)
+
+
+def enumerated_extremes(oracle):
+    """Minimum and extreme minimizers by plain enumeration over f_tilde."""
+    rest = oracle.non_anchor_blocks
+    values = {}
+    for r in range(len(rest) + 1):
+        for combo in combinations(rest, r):
+            fused = oracle.anchor.union(*combo)
+            values[fused] = oracle.f_tilde(fused)
+    best = min(values.values())
+    minimizers = [x for x, v in values.items() if v == best]
+    return best, frozenset.intersection(*minimizers), frozenset.union(*minimizers)
+
+
+class TestRationalTablesAgainstEnumeration:
+    """Both backends against an enumeration that shares none of their code."""
+
+    def test_random_rank_sum_tables(self):
+        rng = random.Random(20231)
+        ties = 0
+        for trial in range(150):
+            n = rng.randint(2, 7)
+            model = rank_sum_table(rng, n)
+            carrier = list(range(1, rng.randint(2, n) + 1))
+            anchor = rng.choice(carrier)
+            others = [u for u in carrier if u != anchor]
+            rng.shuffle(others)
+            blocks = [[anchor]]
+            for u in others:
+                if blocks[-1] != [anchor] and rng.random() < 0.4:
+                    blocks[-1].append(u)
+                else:
+                    blocks.append([u])
+            if trial % 2:
+                rates = {u: Fraction(rng.randrange(-30, 20), rng.randint(1, 7))
+                         for u in carrier}
+            else:
+                # A greedy vertex with the anchor first and each block
+                # contiguous: every prefix union of blocks ties at the
+                # minimum, and a few nudged users break some of the ties.
+                rates, prefix, prev = {}, set(), Fraction(0)
+                for u in [u for b in blocks for u in b]:
+                    prefix.add(u)
+                    h = model.entropy(prefix)
+                    rates[u] = h - prev
+                    prev = h
+                for u in rng.sample(carrier, rng.randint(0, 2)):
+                    rates[u] += Fraction(rng.choice([-1, 1]), rng.randint(2, 5))
+            alpha = model.total_entropy * Fraction(rng.randint(0, 12), 12)
+            o = oracle_for(model, alpha, blocks, anchor, rates)
+            best, minimal, maximal = enumerated_extremes(o)
+            ties += minimal != maximal
+            for res in (minimize_brute(o), minimize_mnp(o)):
+                assert (res.min_value, res.minimal, res.maximal) == (best, minimal, maximal), \
+                    f"trial {trial}"
+        assert ties >= 30
+
+
+def test_gray_walk_queries_each_union_once(monkeypatch):
+    rng = random.Random(7)
+    model = rank_sum_table(rng, 7)
+    blocks = [[7], [1, 2], [3], [4], [5, 6]]
+    o = oracle_for(model, Fraction(5, 3), blocks, 7,
+                   {u: Fraction(u, 3) for u in model.users})
+    walk = []
+    walking = [True]
+    real_entropy = model.entropy_of_mask
+    real_f_tilde = FusionOracle.f_tilde
+
+    def counted(mask):
+        if walking[0]:
+            walk.append(mask)
+        return real_entropy(mask)
+
+    def f_tilde(self, fused):
+        walking[0] = False
+        return real_f_tilde(self, fused)
+
+    monkeypatch.setattr(model, "entropy_of_mask", counted)
+    monkeypatch.setattr(FusionOracle, "f_tilde", f_tilde)
+    res = minimize_brute(o)
+    unions = {subset_mask({7}.union(*combo))
+              for r in range(5) for combo in combinations(map(set, blocks[1:]), r)}
+    assert len(walk) == len(set(walk)) == 2 ** 4 == res.evaluations
+    assert set(walk) == unions
+
+
+def fraction_affine_minimizer(vertices):
+    """Plain Fraction Gauss-Jordan on the bordered Gram system; None if singular."""
+    m = len(vertices)
+    size = m + 1
+    rows = [[Fraction(0)] + [Fraction(1)] * m + [Fraction(1)]]
+    for a in vertices:
+        rows.append([Fraction(1)] + [sum((x * y for x, y in zip(a, b)), Fraction(0))
+                                     for b in vertices] + [Fraction(0)])
+    for col in range(size):
+        pivot = next((r for r in range(col, size) if rows[r][col] != 0), None)
+        if pivot is None:
+            return None
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        rows[col] = [v / rows[col][col] for v in rows[col]]
+        for r in range(size):
+            if r != col:
+                factor = rows[r][col]
+                rows[r] = [v - factor * w for v, w in zip(rows[r], rows[col])]
+    lambdas = [rows[j + 1][size] for j in range(m)]
+    point = tuple(sum((l * v[c] for l, v in zip(lambdas, vertices)), Fraction(0))
+                  for c in range(len(vertices[0])))
+    return lambdas, point
+
+
+class TestAffineMinimizer:
+    def test_matches_fraction_elimination(self):
+        rng = random.Random(1968)
+        solved = 0
+        for trial in range(300):
+            dim = rng.randint(1, 6)
+            m = rng.randint(1, dim + 1)
+            if trial % 2:
+                coord = lambda: Fraction(rng.randint(-9, 9))
+            else:
+                coord = lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 8))
+            corral = [tuple(coord() for _ in range(dim)) for _ in range(m)]
+            expected = fraction_affine_minimizer(corral)
+            if expected is None:
+                with pytest.raises(InternalError):
+                    sfm._affine_minimizer(corral)
+                continue
+            solved += 1
+            lambdas, point = sfm._affine_minimizer(corral)
+            assert (list(lambdas), point) == (expected[0], expected[1]), f"trial {trial}"
+            assert sum(lambdas) == 1
+        assert solved > 250
+
+    def test_duplicated_vertex_raises(self):
+        v = (Fraction(1, 2), Fraction(-3), Fraction(2, 7))
+        w = (Fraction(0), Fraction(1), Fraction(5, 3))
+        with pytest.raises(InternalError):
+            sfm._affine_minimizer([v, w, v])
