@@ -16,10 +16,30 @@ switching at critical points a_q < ... < a_1 < a_0 = H(V), with S_q active
 on [0, a_q] and S_j on (a_{j+1}, a_j].  The chain sets are found by a
 divide-and-conquer search (`strong_map_chain`) that probes the crossing
 alpha of two partition cost lines and recurses on both sides; each probe
-issues one plain submodular minimization.  The critical points then solve
-the per-chain-pair affine equations r_alpha(S_{j-1} \\ S_j) =
-H(S_{j-1}) - H(S_j), whose left side is piecewise affine and strictly
-increasing where the equation is relevant (`solve_chain_breakpoints`).
+issues one plain submodular minimization.
+
+Each probe's minimization runs on a bracketed sublattice, not on the whole
+fusion lattice of its alpha.  Three facts make that exact:
+
+* the minimal minimizer m(alpha) is monotone: alpha' <= alpha implies
+  m(alpha') <= m(alpha) (the nesting of the chain above);
+* the stored partition P(alpha') refines P(alpha) for alpha' <= alpha, so a
+  set that is a union of blocks at alpha is one at every lower alpha';
+* if the minimal minimizer lies in a sublattice, it is also the minimal
+  minimizer of the function restricted to that sublattice.
+
+So once probes at a < b have returned m(a) and m(b), every probe at
+alpha' in [a, b] has m(a) <= m(alpha') <= m(b).  Its lattice shrinks to the
+blocks of P(alpha') inside m(b) (restriction), with the blocks meeting m(a)
+contracted into one anchor (contraction): m(alpha') is a union of blocks
+that contains m(a), so it contains every block meeting m(a).  The search
+hands each lower child the bracket (inner, m(alpha)) and each upper child
+(m(alpha), outer), starting from ({i}, V_i).
+
+With the chain sets known, the critical points solve the per-chain-pair
+affine equations r_alpha(S_{j-1} \\ S_j) = H(S_{j-1}) - H(S_j), whose left
+side is piecewise affine and strictly increasing where the equation is
+relevant (`solve_chain_breakpoints`).
 
 The final segmented partition is the principal sequence of partitions of
 the ground set; its second-from-top breakpoint is the minimum sum-rate and
@@ -151,19 +171,43 @@ def _extended_table(state: ParState, user: int) -> Segmented:
     return state.table.map(extend)
 
 
-def _oracle_at(model: SourceModel, table: Segmented, users, anchor_user: int,
-               alpha: Fraction) -> FusionOracle:
-    slice_ = table.value_at(alpha)
-    rates = {u: r.at(alpha) for u, r in zip(users, slice_.rates)}
-    return FusionOracle(model, alpha, slice_.partition.blocks,
-                        singleton(anchor_user), rates)
+def _oracle_at(model: SourceModel, slice_: StateSlice, alpha: Fraction,
+               inner: frozenset[int], outer: frozenset[int]) -> FusionOracle:
+    """Fusion oracle at `alpha` on the sublattice between `inner` and `outer`.
+
+    The blocks of the slice's partition inside `outer` are kept (restriction)
+    and those meeting `inner` fuse into the anchor (contraction); only the
+    users of `outer` get rates.  `outer` must be a union of blocks holding
+    `inner`, which the bracket argument guarantees; a violation means the
+    search state is corrupt.
+    """
+    anchor_blocks, rest = [], []
+    for b in slice_.partition.blocks:
+        if not b.isdisjoint(inner):
+            anchor_blocks.append(b)
+        elif b <= outer:
+            rest.append(b)
+    # A lone block is kept as is, so a shared singleton stays shared in the
+    # partitions the sweep stores.
+    anchor = (anchor_blocks[0] if len(anchor_blocks) == 1
+              else frozenset().union(*anchor_blocks))
+    if not anchor <= outer or len(anchor) + sum(map(len, rest)) != len(outer):
+        raise InternalError(
+            f"bracket {sorted(inner)} <= {sorted(outer)} is not a block union "
+            f"at alpha {alpha}"
+        )
+    rates = {u: slice_.rates[u - 1].at(alpha) for u in outer}
+    # Anchor last: on the whole lattice that is where the new user's
+    # singleton sits, so `fusion_oracle_at` keeps the partition's order.
+    return FusionOracle(model, alpha, (*rest, anchor), anchor, rates)
 
 
 def fusion_oracle_at(state: ParState, user: int, alpha) -> FusionOracle:
     """The fusion problem user `user` would solve at `alpha` on top of `state`.
 
-    Exposed for checks: the returned oracle evaluates f~ on the pre-update
-    lattice of iteration `user`.
+    Exposed for checks: the returned oracle evaluates f~ on the whole
+    pre-update lattice of iteration `user`, not on the bracketed sublattice
+    a chain-search probe at `alpha` minimizes over.
     """
     if user != state.carrier_size + 1:
         raise DomainError(
@@ -171,8 +215,9 @@ def fusion_oracle_at(state: ParState, user: int, alpha) -> FusionOracle:
             f"{state.carrier_size + 1}, not {user}"
         )
     alpha = as_rational(alpha)
-    table = _extended_table(state, user)
-    return _oracle_at(state.model, table, range(1, user + 1), user, alpha)
+    slice_ = _extended_table(state, user).value_at(alpha)
+    return _oracle_at(state.model, slice_, alpha, singleton(user),
+                      frozenset(range(1, user + 1)))
 
 
 def strong_map_chain(state: ParState, p_down: Partition, p_up: Partition, *,
@@ -185,16 +230,24 @@ def strong_map_chain(state: ParState, p_down: Partition, p_up: Partition, *,
     the stored partition at that alpha and either stops (the fused result
     equals p_down) or recurses on the two subintervals.  The extended
     carrier V_i itself is an implied top element and never returned.
+
+    Each probe minimizes only over the sublattice its parent probes leave
+    open.  The minimal minimizer S* found at alpha bounds every probe of
+    the lower subinterval from above and every probe of the upper one from
+    below; the top probe's bracket is ({i}, V_i).  Since m(alpha) grows
+    with alpha and the stored partitions coarsen with it, each sublattice
+    still holds its probe's minimal minimizer, so the answers are the
+    whole-lattice ones (the bracket argument in the module docstring).
     """
     user = state.carrier_size + 1
     table = _extended_table(state, user)
-    users = tuple(range(1, user + 1))
     if probes is None:
         probes = []
-    return _chain_search(state.model, table, users, user, p_down, p_up, probes)
+    return _chain_search(state.model, table, p_down, p_up, singleton(user),
+                         frozenset(range(1, user + 1)), probes)
 
 
-def _chain_search(model, table, users, anchor, p_down, p_up,
+def _chain_search(model, table, p_down, p_up, inner, outer,
                   probes) -> set[frozenset[int]]:
     if p_down == p_up or not p_down.refines(p_up):
         raise DomainError("need p_down strictly finer than p_up")
@@ -203,14 +256,14 @@ def _chain_search(model, table, users, anchor, p_down, p_up,
     alpha = model.total_entropy - (h_down - h_up) / (len(p_down) - len(p_up))
     probes.append(Probe(alpha, p_down, p_up))
 
-    oracle = _oracle_at(model, table, users, anchor, alpha)
-    found = minimize(oracle)
-    fused_partition = Partition(oracle.blocks).merge_blocks(found.minimal)
+    slice_ = table.value_at(alpha)
+    found = minimize(_oracle_at(model, slice_, alpha, inner, outer)).minimal
+    fused_partition = slice_.partition.merge_blocks(found)
     if fused_partition == p_down:
-        return {found.minimal}
-    lower = _chain_search(model, table, users, anchor, p_down, fused_partition,
+        return {found}
+    lower = _chain_search(model, table, p_down, fused_partition, inner, found,
                           probes)
-    upper = _chain_search(model, table, users, anchor, fused_partition, p_up,
+    upper = _chain_search(model, table, fused_partition, p_up, found, outer,
                           probes)
     return lower | upper
 

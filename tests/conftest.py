@@ -1,10 +1,11 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 
-from omnirate import BitPoolSource
+from omnirate import BitPoolSource, EntropyTable
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 FIVE_USER_PATH = REPO_ROOT / "models" / "example_5user.bitpool"
@@ -31,6 +32,40 @@ def random_bitpool(rng: random.Random, max_users: int = 6, max_bits: int = 12) -
     universe = [f"b{k}" for k in range(n_bits)]
     pools = [rng.sample(universe, rng.randint(1, n_bits)) for _ in range(n)]
     return BitPoolSource(pools)
+
+
+def spread_bitpool(rng: random.Random, n: int) -> BitPoolSource:
+    """n users over 3n independent bits, pool sizes spread evenly over 1..3n.
+
+    The sizes are dealt to the users in a random order and each pool is a
+    random subset of its size: the recipe of the `sweep-bitpool` bench
+    workload, whose top probes reach the min-norm-point backend.
+    """
+    universe = [f"b{k}" for k in range(3 * n)]
+    sizes = [1 + (3 * n - 1) * k // (n - 1) for k in range(n)]
+    rng.shuffle(sizes)
+    return BitPoolSource([rng.sample(universe, size) for size in sizes])
+
+
+def rank_sum_table(rng, n):
+    """Seeded rational polymatroid: sum_k w_k min(|X & S_k|, r_k) + sum_{u in X} c_u.
+
+    Each term is a weighted uniform-matroid rank on a random support, with
+    p/q weights; the private parts c_u are p/q too and may be 0.
+    """
+    terms = []
+    for _ in range(rng.randint(1, 4)):
+        support = frozenset(rng.sample(range(1, n + 1), rng.randint(1, n)))
+        terms.append((support, rng.randint(1, len(support)),
+                      Fraction(rng.randint(1, 9), rng.randint(1, 6))))
+    private = [Fraction(rng.randint(0, 3), rng.randint(1, 4)) for _ in range(n)]
+    values = {}
+    for r in range(1, n + 1):
+        for combo in combinations(range(1, n + 1), r):
+            x = frozenset(combo)
+            values[x] = (sum((w * min(len(x & s), k) for s, k, w in terms), Fraction(0))
+                         + sum((private[u - 1] for u in x), Fraction(0)))
+    return EntropyTable(n, values)
 
 
 def random_alpha(rng: random.Random, model) -> Fraction:

@@ -3,16 +3,17 @@ from fractions import Fraction
 
 import pytest
 
-from omnirate import (AffineValue, BitPoolSource, DomainError, Partition,
-                      brute_min_sum_rate, check_achievable,
-                      coordinate_saturation, par, sfm)
-from omnirate.par import (MinimizerChain, extract_psp, initial_state,
-                          iter_parametric, mda_reference,
+from omnirate import (AffineValue, BitPoolSource, DomainError, InternalError,
+                      Partition, brute_min_sum_rate, check_achievable,
+                      coordinate_saturation, minimize_brute, par, sfm)
+from omnirate.par import (MinimizerChain, extract_psp, fusion_oracle_at,
+                          initial_state, iter_parametric, mda_reference,
                           parametric_iteration, prefix_psp, run_parametric,
                           solve_chain_breakpoints, strong_map_chain)
 from omnirate.partition import AlphaInterval
 
-from conftest import random_alpha, random_bitpool
+from conftest import (random_alpha, random_bitpool, rank_sum_table,
+                      spread_bitpool)
 
 AF = AffineValue.of
 F = Fraction
@@ -279,6 +280,88 @@ class TestMdaReference:
         assert forced == psp
         assert mnp_calls
         assert check_achievable(model, psp.rates)
+
+    @pytest.mark.parametrize("n", [24, 32])
+    def test_spread_bitpool_past_the_brute_limit(self, n, monkeypatch):
+        # The bench's sweep-bitpool recipe at larger sizes: the top probes
+        # of the late users still see more than AUTO_BRUTE_LIMIT non-anchor
+        # blocks, so the bracketed search runs min-norm-point there.
+        blocks = []
+        real_minimize = par.minimize
+
+        def counted(oracle):
+            blocks.append(len(oracle.non_anchor_blocks))
+            return real_minimize(oracle)
+
+        monkeypatch.setattr(par, "minimize", counted)
+        model = spread_bitpool(random.Random(n), n)
+        _, psp = run_parametric(model)
+        value, partition, rates = mda_reference(model)
+        assert (psp.min_sum_rate, psp.finest_maximizer, psp.rates) == \
+            (value, partition, rates)
+        assert max(blocks) > sfm.AUTO_BRUTE_LIMIT
+
+
+class TestBracketedProbes:
+    """Every probe's bracketed minimization against the whole fusion lattice.
+
+    Each probe minimizes only over the sublattice its parent probes leave
+    open.  Its minimal minimizer must be the one `minimize_brute` finds on
+    the whole lattice that `fusion_oracle_at` builds at the probe's alpha,
+    and the sublattice may never have more non-anchor blocks.  Each call is
+    checked as it happens, so a wrong bracket fails at its first probe.
+    """
+
+    def check_sweeps(self, models, monkeypatch):
+        blocks = {"restricted": 0, "full": 0}
+        alphas = []
+        prev = []
+        real_minimize = par.minimize
+
+        def checked(oracle):
+            state = prev[-1]
+            reference = fusion_oracle_at(state, state.carrier_size + 1, oracle.alpha)
+            result = real_minimize(oracle)
+            assert result.minimal == minimize_brute(reference).minimal
+            assert len(oracle.non_anchor_blocks) <= len(reference.non_anchor_blocks)
+            blocks["restricted"] += len(oracle.non_anchor_blocks)
+            blocks["full"] += len(reference.non_anchor_blocks)
+            alphas.append(oracle.alpha)
+            return result
+
+        monkeypatch.setattr(par, "minimize", checked)
+        for model in models:
+            state = initial_state(model)
+            while state.carrier_size < model.size:
+                prev.append(state)
+                alphas.clear()
+                state = parametric_iteration(state)
+                assert alphas == [p.alpha for p in state.last_probes]
+        # the brackets do shrink the lattices, not only keep the answers
+        assert blocks["restricted"] < blocks["full"]
+
+    def test_random_bitpools(self, monkeypatch):
+        rng = random.Random(4051)
+        models = [random_bitpool(rng, max_users=7, max_bits=12) for _ in range(60)]
+        self.check_sweeps(models, monkeypatch)
+
+    def test_rational_rank_sum_tables(self, monkeypatch):
+        rng = random.Random(20231)
+        models = [rank_sum_table(rng, rng.randint(2, 7)) for _ in range(60)]
+        self.check_sweeps(models, monkeypatch)
+
+    def test_bracket_off_the_blocks_raises(self, golden_states):
+        # Before user 5 at alpha = 23/4 the blocks are {1,2}, {3}, {4}, {5}.
+        alpha = F(23, 4)
+        slice_ = par._extended_table(golden_states[4], 5).value_at(alpha)
+        model = golden_states[4].model
+        oracle = par._oracle_at(model, slice_, alpha, frozenset({3, 5}),
+                                frozenset({1, 2, 3, 5}))
+        assert oracle.anchor == frozenset({3, 5}) and oracle.blocks[0] == frozenset({1, 2})
+        with pytest.raises(InternalError):   # the upper end splits {1,2}
+            par._oracle_at(model, slice_, alpha, frozenset({5}), frozenset({1, 5}))
+        with pytest.raises(InternalError):   # the lower end leaves the upper
+            par._oracle_at(model, slice_, alpha, frozenset({4, 5}), frozenset({3, 5}))
 
 
 class TestStateInvariants:

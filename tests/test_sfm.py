@@ -4,12 +4,12 @@ from itertools import combinations
 
 import pytest
 
-from omnirate import (CapacityError, EntropyTable, FusionOracle, InternalError,
+from omnirate import (CapacityError, FusionOracle, InternalError,
                       minimize, minimize_brute, minimize_mnp, sfm)
 from omnirate.model import subset_mask
 from omnirate.par import fusion_oracle_at, initial_state, iter_parametric
 
-from conftest import random_bitpool
+from conftest import random_bitpool, rank_sum_table
 
 
 def oracle_for(model, alpha, blocks, anchor_user, rates):
@@ -213,27 +213,6 @@ def test_fusion_oracle_helper_matches_manual(five_user):
     assert o.blocks == (frozenset({1, 2}), frozenset({3}), frozenset({4}), frozenset({5}))
     assert o.f_tilde(frozenset({5})) == 5
     assert o.f_tilde(frozenset({1, 2, 5})) == Fraction(21, 4)
-
-
-def rank_sum_table(rng, n):
-    """Seeded rational polymatroid: sum_k w_k min(|X & S_k|, r_k) + sum_{u in X} c_u.
-
-    Each term is a weighted uniform-matroid rank on a random support, with
-    p/q weights; the private parts c_u are p/q too and may be 0.
-    """
-    terms = []
-    for _ in range(rng.randint(1, 4)):
-        support = frozenset(rng.sample(range(1, n + 1), rng.randint(1, n)))
-        terms.append((support, rng.randint(1, len(support)),
-                      Fraction(rng.randint(1, 9), rng.randint(1, 6))))
-    private = [Fraction(rng.randint(0, 3), rng.randint(1, 4)) for _ in range(n)]
-    values = {}
-    for r in range(1, n + 1):
-        for combo in combinations(range(1, n + 1), r):
-            x = frozenset(combo)
-            values[x] = (sum((w * min(len(x & s), k) for s, k, w in terms), Fraction(0))
-                         + sum((private[u - 1] for u in x), Fraction(0)))
-    return EntropyTable(n, values)
 
 
 def enumerated_extremes(oracle):
