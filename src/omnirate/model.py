@@ -23,13 +23,24 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from .errors import CapacityError, DomainError
 
-# Full explicit tables need 2^n - 1 entries; beyond this the representation
-# itself is impractical, so reject at construction time.
-MAX_TABLE_USERS = 24
+# Full explicit tables need 2^n - 1 entries, and parse and `validate` cost
+# grows about 4x per two users.  `omnirate psp` on a 20-user rational table
+# takes 15-18 s and 350 MiB on a 2-vCPU host; 24 users would need about
+# 5.5 GiB.  Larger tables are rejected, by the file parser at the first id
+# past the cap.
+MAX_TABLE_USERS = 20
+
+# `validate` scales all 2^n values of a table to ints by the lcm of their
+# denominators.  Distinct coprime denominators make that lcm grow with their
+# product, so the lcm may have at most MAX_SCALED_BITS >> n bits (256 at 20
+# users, 4096 at 16, 65536 at 12), and the scaled values about this many bits
+# in all.
+MAX_SCALED_BITS = 1 << 28
 
 
 def as_rational(value) -> Fraction:
@@ -161,21 +172,33 @@ class EntropyTable(SourceModel):
             raise CapacityError(
                 f"explicit tables are capped at {MAX_TABLE_USERS} users, got {size}"
             )
-        super().__init__(size)
         table: dict[int, Fraction] = {}
         for subset, value in values.items():
-            mask = subset_mask(subset)
-            if mask == 0:
-                raise DomainError("the empty set must not appear in an entropy table")
-            if mask & ~self._full_mask:
-                raise DomainError(f"table key {sorted(subset)} is outside 1..{size}")
-            if mask in table:
-                raise DomainError(f"duplicate table entry for {sorted(subset)}")
-            table[mask] = as_rational(value)
+            users = tuple(subset)
+            if not all(1 <= u <= size for u in users):
+                raise DomainError(f"table key {sorted(users)} is outside 1..{size}")
+            add_table_entry(table, subset_mask(users), as_rational(value))
+        self._adopt(size, table)
+
+    @classmethod
+    def from_masks(cls, size: int, table: dict[int, Fraction]) -> EntropyTable:
+        """A table on 1..size from entries already keyed by bitmask.
+
+        The keys must be nonempty, distinct and within 1..size (as
+        `add_table_entry` fills them), and size at most MAX_TABLE_USERS:
+        `modelfile` checks each id against the cap at its line, before it
+        shifts.  Only coverage is checked here.  The dict is kept, not copied.
+        """
+        model = cls.__new__(cls)
+        model._adopt(size, table)
+        return model
+
+    def _adopt(self, size: int, table: dict[int, Fraction]) -> None:
+        super().__init__(size)
         if len(table) != self._full_mask:
             raise DomainError(
-                f"entropy table must cover all {self._full_mask} nonempty subsets, "
-                f"got {len(table)}"
+                f"entropy table covers {len(table)} subsets but needs all "
+                f"{self._full_mask} nonempty subsets of 1..{size}"
             )
         self._table = table
 
@@ -184,6 +207,18 @@ class EntropyTable(SourceModel):
 
     def __repr__(self):
         return f"EntropyTable({self._size} users)"
+
+
+def add_table_entry(table: dict[int, Fraction], mask: int, value: Fraction) -> None:
+    """Store H(X) = value under X's bitmask; the empty set and repeated keys are errors.
+
+    Ids must already be checked: every bit of `mask` names a user of the table.
+    """
+    if not mask:
+        raise DomainError("the empty set must not appear in an entropy table")
+    if mask in table:
+        raise DomainError(f"duplicate table entry for {_set_str(mask)}")
+    table[mask] = value
 
 
 @dataclass(frozen=True)
@@ -204,31 +239,46 @@ def validate(model: SourceModel) -> list[Violation]:
     the local (marginal) characterisations, which are equivalent to the full
     axioms: H(X) <= H(X+i) for monotonicity, and diminishing returns
     H(X+i) + H(X+j) >= H(X) + H(X+i+j) for submodularity.
+
+    H is read once per mask and scaled to ints by the lcm of its
+    denominators, so every comparison is an exact int comparison.  An lcm
+    past the MAX_SCALED_BITS budget raises CapacityError.
     """
     if isinstance(model, BitPoolSource):
         return []
     n = model.size
+    values = [model.entropy_of_mask(mask) for mask in range(1 << n)]
+    denominators = {v.denominator for v in values}
+    budget = MAX_SCALED_BITS >> n
+    scale = 1
+    for d in denominators:
+        scale = lcm(scale, d)
+        if scale.bit_length() > budget:
+            raise CapacityError(
+                f"validate: the lcm of the denominators of the {n}-user table "
+                f"exceeds {budget} bits ({MAX_SCALED_BITS} bits over 2^{n} values)"
+            )
+    h = [v.numerator * (scale // v.denominator) for v in values]
+    bits = [1 << k for k in range(n)]
     violations = []
-    for mask in range(1 << n):
-        outside = [u for u in range(1, n + 1) if not mask & (1 << (u - 1))]
-        h_x = model.entropy_of_mask(mask)
-        for a, i in enumerate(outside):
-            with_i = mask | (1 << (i - 1))
-            if model.entropy_of_mask(with_i) < h_x:
+    for mask, h_x in enumerate(h):
+        outside = [bit for bit in bits if not mask & bit]
+        for a, bit_i in enumerate(outside):
+            with_i = mask | bit_i
+            gain = h[with_i] - h_x
+            if gain < 0:
                 violations.append(Violation(
                     "monotonicity",
                     f"H({_set_str(with_i)}) < H({_set_str(mask)})",
                 ))
-            for j in outside[a + 1:]:
-                with_j = mask | (1 << (j - 1))
-                with_ij = with_i | with_j
-                lhs = model.entropy_of_mask(with_i) + model.entropy_of_mask(with_j)
-                rhs = h_x + model.entropy_of_mask(with_ij)
-                if lhs < rhs:
+            for bit_j in outside[a + 1:]:
+                # H(X+i) + H(X+j) < H(X) + H(X+i+j), as marginal gains of i.
+                if h[with_i | bit_j] - h[mask | bit_j] > gain:
+                    with_j = mask | bit_j
                     violations.append(Violation(
                         "submodularity",
                         f"H({_set_str(with_i)}) + H({_set_str(with_j)}) < "
-                        f"H({_set_str(mask)}) + H({_set_str(with_ij)})",
+                        f"H({_set_str(mask)}) + H({_set_str(with_i | with_j)})",
                     ))
     return violations
 

@@ -23,7 +23,8 @@ Rules:
 * Table: one `H <comma-separated ids> = <value>` line per nonempty subset,
   all 2^n - 1 subsets exactly once, ids must form 1..n contiguously across
   the file.  Values are exact rationals written as `p/q`, an integer, or a
-  finite decimal such as `6.5` (parsed exactly).
+  finite decimal such as `6.5` (parsed exactly).  An id past
+  `model.MAX_TABLE_USERS` raises CapacityError at its line.
 
 Parse problems raise ModelFormatError carrying the offending line number.
 Axiom violations in tables are *not* raised here; run `model.validate` on
@@ -35,8 +36,12 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 
-from .errors import ModelFormatError
-from .model import BitPoolSource, EntropyTable, SourceModel
+from .errors import CapacityError, DomainError, ModelFormatError
+from .model import (MAX_TABLE_USERS, BitPoolSource, EntropyTable, SourceModel,
+                    add_table_entry, mask_users)
+
+# How many missing user ids a contiguity error names.
+_SHOWN_GAPS = 5
 
 
 def parse_model(text: str) -> SourceModel:
@@ -77,13 +82,19 @@ def _parse_user_id(token: str, no: int) -> int:
 def _check_contiguous(ids, no_hint):
     if not ids:
         raise ModelFormatError("model declares no users")
-    expected = set(range(1, max(ids) + 1))
-    missing = sorted(expected - set(ids))
-    if missing:
-        raise ModelFormatError(
-            f"user ids must form 1..{max(ids)} contiguously; missing {missing}",
-            no_hint,
-        )
+    top = max(ids)
+    if top == len(ids):
+        return
+    # ids are distinct and positive, so the first few gaps lie in 1..len(ids)+few.
+    present = set(ids)
+    missing = [u for u in range(1, min(top, len(ids) + _SHOWN_GAPS + 1))
+               if u not in present][:_SHOWN_GAPS]
+    more = ", ..." if top - len(ids) > len(missing) else ""
+    raise ModelFormatError(
+        f"user ids must form 1..{top} contiguously; {top - len(ids)} missing: "
+        f"{', '.join(map(str, missing))}{more}",
+        no_hint,
+    )
 
 
 def _parse_bitpool(body) -> BitPoolSource:
@@ -111,40 +122,50 @@ def _parse_bitpool(body) -> BitPoolSource:
 
 
 def _parse_table(body) -> EntropyTable:
-    entries: dict[frozenset[int], Fraction] = {}
-    seen_users: set[int] = set()
+    entries: dict[int, Fraction] = {}
+    bits: dict[str, int] = {}  # id token -> its user's bit
+    seen = 0                   # every user any line names
     last_no = None
     for no, line in body:
         last_no = no
         if not line.startswith("H"):
             raise ModelFormatError(f"expected 'H <ids> = <value>', got {line!r}", no)
-        rest = line[1:].strip()
-        lhs, sep, rhs = rest.partition("=")
+        lhs, sep, rhs = line[1:].partition("=")
         if not sep:
             raise ModelFormatError("missing '=' in table line", no)
-        ids = frozenset(
-            _parse_user_id(tok.strip(), no)
-            for tok in lhs.split(",") if tok.strip()
-        )
-        if not ids:
-            raise ModelFormatError("empty subset in table line", no)
-        if ids in entries:
-            raise ModelFormatError(f"duplicate entry for subset {sorted(ids)}", no)
+        mask = 0
+        for tok in lhs.split(","):
+            bit = bits.get(tok)
+            if bit is None:
+                bit = bits[tok] = _table_bit(tok, no)
+            mask |= bit
         try:
             value = Fraction(rhs.strip())
         except (ValueError, ZeroDivisionError):
             raise ModelFormatError(f"bad rational value {rhs.strip()!r}", no) from None
-        entries[ids] = value
-        seen_users |= ids
-    _check_contiguous(seen_users, last_no)
-    size = max(seen_users)
-    missing = (1 << size) - 1 - len(entries)
-    if missing:
-        raise ModelFormatError(
-            f"table covers {len(entries)} subsets but needs all "
-            f"{(1 << size) - 1} nonempty subsets of 1..{size}"
+        try:
+            add_table_entry(entries, mask, value)
+        except DomainError as exc:
+            raise ModelFormatError(str(exc), no) from None
+        seen |= mask
+    _check_contiguous(mask_users(seen), last_no)
+    try:
+        return EntropyTable.from_masks(seen.bit_length(), entries)
+    except DomainError as exc:
+        raise ModelFormatError(str(exc)) from None
+
+
+def _table_bit(token: str, no: int) -> int:
+    """The bit of the user an id token names; 0 for an empty token."""
+    token = token.strip()
+    if not token:
+        return 0
+    user = _parse_user_id(token, no)
+    if user > MAX_TABLE_USERS:
+        raise CapacityError(
+            f"line {no}: user {user} is past the {MAX_TABLE_USERS}-user cap of explicit tables"
         )
-    return EntropyTable(size, entries)
+    return 1 << (user - 1)
 
 
 def load_model(path: str) -> SourceModel:

@@ -63,6 +63,13 @@ class TestPsp:
         assert code == 3
         assert "missing" in err
 
+    def test_table_id_past_the_cap_is_a_capacity_error(self, capsys, tmp_path):
+        path = tmp_path / "huge.table"
+        path.write_text("type=table\nH 1000000000 = 1\n")
+        code, _, err = run_cli(capsys, "psp", str(path))
+        assert code == 4
+        assert "line 2" in err
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "psp", str(tmp_path / "nope.bitpool"))
         assert code == 2

@@ -1,14 +1,15 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from omnirate import (BitPoolSource, CapacityError, DomainError, EntropyTable,
-                      partition_entropy, validate)
-from omnirate.model import mask_users, subset_mask
+                      Violation, partition_entropy, validate)
+from omnirate.model import MAX_TABLE_USERS, mask_users, subset_mask
 
-from conftest import FIVE_USER_BITS, random_bitpool
+from conftest import FIVE_USER_BITS, random_bitpool, rank_sum_table
 
 
 def full_table(size, entries):
@@ -84,6 +85,143 @@ class TestValidate:
         assert validate(full_table(n, entries)) == []
 
 
+def reference_validate(model):
+    """`validate` as it was written with `Fraction` sums, kept as the reference."""
+    if isinstance(model, BitPoolSource):
+        return []
+    n = model.size
+    violations = []
+    for mask in range(1 << n):
+        outside = [u for u in range(1, n + 1) if not mask & (1 << (u - 1))]
+        h_x = model.entropy_of_mask(mask)
+        for a, i in enumerate(outside):
+            with_i = mask | (1 << (i - 1))
+            if model.entropy_of_mask(with_i) < h_x:
+                violations.append(Violation(
+                    "monotonicity",
+                    f"H({set_str(with_i)}) < H({set_str(mask)})",
+                ))
+            for j in outside[a + 1:]:
+                with_j = mask | (1 << (j - 1))
+                with_ij = with_i | with_j
+                lhs = model.entropy_of_mask(with_i) + model.entropy_of_mask(with_j)
+                rhs = h_x + model.entropy_of_mask(with_ij)
+                if lhs < rhs:
+                    violations.append(Violation(
+                        "submodularity",
+                        f"H({set_str(with_i)}) + H({set_str(with_j)}) < "
+                        f"H({set_str(mask)}) + H({set_str(with_ij)})",
+                    ))
+    return violations
+
+
+def set_str(mask):
+    return "{" + ",".join(str(u) for u in sorted(mask_users(mask))) + "}"
+
+
+def table_values(table):
+    return {tuple(sorted(mask_users(mask))): table.entropy_of_mask(mask)
+            for mask in range(1, 1 << table.size)}
+
+
+# Large, pairwise coprime denominators: their lcm overflows any fixed width.
+PRIMES = (7919, 104729, 1299709, 15485863, 179424673, 2147483647)
+
+
+def differential_corpus(seed=9412):
+    """130 seeded tables of 2..7 users, valid and broken, with exact ties.
+
+    * rank-sum polymatroids (`conftest.rank_sum_table`), valid, with ties
+      wherever a user's private part is 0 or two users share no term;
+    * the same tables with a few values moved by +-1/p for large primes p,
+      some below 0, so the lcm of the denominators is huge;
+    * small-integer tables (values in -1..3), where equalities are common.
+    """
+    rng = random.Random(seed)
+    tables = []
+    for _ in range(50):
+        tables.append(rank_sum_table(rng, rng.randint(2, 7)))
+    for _ in range(50):
+        base = rank_sum_table(rng, rng.randint(2, 7))
+        values = table_values(base)
+        for key in rng.sample(sorted(values), rng.randint(1, min(6, len(values)))):
+            step = Fraction(rng.choice((-1, 1)) * rng.randint(1, 3), rng.choice(PRIMES))
+            if rng.random() < 0.3:
+                step -= values[key] + 1  # pushes the value below 0
+            values[key] += step
+        tables.append(EntropyTable(base.size, values))
+    for _ in range(30):
+        n = rng.randint(2, 6)
+        tables.append(EntropyTable(n, {
+            tuple(sorted(mask_users(mask))): rng.randint(-1, 3)
+            for mask in range(1, 1 << n)
+        }))
+    return tables
+
+
+class TestValidateAgainstFractionReference:
+    def test_identical_violation_lists(self):
+        kinds = set()
+        clean = broken = 0
+        for table in differential_corpus():
+            expected = reference_validate(table)
+            assert validate(table) == expected
+            kinds.update(v.kind for v in expected)
+            clean += not expected
+            broken += bool(expected)
+        assert kinds == {"monotonicity", "submodularity"}
+        assert clean >= 40 and broken >= 40
+
+    def test_corpus_has_exact_ties_and_huge_lcm(self):
+        # An equality is not a violation; a `<=` slip must show here.
+        mono_ties = submod_ties = 0
+        huge = False
+        for table in differential_corpus():
+            n = table.size
+            h = [table.entropy_of_mask(mask) for mask in range(1 << n)]
+            huge = huge or max(v.denominator for v in h) > 2**31
+            for mask in range(1 << n):
+                for i in range(n):
+                    bi = 1 << i
+                    if mask & bi:
+                        continue
+                    mono_ties += h[mask | bi] == h[mask]
+                    for j in range(i + 1, n):
+                        bj = 1 << j
+                        if not mask & bj:
+                            submod_ties += (h[mask | bi] + h[mask | bj]
+                                            == h[mask] + h[mask | bi | bj])
+        assert mono_ties > 100 and submod_ties > 100 and huge
+
+    def test_reads_each_mask_once(self):
+        table = rank_sum_table(random.Random(5), 6)
+        seen = []
+        original = table.entropy_of_mask
+        table.entropy_of_mask = lambda mask: seen.append(mask) or original(mask)
+        validate(table)
+        assert seen == list(range(1 << 6))
+
+    def test_lcm_past_the_budget_is_a_capacity_error(self):
+        # 4095 distinct denominators near 2^40: their lcm is far past the
+        # MAX_SCALED_BITS >> 12 = 65536 bits a 12-user table may scale by.
+        table = EntropyTable(12, {
+            tuple(mask_users(mask)): Fraction(1, (1 << 40) + mask)
+            for mask in range(1, 1 << 12)
+        })
+        started = time.perf_counter()
+        with pytest.raises(CapacityError, match="exceeds 65536 bits"):
+            validate(table)
+        assert time.perf_counter() - started < 2
+
+    def test_lcm_budget_boundary(self, monkeypatch):
+        # 40 bits over 2^2 values: the lcm may have 10 bits, not 11.
+        monkeypatch.setattr("omnirate.model.MAX_SCALED_BITS", 40)
+        h = {(1,): 1, (2,): 1, (1, 2): 2}
+        validate(full_table(2, {k: Fraction(v, 1 << 9) for k, v in h.items()}))
+        with pytest.raises(CapacityError, match="exceeds 10 bits"):
+            validate(full_table(2, {k: Fraction(v, 1 << 10) for k, v in h.items()}))
+
+
 class TestTableShape:
     def test_missing_subset_rejected(self):
         with pytest.raises(DomainError):
@@ -100,6 +238,21 @@ class TestTableShape:
     def test_size_cap(self):
         with pytest.raises(CapacityError):
             EntropyTable(25, {})
+
+    def test_size_cap_boundary(self):
+        with pytest.raises(CapacityError):
+            EntropyTable(MAX_TABLE_USERS + 1, {})
+        with pytest.raises(DomainError, match="covers 0 subsets"):
+            EntropyTable(MAX_TABLE_USERS, {})
+
+    def test_huge_key_rejected_before_any_shift(self):
+        # 1 << (10**9 - 1) would be a 125 MB int; the range check comes first.
+        with pytest.raises(DomainError, match="outside"):
+            full_table(2, {(1,): 1, (2,): 1, (1, 10**9): 2})
+
+    def test_duplicate_key_rejected(self):
+        with pytest.raises(DomainError, match="duplicate"):
+            EntropyTable(2, {(1,): 1, (2,): 1, (1, 2): 2, frozenset({2, 1}): 2})
 
     def test_empty_bit_pool_rejected(self):
         with pytest.raises(DomainError):

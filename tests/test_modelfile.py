@@ -1,10 +1,12 @@
+import time
 from fractions import Fraction
 
 import pytest
 
-from omnirate import (BitPoolSource, EntropyTable, ModelFormatError,
-                      format_bitpool, format_table, parse_model,
-                      run_parametric, validate)
+from omnirate import (BitPoolSource, CapacityError, EntropyTable,
+                      ModelFormatError, format_bitpool, format_table,
+                      parse_model, run_parametric, validate)
+from omnirate.model import MAX_TABLE_USERS
 
 BITPOOL_DOC = """\
 # comments and blank lines are fine
@@ -57,6 +59,15 @@ class TestParseBitpool:
         with pytest.raises(ModelFormatError, match="line 3"):
             parse_model(doc)
 
+    def test_huge_user_id_fails_fast(self):
+        # The error names a few missing ids; it never builds 1..10**9.
+        doc = "type=bitpool\nuser 1: a\nuser 1000000000: b\n"
+        start = time.perf_counter()
+        with pytest.raises(ModelFormatError, match="999999998 missing: 2, 3, 4, 5, 6, ...") as info:
+            parse_model(doc)
+        assert time.perf_counter() - start < 1
+        assert len(str(info.value)) < 200
+
 
 class TestParseTable:
     def test_values_exact(self):
@@ -81,6 +92,39 @@ class TestParseTable:
         doc = "type=table\nH 1 = 1\nH 1 = 2\nH 2 = 1\nH 1,2 = 2\n"
         with pytest.raises(ModelFormatError, match="duplicate"):
             parse_model(doc)
+
+    def test_huge_user_id_fails_fast_at_its_line(self):
+        doc = "type=table\nH 1 = 1\nH 1000000000 = 1\n"
+        start = time.perf_counter()
+        with pytest.raises(CapacityError, match="line 3: user 1000000000"):
+            parse_model(doc)
+        assert time.perf_counter() - start < 1
+
+    def test_user_past_the_cap_raises_at_its_line(self):
+        doc = f"type=table\nH 1 = 1\nH 2 = 1\nH 1,{MAX_TABLE_USERS + 1} = 2\n"
+        with pytest.raises(CapacityError, match="line 4"):
+            parse_model(doc)
+        # The cap itself is a legal id; this table only lacks subsets.
+        doc = f"type=table\nH 1 = 1\nH {MAX_TABLE_USERS} = 1\n"
+        with pytest.raises(ModelFormatError, match=f"{MAX_TABLE_USERS - 2} missing: 2, 3,"):
+            parse_model(doc)
+
+    def test_ids_are_contiguous_but_subsets_missing(self):
+        doc = "type=table\nH 1 = 1\nH 2 = 1\nH 3 = 1\nH 1,2,3 = 3\n"
+        with pytest.raises(ModelFormatError, match="covers 4 subsets but needs all 7"):
+            parse_model(doc)
+
+    def test_empty_subset(self):
+        doc = "type=table\nH 1 = 1\nH , = 1\nH 2 = 1\nH 1,2 = 2\n"
+        with pytest.raises(ModelFormatError, match="line 3: the empty set"):
+            parse_model(doc)
+
+    def test_id_forms_name_the_same_user(self):
+        # Spaces, empty tokens and repeats inside a key all name the same set.
+        doc = "type=table\nH 1 = 1\nH  2 , = 1\nH 2,1,2 = 3/2\n"
+        model = parse_model(doc)
+        assert model.entropy([1, 2]) == Fraction(3, 2)
+        assert model.entropy([2]) == 1
 
 
 class TestDirective:

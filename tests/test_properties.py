@@ -12,11 +12,13 @@ from itertools import combinations
 
 from hypothesis import given, settings, strategies as st
 
-from omnirate import coordinate_saturation
-from omnirate.par import fusion_oracle_at, iter_parametric
+from omnirate import coordinate_saturation, format_table, parse_model, validate
+from omnirate.oracle import brute_min_sum_rate
+from omnirate.par import (fusion_oracle_at, iter_parametric, mda_reference,
+                          run_parametric)
 from omnirate.partition import Segmented
 
-from conftest import random_alpha, random_bitpool
+from conftest import random_alpha, random_bitpool, rank_sum_table
 
 F = Fraction
 
@@ -126,3 +128,21 @@ def test_rate_vectors_stay_in_polyhedron(seed):
         for combo in combinations(users, size):
             assert sum(res.rates[users.index(u)] for u in combo) <= f_alpha(combo)
     assert sum(res.rates, F(0)) == res.value
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 7), st.integers(0, 2**32))
+def test_table_text_path_sweep_matches_references(n, seed):
+    # The whole CLI ingest path on a rational rank-sum table: dump, parse,
+    # validate, then sweep.
+    table = rank_sum_table(random.Random(seed), n)
+    model = parse_model(format_table(table))
+    assert [model.entropy_of_mask(m) for m in range(1 << table.size)] == \
+        [table.entropy_of_mask(m) for m in range(1 << table.size)]
+    assert validate(model) == []
+    _, psp = run_parametric(model)
+    mda_rate, mda_part, mda_rates = mda_reference(model)
+    brute_rate, brute_part = brute_min_sum_rate(model)
+    assert psp.min_sum_rate == mda_rate == brute_rate
+    assert psp.finest_maximizer == mda_part == brute_part
+    assert psp.rates == mda_rates
