@@ -23,16 +23,19 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import lcm
+from operator import gt, sub
 from typing import Iterable, Mapping, Sequence
 
 from .errors import CapacityError, DomainError
 
 # Full explicit tables need 2^n - 1 entries, and parse and `validate` cost
-# grows about 4x per two users.  `omnirate psp` on a 20-user rational table
-# takes 15-18 s and 350 MiB on a 2-vCPU host; 24 users would need about
-# 5.5 GiB.  Larger tables are rejected, by the file parser at the first id
-# past the cap.
+# grows about 4x per two users.  `omnirate psp` on a 20-user rational
+# rank-sum table (a 40 MB file) takes 13-15 s and 256 MiB on a 2-vCPU host,
+# against 3-4 s and 82 MiB at 18 users; at about 3x memory per two users,
+# 24 users would need some 2.5 GiB.  Larger tables are rejected, by the file
+# parser at the first id past the cap.
 MAX_TABLE_USERS = 20
 
 # `validate` scales all 2^n values of a table to ints by the lcm of their
@@ -101,12 +104,7 @@ class SourceModel(ABC):
 
     def entropy(self, subset: Iterable[int]) -> Fraction:
         """H(X) for X given as an iterable of user labels; H(empty) = 0."""
-        mask = subset_mask(subset)
-        if mask & ~self._full_mask:
-            raise DomainError(
-                f"subset {sorted(mask_users(mask))} is not contained in 1..{self._size}"
-            )
-        return self.entropy_of_mask(mask)
+        return self.entropy_of_mask(self._checked_mask(subset))
 
     def entropy_of_mask(self, mask: int) -> Fraction:
         """H(X) with X encoded as a bitmask (low-level fast path, no domain check)."""
@@ -118,11 +116,23 @@ class SourceModel(ABC):
 
     def conditional_entropy(self, subset: Iterable[int], given: Iterable[int]) -> Fraction:
         """H(X|Y) = H(X u Y) - H(Y)."""
-        x = subset_mask(subset)
-        y = subset_mask(given)
-        if (x | y) & ~self._full_mask:
-            raise DomainError("conditional entropy arguments must be subsets of the ground set")
+        x = self._checked_mask(subset)
+        y = self._checked_mask(given)
         return self.entropy_of_mask(x | y) - self.entropy_of_mask(y)
+
+    def _checked_mask(self, users: Iterable[int]) -> int:
+        """`subset_mask(users)`, checking each id against 1..size before its shift.
+
+        A huge id would otherwise build a huge int, and id 0 or below a
+        negative shift.
+        """
+        size = self._size
+        mask = 0
+        for u in users:
+            if not 0 < u <= size:
+                raise DomainError(f"user {u} is not in the ground set 1..{size}")
+            mask |= 1 << (u - 1)
+        return mask
 
     @abstractmethod
     def _entropy_of_mask(self, mask: int) -> Fraction:
@@ -237,17 +247,24 @@ def validate(model: SourceModel) -> list[Violation]:
 
     Bit-pool sources are entropic by construction.  Tables are checked with
     the local (marginal) characterisations, which are equivalent to the full
-    axioms: H(X) <= H(X+i) for monotonicity, and diminishing returns
-    H(X+i) + H(X+j) >= H(X) + H(X+i+j) for submodularity.
+    axioms, on the marginal gains g_i(X) = H(X+i) - H(X) for X without i:
+    monotonicity is g_i(X) >= 0, and diminishing returns
+    g_i(X+j) <= g_i(X) for every j > i is submodularity
+    (H(X+i) + H(X+j) >= H(X) + H(X+i+j)).
 
-    H is read once per mask and scaled to ints by the lcm of its
+    H is read once per mask through the model's uncached oracle, so the
+    entropy cache is left as it was, and scaled to ints by the lcm of its
     denominators, so every comparison is an exact int comparison.  An lcm
-    past the MAX_SCALED_BITS budget raises CapacityError.
+    past the MAX_SCALED_BITS budget raises CapacityError.  Each g_i and each
+    of its pairings along a bit j is built and compared slice by slice
+    (`_bit_pairs`); only a slice that holds a violation is walked mask by
+    mask.  Violations are listed by mask, then i, then j, monotonicity
+    first.
     """
     if isinstance(model, BitPoolSource):
         return []
     n = model.size
-    values = [model.entropy_of_mask(mask) for mask in range(1 << n)]
+    values = [Fraction(0), *map(model._entropy_of_mask, range(1, 1 << n))]
     denominators = {v.denominator for v in values}
     budget = MAX_SCALED_BITS >> n
     scale = 1
@@ -259,28 +276,61 @@ def validate(model: SourceModel) -> list[Violation]:
                 f"exceeds {budget} bits ({MAX_SCALED_BITS} bits over 2^{n} values)"
             )
     h = [v.numerator * (scale // v.denominator) for v in values]
-    bits = [1 << k for k in range(n)]
+    size = len(h)
+    half = size >> 1
+    found = []  # (X, i, j), j = -1 for monotonicity
+    for i in range(n):
+        low = (1 << i) - 1
+        # g[p] = g_i(X), where p is X with bit i squeezed out, so bit j > i
+        # of X is bit j - 1 of p.
+        g = [0] * half
+        for lo, hi, squeezed in _bit_pairs(size, 1 << i):
+            g[squeezed] = map(sub, h[hi], h[lo])
+        if min(g) < 0:
+            found += [(p >> i << (i + 1) | p & low, i, -1)
+                      for p, gain in enumerate(g) if gain < 0]
+        for j in range(i + 1, n):
+            for lo, hi, _ in _bit_pairs(half, 1 << (j - 1)):
+                if any(map(gt, g[hi], g[lo])):
+                    found += [(p >> i << (i + 1) | p & low, i, j)
+                              for p in compress(range(half)[lo], map(gt, g[hi], g[lo]))]
+    found.sort()
     violations = []
-    for mask, h_x in enumerate(h):
-        outside = [bit for bit in bits if not mask & bit]
-        for a, bit_i in enumerate(outside):
-            with_i = mask | bit_i
-            gain = h[with_i] - h_x
-            if gain < 0:
-                violations.append(Violation(
-                    "monotonicity",
-                    f"H({_set_str(with_i)}) < H({_set_str(mask)})",
-                ))
-            for bit_j in outside[a + 1:]:
-                # H(X+i) + H(X+j) < H(X) + H(X+i+j), as marginal gains of i.
-                if h[with_i | bit_j] - h[mask | bit_j] > gain:
-                    with_j = mask | bit_j
-                    violations.append(Violation(
-                        "submodularity",
-                        f"H({_set_str(with_i)}) + H({_set_str(with_j)}) < "
-                        f"H({_set_str(mask)}) + H({_set_str(with_i | with_j)})",
-                    ))
+    for mask, i, j in found:
+        with_i = mask | 1 << i
+        if j < 0:
+            violations.append(Violation(
+                "monotonicity",
+                f"H({_set_str(with_i)}) < H({_set_str(mask)})",
+            ))
+        else:
+            with_j = mask | 1 << j
+            violations.append(Violation(
+                "submodularity",
+                f"H({_set_str(with_i)}) + H({_set_str(with_j)}) < "
+                f"H({_set_str(mask)}) + H({_set_str(with_i | with_j)})",
+            ))
     return violations
+
+
+def _bit_pairs(length: int, bit: int):
+    """Slices pairing the entries of a mask-indexed list with and without `bit`.
+
+    Yields (lo, hi, squeezed): `lo` selects entries whose index lacks `bit`,
+    `hi` the entries at those indices plus `bit`, and `squeezed` where the
+    same entries sit in a list of length // 2 indexed with `bit` removed.
+    Low bits give a few long strided slices, high bits a few contiguous
+    blocks; either way at most about sqrt(length) slices.
+    """
+    span = 2 * bit
+    if bit * span <= length:
+        for r in range(bit):
+            yield slice(r, length, span), slice(r + bit, length, span), slice(r, length >> 1, bit)
+    else:
+        for start in range(0, length, span):
+            half = start >> 1
+            yield (slice(start, start + bit), slice(start + bit, start + span),
+                   slice(half, half + bit))
 
 
 def partition_entropy(model: SourceModel, blocks: Iterable[Iterable[int]]) -> Fraction:

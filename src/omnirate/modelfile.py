@@ -46,16 +46,11 @@ _SHOWN_GAPS = 5
 
 def parse_model(text: str) -> SourceModel:
     lines = text.splitlines()
-    directive = None
-    body: list[tuple[int, str]] = []
-    for no, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if directive is None:
-            directive = (no, line)
-        else:
-            body.append((no, line))
+    # Drop this frame's reference: text passed as a temporary (as
+    # `load_model` does) is freed before the model is built.
+    del text
+    body = _body(lines)
+    directive = next(body, None)
     if directive is None:
         raise ModelFormatError("empty model file")
     no, line = directive
@@ -67,6 +62,21 @@ def parse_model(text: str) -> SourceModel:
     if kind == "table":
         return _parse_table(body)
     raise ModelFormatError(f"unknown model type {kind!r}", no)
+
+
+def _body(lines: list[str]):
+    """(line number, text) of each nonblank line, its comment cut.
+
+    Each raw line is dropped from `lines` as it is read, so the raw lines
+    and the model built from them are not both held in full.
+    """
+    lines.reverse()
+    no = 0
+    while lines:
+        no += 1
+        line = lines.pop().split("#", 1)[0].strip()
+        if line:
+            yield no, line
 
 
 def _parse_user_id(token: str, no: int) -> int:
@@ -139,10 +149,11 @@ def _parse_table(body) -> EntropyTable:
             if bit is None:
                 bit = bits[tok] = _table_bit(tok, no)
             mask |= bit
+        text = rhs.strip()
         try:
-            value = Fraction(rhs.strip())
+            value = _parse_value(text)
         except (ValueError, ZeroDivisionError):
-            raise ModelFormatError(f"bad rational value {rhs.strip()!r}", no) from None
+            raise ModelFormatError(f"bad rational value {text!r}", no) from None
         try:
             add_table_entry(entries, mask, value)
         except DomainError as exc:
@@ -153,6 +164,21 @@ def _parse_table(body) -> EntropyTable:
         return EntropyTable.from_masks(seen.bit_length(), entries)
     except DomainError as exc:
         raise ModelFormatError(str(exc)) from None
+
+
+def _parse_value(text: str) -> Fraction:
+    """`Fraction(text)`: the same value, or the same exception, on every input.
+
+    The common forms, an optionally signed integer and `p/q` with plain
+    digits, are built from `int`s, which costs about half of what the
+    `fractions` regex does.  Everything else (decimals, exponents,
+    underscores, inner spaces, a sign after the `/`) goes to `Fraction`.
+    """
+    num, slash, den = text.partition("/")
+    digits = num[1:] if num.startswith(("+", "-")) else num
+    if digits.isdecimal() and (den.isdecimal() or not slash):
+        return Fraction(int(num), int(den or 1))
+    return Fraction(text)
 
 
 def _table_bit(token: str, no: int) -> int:

@@ -34,6 +34,19 @@ class TestEntropy:
         with pytest.raises(DomainError):
             five_user.entropy([1, 6])
 
+    @pytest.mark.parametrize("user", [0, -3, 4 * 10**8])
+    def test_bad_user_id_fails_fast(self, five_user, user):
+        # Each id is checked before its shift: no negative shift count, and
+        # no huge mask for an id far past the ground set.
+        started = time.perf_counter()
+        with pytest.raises(DomainError, match=f"user {user} is not in the ground set 1..5"):
+            five_user.entropy([1, user])
+        with pytest.raises(DomainError, match=f"user {user} is not in"):
+            five_user.conditional_entropy([1], [2, user])
+        with pytest.raises(DomainError, match=f"user {user} is not in"):
+            five_user.conditional_entropy([user], [2])
+        assert time.perf_counter() - started < 0.1
+
     def test_exact_and_order_independent(self, five_user):
         straight = five_user.entropy([1, 3, 5])
         assert straight == five_user.entropy([5, 3, 1])
@@ -128,6 +141,17 @@ def table_values(table):
 PRIMES = (7919, 104729, 1299709, 15485863, 179424673, 2147483647)
 
 
+def perturbed(rng, base, moves):
+    """`base` with `moves` values moved by +-k/p for large primes p, some below 0."""
+    values = table_values(base)
+    for key in rng.sample(sorted(values), moves):
+        step = Fraction(rng.choice((-1, 1)) * rng.randint(1, 3), rng.choice(PRIMES))
+        if rng.random() < 0.3:
+            step -= values[key] + 1  # pushes the value below 0
+        values[key] += step
+    return EntropyTable(base.size, values)
+
+
 def differential_corpus(seed=9412):
     """130 seeded tables of 2..7 users, valid and broken, with exact ties.
 
@@ -143,13 +167,7 @@ def differential_corpus(seed=9412):
         tables.append(rank_sum_table(rng, rng.randint(2, 7)))
     for _ in range(50):
         base = rank_sum_table(rng, rng.randint(2, 7))
-        values = table_values(base)
-        for key in rng.sample(sorted(values), rng.randint(1, min(6, len(values)))):
-            step = Fraction(rng.choice((-1, 1)) * rng.randint(1, 3), rng.choice(PRIMES))
-            if rng.random() < 0.3:
-                step -= values[key] + 1  # pushes the value below 0
-            values[key] += step
-        tables.append(EntropyTable(base.size, values))
+        tables.append(perturbed(rng, base, rng.randint(1, min(6, (1 << base.size) - 1))))
     for _ in range(30):
         n = rng.randint(2, 6)
         tables.append(EntropyTable(n, {
@@ -157,6 +175,17 @@ def differential_corpus(seed=9412):
             for mask in range(1, 1 << n)
         }))
     return tables
+
+
+def wide_corpus(seed=2718):
+    """Eighteen perturbed rank-sum tables of 8..10 users.
+
+    Here the pairings along the high bits i and j are split into many
+    slices, and violations sit in a few of them.
+    """
+    rng = random.Random(seed)
+    return [perturbed(rng, rank_sum_table(rng, n), rng.randint(1, 4))
+            for n in (8, 9, 10) for _ in range(6)]
 
 
 class TestValidateAgainstFractionReference:
@@ -171,6 +200,17 @@ class TestValidateAgainstFractionReference:
             broken += bool(expected)
         assert kinds == {"monotonicity", "submodularity"}
         assert clean >= 40 and broken >= 40
+
+    def test_identical_violation_lists_at_eight_to_ten_users(self):
+        kinds = set()
+        total = 0
+        for table in wide_corpus():
+            expected = reference_validate(table)
+            assert validate(table) == expected
+            kinds.update(v.kind for v in expected)
+            total += len(expected)
+        assert kinds == {"monotonicity", "submodularity"}
+        assert total >= 600
 
     def test_corpus_has_exact_ties_and_huge_lcm(self):
         # An equality is not a violation; a `<=` slip must show here.
@@ -194,12 +234,17 @@ class TestValidateAgainstFractionReference:
         assert mono_ties > 100 and submod_ties > 100 and huge
 
     def test_reads_each_mask_once(self):
+        # validate reads each value once through the uncached oracle and
+        # leaves the model's entropy cache as it found it.
         table = rank_sum_table(random.Random(5), 6)
+        table.entropy_of_mask(0b101)
+        cache = dict(table._cache)
         seen = []
-        original = table.entropy_of_mask
-        table.entropy_of_mask = lambda mask: seen.append(mask) or original(mask)
+        original = table._entropy_of_mask
+        table._entropy_of_mask = lambda mask: seen.append(mask) or original(mask)
         validate(table)
-        assert seen == list(range(1 << 6))
+        assert sorted(seen) == list(range(1, 1 << 6))
+        assert table._cache == cache
 
     def test_lcm_past_the_budget_is_a_capacity_error(self):
         # 4095 distinct denominators near 2^40: their lcm is far past the

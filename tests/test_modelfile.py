@@ -1,12 +1,15 @@
+import re
 import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from omnirate import (BitPoolSource, CapacityError, EntropyTable,
                       ModelFormatError, format_bitpool, format_table,
                       parse_model, run_parametric, validate)
 from omnirate.model import MAX_TABLE_USERS
+from omnirate.modelfile import _parse_value
 
 BITPOOL_DOC = """\
 # comments and blank lines are fine
@@ -125,6 +128,44 @@ class TestParseTable:
         model = parse_model(doc)
         assert model.entropy([1, 2]) == Fraction(3, 2)
         assert model.entropy([2]) == 1
+
+
+def outcome(parse, text):
+    """The value `parse` returns, or the type and message of what it raises."""
+    try:
+        value = parse(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+    return value, type(value)
+
+
+# Forms the int fast path must hand to `Fraction` (or reject as it does):
+# signs after the `/`, inner spaces, underscores, decimals, exponents, a
+# non-ASCII digit, zero denominators, base prefixes and padding.
+VALUE_CORPUS = [
+    "3/-4", "3 / 4", "3/ 4", "3 /4", "+3/+4", "-3/4", "+3", "-0", "1_000",
+    "1_0/3", "3/1_0", "1__0", "_1", "1_", "6.5", "-.5", "5.", "1e3", "1E-3",
+    "2.5e-1/3", "\u0663", "\u0663/\u0664", "\u00b2", "0/0", "1/0", "-5/0", "0x10",
+    "", " ", "/", "3/", "/4", "+", "-", "+-3", "--3", " 3", "3 ", "\t3/4\t",
+    " \t-7/8 \t", "10/4", "-10/-4", "4/2/1", "0", "00/07",
+]
+
+
+class TestValueGrammar:
+    @pytest.mark.parametrize("text", VALUE_CORPUS)
+    def test_corpus_matches_fraction(self, text):
+        assert outcome(_parse_value, text) == outcome(Fraction, text)
+
+    @given(st.text(alphabet="0123456789+-/._eE \t", max_size=8))
+    def test_short_strings_match_fraction(self, text):
+        assert outcome(_parse_value, text) == outcome(Fraction, text)
+
+    @pytest.mark.parametrize("text", ["3/-4", "3 / 4", "+3/+4", "1/0", "0x10"])
+    def test_rejected_at_its_line(self, text):
+        doc = f"type=table\nH 1 = 1\nH 2 = {text}\nH 1,2 = 2\n"
+        message = re.escape(f"line 3: bad rational value '{text}'")
+        with pytest.raises(ModelFormatError, match=message):
+            parse_model(doc)
 
 
 class TestDirective:

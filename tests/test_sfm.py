@@ -66,6 +66,16 @@ class TestBruteOnGoldenSource:
         with pytest.raises(CapacityError):
             minimize_brute(o)
 
+    def test_brute_limit_boundary(self, five_user, monkeypatch):
+        # Exactly BRUTE_LIMIT non-anchor blocks solve; one more is refused.
+        monkeypatch.setattr(sfm, "BRUTE_LIMIT", 3)
+        rates = {u: 1 for u in range(1, 6)}
+        at_limit = oracle_for(five_user, 6, [[1], [2], [3], [5]], 5, rates)
+        assert minimize_brute(at_limit) == minimize_mnp(at_limit)
+        past = oracle_for(five_user, 6, [[1], [2], [3], [4], [5]], 5, rates)
+        with pytest.raises(CapacityError, match="capped at 3 non-anchor blocks, got 4"):
+            minimize_brute(past)
+
 
 class TestFifthUserProbe:
     """The fusion problem for user 5 at the first divide-and-conquer probe.
