@@ -22,9 +22,10 @@ FIVE_USERS = ["abcdfgij", "abcfij", "efhi", "bcej", "bcdhi"]
 def show_state(state, minimizations):
     print(f"\n--- after user {state.carrier_size} "
           f"(submodular minimizations so far: {minimizations}) ---")
-    for interval, slice_ in state.table:
+    for k, (lower, upper, slice_) in enumerate(state.table):
+        span = f"{'(' if k else '['}{lower}, {upper}]"
         rates = ", ".join(str(r) for r in slice_.rates)
-        print(f"  {str(interval):12s} {str(slice_.partition):28s} ({rates})")
+        print(f"  {span:12s} {str(slice_.partition):28s} ({rates})")
     if state.last_chain is not None:
         sets = "  ".join("{" + ",".join(map(str, sorted(s))) + "}"
                          for s in state.last_chain.sets)

@@ -24,13 +24,14 @@ def main():
         print(f"\ntruncation over users 1..{i}")
         print(f"  {'segment':14s} {'slope':>5s} {'intercept':>9s}   value at ends")
         previous_end = None
-        for interval, part in state.partition_view:
+        for k, (lower, upper, part) in enumerate(state.partition_view):
             slope = len(part)
             intercept = partition_entropy(model, part) - slope * total
-            lo_val = slope * interval.lower + intercept
-            hi_val = slope * interval.upper + intercept
-            print(f"  {str(interval):14s} {slope:5d} {str(intercept):>9s}   "
-                  f"({interval.lower}, {lo_val}) -> ({interval.upper}, {hi_val})"
+            lo_val = slope * lower + intercept
+            hi_val = slope * upper + intercept
+            span = f"{'(' if k else '['}{lower}, {upper}]"
+            print(f"  {span:14s} {slope:5d} {str(intercept):>9s}   "
+                  f"({lower}, {lo_val}) -> ({upper}, {hi_val})"
                   f"   {part}")
             if previous_end is not None:
                 assert lo_val == previous_end, "envelope must be continuous"

@@ -21,7 +21,7 @@ from .par import (MinimizerChain, ParState, PSPResult, StateSlice,
                   iter_parametric, mda_reference, parametric_iteration,
                   prefix_psp, run_parametric, solve_chain_breakpoints,
                   strong_map_chain)
-from .partition import (AffineValue, AlphaInterval, Partition, Segmented)
+from .partition import (AffineValue, Partition, Segmented)
 from .sfm import (FusionOracle, SfmResult, minimize, minimize_brute,
                   minimize_mnp)
 from .so import (SOPlan, decompose_rates, find_complimentary,

@@ -83,8 +83,8 @@ def cmd_psp(args) -> int:
     print("critical points: " + ", ".join(_fmt(c, d) for c in psp.critical_points))
     print("principal sequence of partitions:")
     lower = Fraction(0)
-    for point, part in zip(psp.critical_points, psp.partitions):
-        left = "[" if lower == 0 else "("
+    for k, (point, part) in enumerate(zip(psp.critical_points, psp.partitions)):
+        left = "(" if k else "["
         print(f"  {left}{_fmt(lower, d)}, {_fmt(point, d)}]  {part}")
         lower = point
     print(f"R_CO = {_fmt(psp.min_sum_rate, d)}")
@@ -105,11 +105,11 @@ def cmd_truncation_csv(args) -> int:
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["alpha_lo", "alpha_hi", "slope", "intercept", "partition"])
     d = args.decimal
-    for interval, part in state.partition_view:
+    for lower, upper, part in state.partition_view:
         slope = Fraction(len(part))
         intercept = partition_entropy(model, part) - len(part) * model.total_entropy
         writer.writerow([
-            _fmt(interval.lower, d), _fmt(interval.upper, d),
+            _fmt(lower, d), _fmt(upper, d),
             _fmt(slope, d), _fmt(intercept, d), str(part),
         ])
     return EXIT_OK

@@ -59,9 +59,6 @@ class DilworthResult:
     partition: Partition
     value: Fraction
 
-    def rate_of(self, user: int) -> Fraction:
-        return self.rates[self.users.index(user)]
-
 
 def check_alpha(model: SourceModel, alpha) -> Fraction:
     alpha = as_rational(alpha)

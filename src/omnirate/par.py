@@ -56,8 +56,7 @@ from typing import Iterator
 from .dilworth import coordinate_saturation
 from .errors import DomainError, InternalError
 from .model import SourceModel, as_rational, partition_entropy
-from .partition import (AffineValue, AlphaInterval, Partition, Segmented, singleton,
-                        split_pieces)
+from .partition import AffineValue, Partition, Segmented, singleton
 from .sfm import FusionOracle, minimize
 
 
@@ -297,7 +296,7 @@ def solve_chain_breakpoints(state: ParState, chain_sets) -> list[Fraction]:
 
 def _solve_rate_equation(state: ParState, users: list[int], target: Fraction) -> Fraction:
     positions = [u - 1 for u in users]
-    for interval, slice_ in state.table:
+    for k, (lower, upper, slice_) in enumerate(state.table):
         total = AffineValue(Fraction(0), Fraction(0))
         for p in positions:
             total = total + slice_.rates[p]
@@ -308,7 +307,7 @@ def _solve_rate_equation(state: ParState, users: list[int], target: Fraction) ->
                 )
             continue
         root = (target - total.intercept) / total.slope
-        if interval.contains(root):
+        if root <= upper and (lower < root or k == 0 <= root):
             return root
     raise InternalError(
         f"no segment solves r_alpha({users}) = {target}; upstream state is inconsistent"
@@ -318,8 +317,8 @@ def _solve_rate_equation(state: ParState, users: list[int], target: Fraction) ->
 def parametric_iteration(state: ParState) -> ParState:
     """Extend the sweep state from carrier 1..i-1 to 1..i.
 
-    Finds the minimizer chain and its critical points, refines the segment
-    tiling by those points, and applies the per-segment update: the new
+    Finds the minimizer chain and its critical points, adds those points to
+    the segment ends, and applies the per-segment update: the new
     user's rate gains f~(S_j) (an affine value) and the blocks of S_j fuse.
     Empty chain segments (equal adjacent critical points) are dropped.
     """
@@ -340,17 +339,15 @@ def parametric_iteration(state: ParState) -> ParState:
         raise InternalError("minimizer chain must start at the new user's singleton")
 
     extended = _extended_table(state, user)
-    cuts = [a for a in alphas[:-1]]
-    pieces = split_pieces(extended.pieces, cuts)
-
     new_pieces = []
-    for interval, slice_ in pieces:
-        m = bisect_left(alphas, interval.upper)
-        fused = chain[m]
+    for upper in sorted(set(extended.uppers).union(alphas)):
+        slice_ = extended.value_at(upper)
+        fused = chain[bisect_left(alphas, upper)]
         blocks_inside = [b for b in slice_.partition.blocks if b <= fused]
         if frozenset().union(*blocks_inside) != fused:
             raise InternalError(
-                f"minimizer {sorted(fused)} is not a block union on {interval}"
+                f"minimizer {sorted(fused)} is not a block union on the segment "
+                f"ending at {upper}"
             )
         gain = AffineValue(state.model.entropy(fused), Fraction(0))
         for u in sorted(fused - {user}):
@@ -358,7 +355,7 @@ def parametric_iteration(state: ParState) -> ParState:
         new_rate = AffineValue(-state.model.total_entropy, Fraction(1)) + gain
         rates = slice_.rates[:-1] + (new_rate,)
         new_pieces.append(
-            (interval, StateSlice(slice_.partition.merge_blocks(fused), rates))
+            (upper, StateSlice(slice_.partition.merge_blocks(fused), rates))
         )
 
     return ParState(
@@ -395,8 +392,8 @@ def extract_psp(state: ParState) -> PSPResult:
 
 
 def _psp_from_views(users, partition_view: Segmented, rate_view: Segmented) -> PSPResult:
-    critical = partition_view.upper_breakpoints()
-    partitions = tuple(value for _, value in partition_view)
+    critical = partition_view.uppers
+    partitions = partition_view.values
     whole = Partition.whole(users)
     if len(users) == 1:
         min_rate = Fraction(0)
@@ -430,21 +427,13 @@ def prefix_psp(state: ParState) -> PSPResult:
     shift = model.entropy(users) - model.total_entropy  # <= 0
     new_top = model.entropy(users)
     pieces = []
-    for interval, slice_ in state.table:
-        upper = interval.upper + shift
-        if upper < 0:
-            continue
-        lower = interval.lower + shift
-        shifted_rates = tuple(
-            AffineValue(r.intercept - r.slope * shift, r.slope) for r in slice_.rates
-        )
-        value = StateSlice(slice_.partition, shifted_rates)
-        if upper == 0:
-            pieces.append((AlphaInterval(Fraction(0), Fraction(0), False), value))
-        elif lower < 0:
-            pieces.append((AlphaInterval(Fraction(0), upper, False), value))
-        else:
-            pieces.append((AlphaInterval(lower, upper, interval.lower_open), value))
+    for _, upper, slice_ in state.table:
+        upper += shift
+        if upper >= 0:
+            shifted_rates = tuple(
+                AffineValue(r.intercept - r.slope * shift, r.slope) for r in slice_.rates
+            )
+            pieces.append((upper, StateSlice(slice_.partition, shifted_rates)))
     table = Segmented(pieces)
     if table.top != new_top:
         raise InternalError("prefix shift did not land on the prefix entropy")

@@ -1,19 +1,21 @@
 """Partitions, affine-in-alpha values, and alpha-segmented containers.
 
 The parametric sweep tracks quantities that are piecewise constant (or
-piecewise affine) in the sum-rate estimate alpha over [0, H(V)].  The
+piecewise affine) in the sum-rate estimate alpha over [0, H(V)].  Such a
+quantity is fully determined by its critical points, so `Segmented` stores
+exactly that: the sorted segment ends plus one value per segment.  The
 interval convention throughout the package is half-open from above:
 segments look like (lo, hi], except the lowest segment which is closed,
-[0, hi].  A degenerate closed point [0, 0] is permitted so that a value
-valid only at alpha = 0 can be represented.
+[0, hi].  A lowest end of 0 makes that segment the point [0, 0], which
+represents a value valid only at alpha = 0.
 
-`Segmented` containers always tile their domain exactly and keep adjacent
-segments with equal values merged, so segment boundaries are meaningful
-breakpoints.
+`Segmented` keeps adjacent segments with equal values merged, so its ends
+are meaningful breakpoints.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -142,9 +144,6 @@ class AffineValue:
     def __sub__(self, other: "AffineValue") -> "AffineValue":
         return AffineValue(self.intercept - other.intercept, self.slope - other.slope)
 
-    def __neg__(self) -> "AffineValue":
-        return AffineValue(-self.intercept, -self.slope)
-
     def __str__(self) -> str:
         if self.slope == 0:
             return str(self.intercept)
@@ -160,134 +159,71 @@ class AffineValue:
         return f"{head} {sign} {abs(self.intercept)}"
 
 
-@dataclass(frozen=True)
-class AlphaInterval:
-    """One segment of [0, H(V)]: (lower, upper], or [0, upper] when closed below.
-
-    The only degenerate interval allowed is the closed point [0, 0].
-    """
-
-    lower: Fraction
-    upper: Fraction
-    lower_open: bool
-
-    def __post_init__(self):
-        if self.lower > self.upper:
-            raise DomainError(f"empty interval: lower {self.lower} > upper {self.upper}")
-        if self.lower == self.upper and (self.lower_open or self.lower != 0):
-            raise DomainError("the only degenerate interval allowed is [0, 0]")
-        if not self.lower_open and self.lower != 0:
-            raise DomainError("only the lowest segment may be closed below")
-
-    def contains(self, alpha: Fraction) -> bool:
-        if self.lower_open:
-            return self.lower < alpha <= self.upper
-        return self.lower <= alpha <= self.upper
-
-    def __str__(self) -> str:
-        left = "(" if self.lower_open else "["
-        return f"{left}{self.lower}, {self.upper}]"
-
-
 class Segmented:
-    """A piecewise-constant map alpha -> value on an exact tiling of [0, top].
+    """A piecewise-constant map alpha -> value on [0, top], kept as breakpoints.
 
-    Pieces are (AlphaInterval, value) pairs; adjacent pieces with equal
-    values are merged on construction so the tiling is maximal.
+    `uppers` holds the segment ends, strictly increasing from uppers[0] >= 0
+    to uppers[-1] == top, and `values[k]` is the value on segment k, which is
+    [0, uppers[0]] for k == 0 and (uppers[k-1], uppers[k]] above it.  So
+    uppers[0] == 0 is the closed point [0, 0].  Equal neighbouring values are
+    merged on construction, so every end is a breakpoint.
     """
 
-    __slots__ = ("pieces",)
+    __slots__ = ("uppers", "values")
 
-    def __init__(self, pieces: Iterable[tuple[AlphaInterval, Any]]):
-        merged = _merge_equal_adjacent(list(pieces))
-        if not merged:
-            raise DomainError("a segmented container needs at least one piece")
-        lo, _ = merged[0]
-        if lo.lower != 0 or lo.lower_open:
-            raise DomainError("the first segment must start closed at 0")
-        for (a, _), (b, _) in zip(merged, merged[1:]):
-            if b.lower != a.upper or not b.lower_open:
+    def __init__(self, pieces: Iterable[tuple[Fraction, Any]]):
+        """Build from (upper, value) pairs in increasing order of upper."""
+        uppers: list[Fraction] = []
+        values: list[Any] = []
+        for upper, value in pieces:
+            if upper < 0 or (uppers and upper <= uppers[-1]):
                 raise DomainError(
-                    f"segments must tile contiguously: {a} then {b}"
+                    f"segment ends must be nonnegative and strictly increasing, got {upper}"
                 )
-        self.pieces = tuple(merged)
+            if values and values[-1] == value:
+                uppers[-1] = upper
+            else:
+                uppers.append(upper)
+                values.append(value)
+        if not uppers:
+            raise DomainError("a segmented container needs at least one segment")
+        self.uppers = tuple(uppers)
+        self.values = tuple(values)
 
     @classmethod
     def constant(cls, top: Fraction, value) -> "Segmented":
-        return cls([(AlphaInterval(Fraction(0), top, False), value)])
+        return cls([(top, value)])
 
     @property
     def top(self) -> Fraction:
-        return self.pieces[-1][0].upper
+        return self.uppers[-1]
 
-    def __iter__(self) -> Iterator[tuple[AlphaInterval, Any]]:
-        return iter(self.pieces)
+    def __iter__(self) -> Iterator[tuple[Fraction, Fraction, Any]]:
+        """(lower, upper, value) per segment, from alpha = 0 up."""
+        return zip((Fraction(0),) + self.uppers[:-1], self.uppers, self.values)
 
     def __len__(self) -> int:
-        return len(self.pieces)
+        return len(self.uppers)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Segmented) and self.pieces == other.pieces
+        return (isinstance(other, Segmented) and self.uppers == other.uppers
+                and self.values == other.values)
 
     def __hash__(self) -> int:
-        return hash(self.pieces)
+        return hash((self.uppers, self.values))
 
     def value_at(self, alpha) -> Any:
         """The value on the segment containing alpha (half-open convention)."""
         alpha = as_rational(alpha)
-        if not Fraction(0) <= alpha <= self.top:
+        if not 0 <= alpha <= self.uppers[-1]:
             raise DomainError(f"alpha {alpha} outside [0, {self.top}]")
-        for interval, value in self.pieces:
-            if interval.contains(alpha):
-                return value
-        raise DomainError(f"alpha {alpha} not covered (broken tiling)")
+        return self.values[bisect_left(self.uppers, alpha)]
 
     def map(self, fn: Callable[[Any], Any]) -> "Segmented":
         """Apply fn to every value; equal adjacent results are re-merged."""
-        return Segmented([(interval, fn(value)) for interval, value in self.pieces])
-
-    def upper_breakpoints(self) -> tuple[Fraction, ...]:
-        """Upper endpoints of all segments, ascending; the last one is `top`."""
-        return tuple(interval.upper for interval, _ in self.pieces)
+        return Segmented(zip(self.uppers, map(fn, self.values)))
 
     def __repr__(self) -> str:
-        body = "; ".join(f"{interval} -> {value}" for interval, value in self.pieces)
+        body = "; ".join(f"{'(' if k else '['}{lower}, {upper}] -> {value}"
+                         for k, (lower, upper, value) in enumerate(self))
         return f"Segmented({body})"
-
-
-def _merge_equal_adjacent(pieces):
-    merged: list[tuple[AlphaInterval, Any]] = []
-    for interval, value in pieces:
-        if merged and merged[-1][1] == value:
-            prev, _ = merged[-1]
-            merged[-1] = (
-                AlphaInterval(prev.lower, interval.upper, prev.lower_open),
-                value,
-            )
-        else:
-            merged.append((interval, value))
-    return merged
-
-
-def split_pieces(pieces, cuts):
-    """Split a piece list at every alpha in `cuts`, preserving values.
-
-    A cut at 0 turns a lowest segment [0, hi] into [0, 0] plus (0, hi];
-    cuts on existing boundaries or outside a piece are no-ops.  Returns a
-    plain list, not a Segmented, because the result is intentionally not
-    re-merged (callers rewrite the values piecewise afterwards).
-    """
-    out = list(pieces)
-    for cut in sorted(set(cuts)):
-        split: list[tuple[AlphaInterval, Any]] = []
-        for interval, value in out:
-            if interval.lower < cut < interval.upper:
-                split.append((AlphaInterval(interval.lower, cut, interval.lower_open), value))
-                split.append((AlphaInterval(cut, interval.upper, True), value))
-            elif cut == 0 and interval.lower == 0 and not interval.lower_open and interval.upper > 0:
-                split.append((AlphaInterval(Fraction(0), Fraction(0), False), value))
-                split.append((AlphaInterval(Fraction(0), interval.upper, True), value))
-            else:
-                split.append((interval, value))
-        out = split
-    return out

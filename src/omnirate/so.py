@@ -68,9 +68,9 @@ def plan_from_state(state: ParState, alpha_bar: Fraction) -> SOPlan | None:
     if block is None:
         return None
     merge_alpha = None
-    for interval, slice_ in state.table:
+    for lower, _, slice_ in state.table:
         if block in slice_.partition.blocks:
-            merge_alpha = interval.lower
+            merge_alpha = lower
             break
     if merge_alpha is None:
         raise InternalError("block found at alpha_bar but absent from the table")

@@ -51,6 +51,17 @@ class TestPsp:
         assert code == 0
         assert "R_CO = 1" in out
 
+    def test_segment_after_zero_point_is_open(self, capsys, tmp_path):
+        # Two copies of one bit: the singletons hold only at alpha = 0, so
+        # the next segment starts open at 0.
+        path = tmp_path / "copies.bitpool"
+        path.write_text("type=bitpool\nuser 1: a\nuser 2: a\n")
+        code, out, _ = run_cli(capsys, "psp", str(path))
+        assert code == 0
+        lines = out.splitlines()
+        assert "  [0, 0]  {{1},{2}}" in lines
+        assert "  (0, 1]  {{1,2}}" in lines
+
     def test_decimal_rendering(self, capsys, five_user_path):
         code, out, _ = run_cli(capsys, "psp", five_user_path, "--decimal")
         assert code == 0

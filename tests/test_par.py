@@ -10,7 +10,6 @@ from omnirate.par import (MinimizerChain, extract_psp, fusion_oracle_at,
                           initial_state, iter_parametric, mda_reference,
                           parametric_iteration, prefix_psp, run_parametric,
                           solve_chain_breakpoints, strong_map_chain)
-from omnirate.partition import AlphaInterval
 
 from conftest import (random_alpha, random_bitpool, rank_sum_table,
                       spread_bitpool)
@@ -20,7 +19,7 @@ F = Fraction
 
 
 def seg(lo, hi, value):
-    return (AlphaInterval(F(lo), F(hi), F(lo) != 0), value)
+    return (F(lo), F(hi), value)
 
 
 def rate_rows(*rows):
@@ -141,7 +140,7 @@ class TestRunParametric:
         assert psp.rates == (F(9, 2), F(0), F(1, 2), F(1, 2), F(1))
         assert psp.finest_maximizer == Partition([[1, 2, 5], [3], [4]])
         assert psp.critical_points == (F(4), F(6), F(13, 2), F(10))
-        assert psp.partitions == tuple(v for _, v in EXPECTED_PARTITIONS[5])
+        assert psp.partitions == tuple(v for _, _, v in EXPECTED_PARTITIONS[5])
 
     def test_identical_pair(self):
         # Two users with the same single bit: nothing needs to be sent.
@@ -370,7 +369,7 @@ class TestStateInvariants:
         for _ in range(15):
             model = random_bitpool(rng, max_users=6, max_bits=8)
             for state in iter_parametric(model):
-                parts = [p for _, p in state.partition_view]
+                parts = state.partition_view.values
                 for finer, coarser in zip(parts, parts[1:]):
                     assert finer.refines(coarser) and finer != coarser
 
@@ -379,11 +378,10 @@ class TestStateInvariants:
         for _ in range(10):
             model = random_bitpool(rng, max_users=6, max_bits=8)
             for state in iter_parametric(model):
-                pieces = state.table.pieces
-                assert pieces[0][0].lower == 0
-                assert pieces[-1][0].upper == model.total_entropy
-                for (a, _), (b, _) in zip(pieces, pieces[1:]):
-                    assert a.upper == b.lower and b.lower_open
+                uppers = state.table.uppers
+                assert uppers[0] >= 0 and uppers[-1] == model.total_entropy
+                assert all(a < b for a, b in zip(uppers, uppers[1:]))
+                assert [lo for lo, _, _ in state.table] == [0, *uppers[:-1]]
 
     def test_segment_count_stays_linear(self):
         # merging equal adjacent slices keeps the table at most 2x the
@@ -417,14 +415,15 @@ class TestStateInvariants:
             for state in iter_parametric(model):
                 if state.last_chain is None:
                     continue
-                view = state.partition_view
-                spans = {part: iv for iv, part in view}
+                spans = {part: (k, lo, hi)
+                         for k, (lo, hi, part) in enumerate(state.partition_view)}
                 for probe in state.last_probes:
                     down = spans.get(probe.p_down)
                     up = spans.get(probe.p_up)
-                    lo = down.lower if down is not None else Fraction(0)
-                    hi = up.upper if up is not None else model.total_entropy
-                    assert lo < probe.alpha or (down is not None and not down.lower_open
+                    lo = down[1] if down is not None else Fraction(0)
+                    hi = up[2] if up is not None else model.total_entropy
+                    # only segment 0 is closed below
+                    assert lo < probe.alpha or (down is not None and down[0] == 0
                                                 and probe.alpha == lo)
                     assert probe.alpha <= hi
 

@@ -1,17 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from omnirate import AffineValue, AlphaInterval, DomainError, Partition, Segmented
+from omnirate import AffineValue, DomainError, Partition, Segmented
 
 AF = AffineValue.of
-
-
-def interval(lo, hi, lower_open=None):
-    lo, hi = Fraction(lo), Fraction(hi)
-    if lower_open is None:
-        lower_open = lo != 0
-    return AlphaInterval(lo, hi, lower_open)
 
 
 class TestPartition:
@@ -74,36 +68,75 @@ class TestAffineValue:
         assert AF(1, 0) == AF(1, 0)
 
 
-class TestAlphaInterval:
+def scan(uppers, values, alpha):
+    """Reference lookup: segment 0 is [0, u0], segment k is (u_{k-1}, u_k]."""
+    for k, (upper, value) in enumerate(zip(uppers, values)):
+        lower = uppers[k - 1] if k else Fraction(0)
+        if (lower <= alpha if k == 0 else lower < alpha) and alpha <= upper:
+            return value
+    raise AssertionError(f"alpha {alpha} in no segment")
+
+
+def random_ends(rng):
+    ends = sorted({Fraction(rng.randint(0, 40), rng.randint(1, 4))
+                   for _ in range(rng.randint(1, 6))})
+    if rng.random() < 0.5 and ends[0] != 0:
+        ends.insert(0, Fraction(0))
+    return ends
+
+
+class TestSegmentLookup:
     def test_half_open_membership(self):
-        iv = interval(4, 10)
-        assert not iv.contains(Fraction(4))
-        assert iv.contains(Fraction(401, 100))
-        assert iv.contains(Fraction(10))
+        seg = Segmented([(Fraction(4), "low"), (Fraction(10), "high")])
+        assert seg.value_at(4) == "low"
+        assert seg.value_at(Fraction(401, 100)) == "high"
+        assert seg.value_at(10) == "high"
 
     def test_closed_bottom(self):
-        iv = interval(0, 4)
-        assert iv.contains(Fraction(0)) and iv.contains(Fraction(4))
+        seg = Segmented([(Fraction(4), "low"), (Fraction(10), "high")])
+        assert seg.value_at(0) == seg.value_at(4) == "low"
 
     def test_degenerate_point(self):
-        iv = AlphaInterval(Fraction(0), Fraction(0), False)
-        assert iv.contains(Fraction(0))
+        seg = Segmented([(Fraction(0), "point"), (Fraction(10), "rest")])
+        assert seg.value_at(0) == "point"
+        assert list(seg)[0] == (0, 0, "point")
+        # a repeated end would be an empty or degenerate segment above 0
         with pytest.raises(DomainError):
-            AlphaInterval(Fraction(3), Fraction(3), True)
+            Segmented([(Fraction(3), "a"), (Fraction(3), "b")])
         with pytest.raises(DomainError):
-            AlphaInterval(Fraction(2), Fraction(2), False)
+            Segmented([(Fraction(0), "a"), (Fraction(0), "b")])
 
     def test_reversed_bounds(self):
         with pytest.raises(DomainError):
-            AlphaInterval(Fraction(5), Fraction(4), True)
+            Segmented([(Fraction(5), "a"), (Fraction(4), "b")])
+
+    def test_lookup_matches_linear_scan(self):
+        rng = random.Random(8080)
+        for _ in range(300):
+            ends = random_ends(rng)
+            values = list(range(len(ends)))  # all distinct, so nothing merges
+            seg = Segmented(zip(ends, values))
+            lowers = [Fraction(0), *ends[:-1]]
+            assert list(seg) == list(zip(lowers, ends, values))
+            probes = {Fraction(0), *ends, *((a + b) / 2 for a, b in zip(lowers, ends))}
+            for alpha in probes:
+                assert seg.value_at(alpha) == scan(ends, values, alpha)
+            if len(ends) > 1:
+                k = rng.randrange(1, len(ends))
+                swapped = ends[:k - 1] + [ends[k], ends[k - 1]] + ends[k + 1:]
+                for bad in (swapped, ends[:k] + ends[k - 1:]):
+                    with pytest.raises(DomainError):
+                        Segmented(zip(bad, values + [len(values)]))
+            with pytest.raises(DomainError):
+                Segmented(zip([-ends[-1] - 1, *ends], values + [len(values)]))
 
 
 def two_user_partition_segments():
     # The segmented partition the sweep produces for the first two users of
     # the golden source: singletons up to 4, then one block.
     return Segmented([
-        (interval(0, 4), Partition([[1], [2]])),
-        (interval(4, 10), Partition([[1, 2]])),
+        (Fraction(4), Partition([[1], [2]])),
+        (Fraction(10), Partition([[1, 2]])),
     ])
 
 
@@ -135,29 +168,25 @@ class TestSegmented:
 
     def test_merge_on_construction(self):
         seg = Segmented([
-            (interval(0, 4), "a"),
-            (interval(4, 7), "a"),
-            (interval(7, 10), "b"),
+            (Fraction(4), "a"),
+            (Fraction(7), "a"),
+            (Fraction(10), "b"),
         ])
         assert len(seg) == 2
-        assert seg.pieces[0][0] == interval(0, 7)
-
-    def test_tiling_gaps_rejected(self):
-        with pytest.raises(DomainError):
-            Segmented([
-                (interval(0, 4), "a"),
-                (interval(5, 10), "b"),
-            ])
+        assert list(seg) == [(0, 7, "a"), (7, 10, "b")]
 
     def test_must_start_at_zero(self):
+        seg = Segmented([(Fraction(1), "a"), (Fraction(10), "b")])
+        assert list(seg)[0] == (0, 1, "a")
+        assert seg.value_at(0) == "a"
         with pytest.raises(DomainError):
-            Segmented([(interval(1, 10), "a")])
+            Segmented([(Fraction(-1), "a")])
 
     def test_degenerate_first_piece(self):
         seg = Segmented([
-            (AlphaInterval(Fraction(0), Fraction(0), False), "point"),
-            (interval(0, 10, lower_open=True), "rest"),
+            (Fraction(0), "point"),
+            (Fraction(10), "rest"),
         ])
         assert seg.value_at(0) == "point"
         assert seg.value_at(Fraction(1, 7)) == "rest"
-        assert seg.upper_breakpoints() == (Fraction(0), Fraction(10))
+        assert seg.uppers == (Fraction(0), Fraction(10))

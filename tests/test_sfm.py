@@ -76,6 +76,17 @@ class TestBruteOnGoldenSource:
         with pytest.raises(CapacityError, match="capped at 3 non-anchor blocks, got 4"):
             minimize_brute(past)
 
+    def test_mnp_iteration_cap_boundary(self, five_user):
+        # The top probe of user 5 needs exactly two min-norm-point
+        # iterations: a cap of 2 solves it, a cap of 1 raises.
+        from omnirate import SolverError
+        state = list(iter_parametric(five_user))[3]
+        o = fusion_oracle_at(state, 5, Fraction(23, 4))
+        assert len(o.non_anchor_blocks) == 3
+        assert minimize_mnp(o, iteration_cap=2) == minimize_brute(o)
+        with pytest.raises(SolverError):
+            minimize_mnp(o, iteration_cap=1)
+
 
 class TestFifthUserProbe:
     """The fusion problem for user 5 at the first divide-and-conquer probe.
