@@ -23,7 +23,7 @@ from .par import (MinimizerChain, ParState, PSPResult, StateSlice,
                   strong_map_chain)
 from .partition import (AffineValue, Partition, Segmented)
 from .sfm import (FusionOracle, SfmResult, minimize, minimize_brute,
-                  minimize_mnp)
+                  minimize_cut, minimize_mnp)
 from .so import (SOPlan, decompose_rates, find_complimentary,
                  lower_bound_alpha, plan_from_state, verify_complimentary)
 

@@ -156,15 +156,21 @@ class BitPoolSource(SourceModel):
             sum(1 << index[name] for name in pool) for pool in pools
         )
 
-    def _entropy_of_mask(self, mask: int) -> Fraction:
+    def bits_of_mask(self, mask: int) -> int:
+        """The union of the bit sets of the users in `mask`, as a mask over `bit_names`.
+
+        Walks the set bits of `mask` only, lowest first.
+        """
+        bit_masks = self._bit_masks
         pooled = 0
-        u = 0
         while mask:
-            if mask & 1:
-                pooled |= self._bit_masks[u]
-            mask >>= 1
-            u += 1
-        return Fraction(pooled.bit_count())
+            low = mask & -mask
+            pooled |= bit_masks[low.bit_length() - 1]
+            mask ^= low
+        return pooled
+
+    def _entropy_of_mask(self, mask: int) -> Fraction:
+        return Fraction(self.bits_of_mask(mask).bit_count())
 
     def __repr__(self):
         return f"BitPoolSource({len(self.bits_per_user)} users, {len(self.bit_names)} bits)"

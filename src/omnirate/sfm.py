@@ -10,24 +10,36 @@ it is an entropy-derived submodular function minus a modular rate term, so
 the minimizers form a lattice and the componentwise-minimal and -maximal
 minimizers both exist.
 
-`minimize` is the one entry point.  It picks a backend by lattice size:
+`minimize` is the one entry point.  It picks a backend by source type and
+lattice size (k non-anchor blocks):
 
-* `minimize_brute` enumerates all 2^(k) anchored block unions (k non-anchor
-  blocks) in Gray-code order.  It runs for k <= AUTO_BRUTE_LIMIT.
-* `minimize_mnp` runs the Fujishige-Wolfe minimum-norm-point algorithm on
-  the base polytope of the function contracted onto the anchor, entirely in
-  exact arithmetic, and reads both extreme minimizers off the sign pattern
-  of the norm point.  It runs above the limit; if it hits its iteration
-  cap, `minimize` falls back to brute enumeration.
+* `minimize_cut`, on a `BitPoolSource` with k > CUT_CROSSOVER: f~ is then a
+  maximum-weight closure, solved exactly by one int s-t max-flow whose
+  residual network gives both extreme minimizers.  It has no size cap.
+* `minimize_brute`, on any other lattice with k <= AUTO_BRUTE_LIMIT:
+  enumerates all 2^k anchored block unions in Gray-code order.  Called
+  directly it refuses k > BRUTE_LIMIT with a CapacityError.
+* `minimize_mnp`, on the rest (explicit tables with k > AUTO_BRUTE_LIMIT):
+  the Fujishige-Wolfe minimum-norm-point algorithm on the base polytope of
+  the function contracted onto the anchor, entirely in exact arithmetic,
+  reading both extreme minimizers off the sign pattern of the norm point.
+  If it hits its iteration cap, `minimize` falls back to brute enumeration
+  (and so to BRUTE_LIMIT).
 
-Both backends work on user bitmasks and ints.  Once per call they compute
+A bit pool therefore never meets BRUTE_LIMIT or the iteration cap through
+`minimize`; brute and min-norm-point still solve bit pools when called
+directly, as references.
+
+All backends work on user bitmasks and ints.  Once per call they compute
 the anchor's mask, one mask per non-anchor block and each block's rate sum
-scaled to an int by the lcm of those sums' denominators; entropies come
-straight from `SourceModel.entropy_of_mask`.  Nothing is rounded: values
-are compared by cross-multiplication and the min-norm-point's linear
-algebra is fraction-free, so the answers are the exact ones.
+scaled to an int by the lcm of those sums' denominators; brute and
+min-norm-point read entropies from `SourceModel.entropy_of_mask`, the cut
+reads the pooled bits from `BitPoolSource.bits_of_mask`.  Nothing is
+rounded: values are compared by cross-multiplication, the min-norm-point's
+linear algebra is fraction-free and the flow is over ints, so the answers
+are the exact ones.
 
-Both backends return the same canonical answer: the minimum value, the
+Every backend returns the same canonical answer: the minimum value, the
 minimal minimizer (intersection of all minimizers) and the maximal
 minimizer (union), each expressed as a set of users.
 """
@@ -40,11 +52,15 @@ from math import lcm
 from typing import Mapping, Sequence
 
 from .errors import CapacityError, DomainError, InternalError, SolverError
-from .model import SourceModel, subset_mask
+from .model import BitPoolSource, SourceModel, subset_mask
 
 # 2^11 brute evaluations is still instantaneous; larger lattices go to the
 # min-norm-point path.
 AUTO_BRUTE_LIMIT = 11
+# Bit-pool lattices with more non-anchor blocks than this go to the min cut:
+# per call on fresh bench models, the cut overtakes brute enumeration at 6
+# blocks (CHANGES.md has the per-k table).
+CUT_CROSSOVER = 5
 BRUTE_LIMIT = 24
 _MNP_ITERATION_CAP = 10_000
 
@@ -83,6 +99,12 @@ class FusionOracle:
 
 @dataclass(frozen=True)
 class SfmResult:
+    """The minimum of f~ and its extreme minimizers.
+
+    `evaluations` is the backend's work count: f~ values read by brute and
+    min-norm-point, max-flow phases by the cut.
+    """
+
     min_value: Fraction
     minimal: frozenset[int]
     maximal: frozenset[int]
@@ -90,7 +112,7 @@ class SfmResult:
 
 
 def _scaled_lattice(oracle: FusionOracle):
-    """Per-call set-up shared by both backends.
+    """Per-call set-up shared by the backends.
 
     Returns the anchor's user mask, one user mask per non-anchor block, each
     block's rate sum as an int over a common denominator, and that
@@ -101,6 +123,12 @@ def _scaled_lattice(oracle: FusionOracle):
     scale = lcm(*(s.denominator for s in sums))
     return (subset_mask(oracle.anchor), [subset_mask(b) for b in rest],
             [s.numerator * (scale // s.denominator) for s in sums], scale)
+
+
+def _offset(oracle: FusionOracle) -> Fraction:
+    """alpha - H(V) - r(anchor): f~(X~) less H(X~) - r(X~ minus the anchor)."""
+    anchor_rate = sum((oracle.rates[u] for u in oracle.anchor), Fraction(0))
+    return oracle.alpha - oracle.model.total_entropy - anchor_rate
 
 
 def _fused(oracle: FusionOracle, choice: int) -> frozenset[int]:
@@ -120,7 +148,8 @@ def minimize_brute(oracle: FusionOracle) -> SfmResult:
     a union's value times `scale` is (h.numerator*scale - rate*h.denominator)
     / h.denominator, and two such values are compared by cross-multiplying,
     so the walk stays on ints (bit-pool entropies have denominator 1) and
-    rational tables stay exact without a model-wide lcm.
+    rational tables stay exact without a model-wide lcm.  The minimum is
+    that constant plus the best value over `scale`.
 
     The minimal minimizer is accumulated as the intersection of all
     minimizers seen and the maximal one as their union, both as bitmasks of
@@ -156,9 +185,8 @@ def minimize_brute(oracle: FusionOracle) -> SfmResult:
         elif lhs == rhs:
             minimal &= choice
             maximal |= choice
-    minimal_set = _fused(oracle, minimal)
-    return SfmResult(oracle.f_tilde(minimal_set), minimal_set,
-                     _fused(oracle, maximal), 1 << k)
+    return SfmResult(_offset(oracle) + Fraction(best_num, best_den * scale),
+                     _fused(oracle, minimal), _fused(oracle, maximal), 1 << k)
 
 
 def minimize_mnp(oracle: FusionOracle, iteration_cap: int = _MNP_ITERATION_CAP) -> SfmResult:
@@ -305,15 +333,160 @@ def dot_exact(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
     return sum((a * b for a, b in zip(u, v)), Fraction(0))
 
 
+def minimize_cut(oracle: FusionOracle) -> SfmResult:
+    """Exact solver for bit-pool sources: one s-t minimum cut.
+
+    On a `BitPoolSource`, H(anchor u S~) - H(anchor) counts the bits that the
+    blocks of S~ add to the anchor's, so up to the constant
+    alpha - H(V) + H(anchor) - r(anchor), `scale` times f~ is
+    scale * |new bits of S~| - (int rates of S~).  Minimizing it is a
+    maximum-weight closure (Picard 1976): blocks are projects worth their
+    int rate, new bits are resources costing `scale` each.  A bit that only
+    one block adds is folded into that block's weight; the other new bits
+    are grouped by the set of blocks that adds them, one node per group
+    with capacity scale * (group size) to the sink and an uncuttable edge
+    from each of its blocks.  A block of positive weight gets an edge of
+    that capacity from the source, one of negative weight an edge to the
+    sink.  The source side of a minimum cut is then a minimizer and the cut
+    value is P + scale * (f~ - constant), with P the sum of the positive
+    weights.
+
+    After one int max-flow, the blocks reachable from the source in the
+    residual network form the minimal minimizer, and the blocks that cannot
+    reach the sink the maximal one; blocks of weight 0 or adding no new bit
+    need no special case.  `evaluations` is the number of max-flow phases.
+    """
+    model = oracle.model
+    if not isinstance(model, BitPoolSource):
+        raise DomainError("the min-cut solver needs a bit-pool source")
+    anchor_mask, masks, rates, scale = _scaled_lattice(oracle)
+    anchor_bits = model.bits_of_mask(anchor_mask)
+    adds = [model.bits_of_mask(m) & ~anchor_bits for m in masks]
+    k = len(adds)
+    # (cover, bits): the new bits added by exactly the blocks set in cover.
+    groups: list[tuple[int, int]] = []
+    for j, added in enumerate(adds):
+        split = []
+        for cover, bits in groups:
+            inside = bits & added
+            if inside:
+                split.append((cover | 1 << j, inside))
+                added ^= inside
+            if inside != bits:
+                split.append((cover, bits ^ inside))
+        if added:
+            split.append((1 << j, added))
+        groups = split
+    weights = list(rates)
+    shared = []
+    for cover, bits in groups:
+        if cover & (cover - 1):  # added by two or more blocks
+            shared.append((cover, scale * bits.bit_count()))
+        else:
+            weights[cover.bit_length() - 1] -= scale * bits.bit_count()
+    positive = sum(w for w in weights if w > 0)
+    # Nodes: blocks 0..k-1, source k, sink k+1, then one per shared group.
+    # residual[u][v] is the residual capacity of the arc u -> v; every arc
+    # has its reverse entry, so residual[v] also lists the arcs into v.
+    source, sink = k, k + 1
+    residual: list[dict[int, int]] = [{} for _ in range(k + 2 + len(shared))]
+    for j, w in enumerate(weights):
+        if w > 0:
+            residual[source][j] = w
+            residual[j][source] = 0
+        elif w < 0:
+            residual[j][sink] = -w
+            residual[sink][j] = 0
+    # No flow exceeds `positive`, so positive + 1 is never saturated.
+    for node, (cover, c) in enumerate(shared, start=k + 2):
+        arcs = residual[node]
+        while cover:
+            low = cover & -cover
+            j = low.bit_length() - 1
+            residual[j][node] = positive + 1
+            arcs[j] = 0
+            cover ^= low
+        arcs[sink] = c
+        residual[sink][node] = 0
+
+    flow, phases, reached = _max_flow(residual, source, sink, positive)
+    reaches_sink = [False] * len(residual)
+    reaches_sink[sink] = True
+    queue = [sink]
+    for v in queue:
+        for u in residual[v]:
+            if residual[u][v] and not reaches_sink[u]:
+                reaches_sink[u] = True
+                queue.append(u)
+    minimal = sum(1 << j for j in range(k) if reached[j])
+    maximal = sum(1 << j for j in range(k) if not reaches_sink[j])
+    value = (_offset(oracle) + anchor_bits.bit_count()
+             + Fraction(flow - positive, scale))
+    return SfmResult(value, _fused(oracle, minimal), _fused(oracle, maximal), phases)
+
+
+def _max_flow(residual: list[dict[int, int]], source: int, sink: int,
+              limit: int) -> tuple[int, int, list[bool]]:
+    """Dinic's maximum flow on an int network, leaving `residual` residual.
+
+    `limit` must bound the flow (the capacity out of the source).  Returns
+    the flow value, the number of blocking-flow phases and, per node,
+    whether the source reaches it in the final residual network.  A level
+    graph path visits each node once, so the recursion is at most as deep
+    as the network has nodes.
+    """
+    n = len(residual)
+    flow = phases = 0
+    while True:
+        level = [-1] * n
+        level[source] = 0
+        queue = [source]
+        for u in queue:
+            for v, c in residual[u].items():
+                if c and level[v] < 0:
+                    level[v] = level[u] + 1
+                    queue.append(v)
+        if level[sink] < 0:
+            return flow, phases, [d >= 0 for d in level]
+
+        def push(u: int, most: int) -> int:
+            # Send up to `most` from u to the sink along the level graph.  A
+            # node that cannot pass on all it is offered leaves the level
+            # graph for the rest of the phase.
+            if u == sink:
+                return most
+            arcs = residual[u]
+            deeper = level[u] + 1
+            sent = 0
+            for v, c in arcs.items():
+                if c and level[v] == deeper:
+                    got = push(v, min(most - sent, c))
+                    if got:
+                        arcs[v] = c - got
+                        residual[v][u] += got
+                        sent += got
+                        if sent == most:
+                            return sent
+            level[u] = -1
+            return sent
+
+        flow += push(source, limit)
+        phases += 1
+
+
 def minimize(oracle: FusionOracle) -> SfmResult:
     """Canonical extreme minimizers of f~, with the backend picked by size.
 
-    Brute enumeration on lattices of at most AUTO_BRUTE_LIMIT non-anchor
-    blocks, min-norm-point above it.  If min-norm-point fails to converge
-    the call falls back to brute enumeration, so the answer is the same
-    exact one either way.
+    A bit-pool lattice of more than CUT_CROSSOVER non-anchor blocks goes to
+    the min cut, whatever its size.  Every other lattice goes to brute
+    enumeration up to AUTO_BRUTE_LIMIT blocks and to min-norm-point above
+    it; if min-norm-point fails to converge the call falls back to brute
+    enumeration, so the answer is the same exact one either way.
     """
-    if len(oracle.non_anchor_blocks) <= AUTO_BRUTE_LIMIT:
+    k = len(oracle.non_anchor_blocks)
+    if k > CUT_CROSSOVER and isinstance(oracle.model, BitPoolSource):
+        return minimize_cut(oracle)
+    if k <= AUTO_BRUTE_LIMIT:
         return minimize_brute(oracle)
     try:
         return minimize_mnp(oracle)

@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from omnirate import (AffineValue, BitPoolSource, DomainError, InternalError,
-                      Partition, brute_min_sum_rate, check_achievable,
-                      coordinate_saturation, minimize_brute, par, sfm)
+from omnirate import (AffineValue, BitPoolSource, DomainError, EntropyTable,
+                      InternalError, Partition, brute_min_sum_rate,
+                      check_achievable, coordinate_saturation, minimize_brute,
+                      par, sfm)
 from omnirate.par import (MinimizerChain, extract_psp, fusion_oracle_at,
                           initial_state, iter_parametric, mda_reference,
                           parametric_iteration, prefix_psp, run_parametric,
@@ -257,11 +258,9 @@ class TestMdaReference:
         # limit, so the default sweep enumerates.  Lowering the limit to 0
         # forces every lattice through min-norm-point; the fixed-point
         # baseline and the forced rerun must agree with the default sweep.
-        rng = random.Random(22)
-        universe = [f"b{k}" for k in range(15)]
-        model = BitPoolSource(
-            [rng.sample(universe, rng.randint(1, 15)) for _ in range(12)]
-        )
+        # Bit pools go to the min cut above CUT_CROSSOVER blocks, so the
+        # source is solved as an explicit table of its entropies.
+        model = self.twelve_user_table()
         _, psp = run_parametric(model)
         value, partition, rates = mda_reference(model)
         assert (psp.min_sum_rate, psp.finest_maximizer, psp.rates) == \
@@ -280,25 +279,77 @@ class TestMdaReference:
         assert mnp_calls
         assert check_achievable(model, psp.rates)
 
+    def test_large_ground_set_through_the_min_cut(self, monkeypatch):
+        # The bit pool behind the table above, with every lattice forced
+        # through the min cut: the same PSP as the default sweep and as the
+        # table's.
+        model = self.twelve_user_pool()
+        _, psp = run_parametric(model)
+        assert psp == run_parametric(self.twelve_user_table())[1]
+        cut_calls = []
+        real_cut = sfm.minimize_cut
+
+        def counted(oracle):
+            cut_calls.append(len(oracle.non_anchor_blocks))
+            return real_cut(oracle)
+
+        monkeypatch.setattr(sfm, "CUT_CROSSOVER", -1)
+        monkeypatch.setattr(sfm, "minimize_cut", counted)
+        monkeypatch.setattr(sfm, "minimize_brute", None)
+        monkeypatch.setattr(sfm, "minimize_mnp", None)
+        _, forced = run_parametric(model)
+        assert forced == psp
+        assert cut_calls
+
+    @staticmethod
+    def twelve_user_pool():
+        rng = random.Random(22)
+        universe = [f"b{k}" for k in range(15)]
+        return BitPoolSource(
+            [rng.sample(universe, rng.randint(1, 15)) for _ in range(12)]
+        )
+
+    def twelve_user_table(self):
+        pool = self.twelve_user_pool()
+        return EntropyTable.from_masks(
+            12, {mask: pool.entropy_of_mask(mask) for mask in range(1, 1 << 12)})
+
     @pytest.mark.parametrize("n", [24, 32])
     def test_spread_bitpool_past_the_brute_limit(self, n, monkeypatch):
         # The bench's sweep-bitpool recipe at larger sizes: the top probes
         # of the late users still see more than AUTO_BRUTE_LIMIT non-anchor
-        # blocks, so the bracketed search runs min-norm-point there.
+        # blocks.  Those bit-pool lattices go to the min cut, and each cut
+        # call is checked against brute enumeration (min-norm-point past
+        # BRUTE_LIMIT).
         blocks = []
         real_minimize = par.minimize
+        real_cut = sfm.minimize_cut
+        cut_blocks = []
 
         def counted(oracle):
             blocks.append(len(oracle.non_anchor_blocks))
             return real_minimize(oracle)
 
+        def checked(oracle):
+            k = len(oracle.non_anchor_blocks)
+            cut_blocks.append(k)
+            result = real_cut(oracle)
+            reference = minimize_brute if k <= sfm.BRUTE_LIMIT else sfm.minimize_mnp
+            assert result == reference(oracle)
+            return result
+
         monkeypatch.setattr(par, "minimize", counted)
+        monkeypatch.setattr(sfm, "minimize_cut", checked)
         model = spread_bitpool(random.Random(n), n)
         _, psp = run_parametric(model)
+        # The baseline's saturations reach past BRUTE_LIMIT blocks: too many
+        # to check each one.
+        monkeypatch.setattr(sfm, "minimize_cut", real_cut)
         value, partition, rates = mda_reference(model)
         assert (psp.min_sum_rate, psp.finest_maximizer, psp.rates) == \
             (value, partition, rates)
         assert max(blocks) > sfm.AUTO_BRUTE_LIMIT
+        assert cut_blocks == [k for k in blocks if k > sfm.CUT_CROSSOVER]
 
 
 class TestBracketedProbes:

@@ -3,13 +3,15 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from omnirate import (CapacityError, FusionOracle, InternalError,
-                      minimize, minimize_brute, minimize_mnp, sfm)
+from omnirate import (BitPoolSource, CapacityError, DomainError, FusionOracle,
+                      InternalError, minimize, minimize_brute, minimize_cut,
+                      minimize_mnp, sfm)
 from omnirate.model import subset_mask
 from omnirate.par import fusion_oracle_at, initial_state, iter_parametric
 
-from conftest import random_bitpool, rank_sum_table
+from conftest import random_bitpool, rank_sum_table, spread_bitpool
 
 
 def oracle_for(model, alpha, blocks, anchor_user, rates):
@@ -302,19 +304,20 @@ def test_gray_walk_queries_each_union_once(monkeypatch):
     walk = []
     walking = [True]
     real_entropy = model.entropy_of_mask
-    real_f_tilde = FusionOracle.f_tilde
+    real_offset = sfm._offset
 
     def counted(mask):
         if walking[0]:
             walk.append(mask)
         return real_entropy(mask)
 
-    def f_tilde(self, fused):
+    def offset(oracle):
+        # The walk is over once the constant part of f~ (it reads H(V)) is read.
         walking[0] = False
-        return real_f_tilde(self, fused)
+        return real_offset(oracle)
 
     monkeypatch.setattr(model, "entropy_of_mask", counted)
-    monkeypatch.setattr(FusionOracle, "f_tilde", f_tilde)
+    monkeypatch.setattr(sfm, "_offset", offset)
     res = minimize_brute(o)
     unions = {subset_mask({7}.union(*combo))
               for r in range(5) for combo in combinations(map(set, blocks[1:]), r)}
@@ -374,3 +377,90 @@ class TestAffineMinimizer:
         w = (Fraction(0), Fraction(1), Fraction(5, 3))
         with pytest.raises(InternalError):
             sfm._affine_minimizer([v, w, v])
+
+
+@st.composite
+def bitpool_oracles(draw):
+    """A fusion oracle on a random bit pool, block partition and anchor.
+
+    Rates are p/q with q up to 6 and may be 0 or negative; the anchor may
+    hold several users; some users may hold only anchor bits, so their
+    blocks add no new bit.
+    """
+    n = draw(st.integers(2, 7))
+    width = draw(st.integers(1, 8))
+    pools = draw(st.lists(st.sets(st.integers(0, width - 1), min_size=1),
+                          min_size=n, max_size=n))
+    labels = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    blocks = {}
+    for u, label in enumerate(labels, start=1):
+        blocks.setdefault(label, set()).add(u)
+    blocks = tuple(frozenset(b) for b in blocks.values())
+    anchor = draw(st.sampled_from(blocks))
+    anchor_bits = sorted(set().union(*(pools[u - 1] for u in anchor)))
+    for u in draw(st.sets(st.integers(1, n))) - anchor:
+        pools[u - 1] = draw(st.sets(st.sampled_from(anchor_bits), min_size=1))
+    rates = {u: draw(st.fractions(-6, 6, max_denominator=6)) for u in range(1, n + 1)}
+    alpha = draw(st.fractions(0, 3 * width, max_denominator=4))
+    model = BitPoolSource([[f"b{k}" for k in pool] for pool in pools])
+    return FusionOracle(model, alpha, blocks, anchor, rates)
+
+
+class TestMinCut:
+    @settings(max_examples=200, deadline=None)
+    @given(bitpool_oracles())
+    def test_agrees_with_brute_and_mnp(self, oracle):
+        cut = minimize_cut(oracle)
+        assert cut == minimize_brute(oracle) == minimize_mnp(oracle)
+        assert (cut.min_value, cut.minimal, cut.maximal) == enumerated_extremes(oracle)
+
+    def test_special_blocks(self):
+        # Anchor {1,2} holds a, b, c.  {3} and {4} add no new bit, {5} adds d
+        # (its own) and e, {6} and {7} add only e, {8} adds its own g, h.
+        model = BitPoolSource(["ab", "c", "a", "b", "de", "e", "e", "gh"])
+        rates = {1: 1, 2: -2, 3: Fraction(1, 2), 4: -1, 5: 2, 6: 1, 7: 0,
+                 8: Fraction(3, 2)}
+        blocks = tuple(map(frozenset, [[1, 2], [3], [4], [5], [6], [7], [8]]))
+        o = FusionOracle(model, Fraction(7), blocks, blocks[0],
+                         {u: Fraction(r) for u, r in rates.items()})
+        res = minimize_cut(o)
+        # {3} is free gain; {5} and {6} only pay off together; {7} costs and
+        # gains nothing once e is paid for; {4} and {8} only cost.
+        assert res.minimal == frozenset({1, 2, 3, 5, 6})
+        assert res.maximal == frozenset({1, 2, 3, 5, 6, 7})
+        assert res.min_value == o.f_tilde(res.minimal) == Fraction(5, 2)
+        assert res == minimize_brute(o) == minimize_mnp(o)
+
+    def test_refuses_tables(self):
+        o = oracle_for(rank_sum_table(random.Random(3), 3), 1, [[1], [2], [3]], 3,
+                       {1: 0, 2: 0, 3: 0})
+        with pytest.raises(DomainError, match="bit-pool"):
+            minimize_cut(o)
+
+    def test_bit_pool_past_the_brute_limit(self):
+        # BRUTE_LIMIT + 1 non-anchor blocks: minimize answers through the cut
+        # with no CapacityError.  Rates on a greedy vertex of H, anchor
+        # first, make every prefix of the order a minimizer; nudging a few
+        # users breaks some of those ties.
+        k = sfm.BRUTE_LIMIT + 1
+        rng = random.Random(k)
+        model = spread_bitpool(rng, k + 1)
+        order = list(model.users)
+        rng.shuffle(order)
+        rates, prefix, prev = {}, set(), Fraction(0)
+        for u in order:
+            prefix.add(u)
+            h = model.entropy(prefix)
+            rates[u] = h - prev
+            prev = h
+        for u in rng.sample(order[1:], 4):
+            rates[u] += Fraction(rng.choice([-1, 1]), rng.randint(2, 5))
+        o = oracle_for(model, model.total_entropy, [[u] for u in model.users],
+                       order[0], rates)
+        assert len(o.non_anchor_blocks) == k
+        with pytest.raises(CapacityError):
+            minimize_brute(o)
+        res = minimize(o)
+        assert res == minimize_mnp(o)
+        assert o.f_tilde(res.minimal) == o.f_tilde(res.maximal) == res.min_value
+        assert res.minimal < res.maximal
