@@ -155,6 +155,8 @@ class BitPoolSource(SourceModel):
         self._bit_masks = tuple(
             sum(1 << index[name] for name in pool) for pool in pools
         )
+        # every entropy is a bit count, so one Fraction per count serves all
+        self._counts = tuple(map(Fraction, range(len(names) + 1)))
 
     def bits_of_mask(self, mask: int) -> int:
         """The union of the bit sets of the users in `mask`, as a mask over `bit_names`.
@@ -170,7 +172,7 @@ class BitPoolSource(SourceModel):
         return pooled
 
     def _entropy_of_mask(self, mask: int) -> Fraction:
-        return Fraction(self.bits_of_mask(mask).bit_count())
+        return self._counts[self.bits_of_mask(mask).bit_count()]
 
     def __repr__(self):
         return f"BitPoolSource({len(self.bits_per_user)} users, {len(self.bit_names)} bits)"

@@ -12,11 +12,11 @@ segmented quantity: a nested chain of user sets
 
     {i} = S_q < ... < S_1 < S_0 = V_i
 
-switching at critical points a_q < ... < a_1 < a_0 = H(V), with S_q active
-on [0, a_q] and S_j on (a_{j+1}, a_j].  The chain sets are found by a
-divide-and-conquer search (`strong_map_chain`) that probes the crossing
-alpha of two partition cost lines and recurses on both sides; each probe
-issues one plain submodular minimization.
+switching at critical points a_q < ... < a_1 < a_0 = H(V) (the axis top),
+with S_q active on [0, a_q] and S_j on (a_{j+1}, a_j].  The chain sets are
+found by a divide-and-conquer search (`strong_map_chain`) that probes the
+crossing alpha of two partition cost lines and recurses on both sides;
+each probe issues one plain submodular minimization.
 
 Each probe's minimization runs on a bracketed sublattice, not on the whole
 fusion lattice of its alpha.  Three facts make that exact:
@@ -40,6 +40,23 @@ With the chain sets known, the critical points solve the per-chain-pair
 affine equations r_alpha(S_{j-1} \\ S_j) = H(S_{j-1}) - H(S_j), whose left
 side is piecewise affine and strictly increasing where the equation is
 relevant (`solve_chain_breakpoints`).
+
+The sweep can also run on a truncated axis [0, top], top < H(V): successive
+omniscience reads the state at one lower bound only (`so`).  The state at
+alpha depends only on the state at alpha, so the state on [0, top] after
+user i follows from the one on [0, top] after user i-1, and only the chain
+top S_0 changes.  On the whole axis S_0 = V_i is implied and costs nothing;
+on a truncated one S_0 = m(top), found by one probe at top on the whole
+lattice ({i}, V_i).  The rest of the chain is the lower child of that
+probe: the partitions (singletons, P(top) with S_0 fused) and the bracket
+({i}, S_0).  Their cost lines cross at or below top, because the fused
+partition is optimal at top and has fewer blocks (a flatter line), and
+every child's probe lies between its parent's, so no probe leaves the
+axis.  With top = H(V) that child is the whole-axis top call; with
+S_0 = {i} monotonicity leaves no chain below it.  The initial rate
+r_1 = alpha - H(V) + H({1}) refers to H(V) whatever the top: the axis is
+cut, not shifted.  The principal sequence needs the whole axis, so
+`extract_psp` and `prefix_psp` reject a truncated state.
 
 The final segmented partition is the principal sequence of partitions of
 the ground set; its second-from-top breakpoint is the minimum sum-rate and
@@ -70,7 +87,11 @@ class StateSlice:
 
 @dataclass(frozen=True)
 class Probe:
-    """One divide-and-conquer probe: the alpha tried and its bracketing pair."""
+    """One divide-and-conquer probe: the alpha tried and its bracketing pair.
+
+    The probe at the top of a cut axis is not a crossing; it records the
+    whole lattice's pair (singletons, one block).
+    """
 
     alpha: Fraction
     p_down: Partition
@@ -82,9 +103,10 @@ class MinimizerChain:
     """Nested minimal-minimizer sets with their critical points.
 
     sets[0] = {i} is active on [0, alphas[0]] and sets[m] on
-    (alphas[m-1], alphas[m]]; alphas[-1] = H(V) and sets[-1] = V_i.
-    Adjacent equal alphas denote an empty segment (the set is never the
-    minimizer below H(V)).
+    (alphas[m-1], alphas[m]]; alphas[-1] is the axis top and sets[-1] the
+    set active there (V_i on the whole axis [0, H(V)]).  Adjacent equal
+    alphas denote an empty segment (the set is never the minimizer below
+    the top).
     """
 
     sets: tuple[frozenset[int], ...]
@@ -95,7 +117,9 @@ class MinimizerChain:
 class ParState:
     """Segmented sweep state for the prefix carrier 1..carrier_size.
 
-    `table` maps alpha segments to StateSlice values; `last_chain` and
+    `table` maps the alpha segments of the axis [0, table.top] to StateSlice
+    values; the top is H(V) unless the sweep was started truncated (see
+    `initial_state`).  `last_chain` and
     `last_probes` document the iteration that produced this state (None and
     () for the base state).  Each probe issued exactly one submodular
     minimization, so the sweep's SFM count is the sum of len(last_probes).
@@ -149,10 +173,18 @@ class PSPResult:
     rates: tuple[Fraction, ...]
 
 
-def initial_state(model: SourceModel) -> ParState:
-    """Sweep state after user 1: one block, r_1 = alpha - H(V) + H({1})."""
-    top = model.total_entropy
-    rate = AffineValue(model.entropy({1}) - top, Fraction(1))
+def initial_state(model: SourceModel, top=None) -> ParState:
+    """Sweep state after user 1 on the axis [0, top]: one block,
+    r_1 = alpha - H(V) + H({1}).
+
+    `top` defaults to H(V).  A lower top truncates the axis without
+    shifting it: the rate still refers to H(V).
+    """
+    total = model.total_entropy
+    top = total if top is None else as_rational(top)
+    if not 0 <= top <= total:
+        raise DomainError(f"axis top {top} outside [0, {total}]")
+    rate = AffineValue(model.entropy({1}) - total, Fraction(1))
     slice_ = StateSlice(Partition([singleton(1)]), (rate,))
     return ParState(model, 1, Segmented.constant(top, slice_))
 
@@ -160,10 +192,12 @@ def initial_state(model: SourceModel) -> ParState:
 def _extended_table(state: ParState, user: int) -> Segmented:
     """State table with block {user} appended and its rate at alpha - H(V)."""
     fresh = AffineValue(-state.model.total_entropy, Fraction(1))
+    block = singleton(user)
 
     def extend(slice_: StateSlice) -> StateSlice:
+        # user is the largest id, so appending its block keeps the order
         return StateSlice(
-            Partition(slice_.partition.blocks + (singleton(user),)),
+            Partition._from_canonical(slice_.partition.blocks + (block,)),
             slice_.rates + (fresh,),
         )
 
@@ -254,10 +288,7 @@ def _chain_search(model, table, p_down, p_up, inner, outer,
     h_up = partition_entropy(model, p_up)
     alpha = model.total_entropy - (h_down - h_up) / (len(p_down) - len(p_up))
     probes.append(Probe(alpha, p_down, p_up))
-
-    slice_ = table.value_at(alpha)
-    found = minimize(_oracle_at(model, slice_, alpha, inner, outer)).minimal
-    fused_partition = slice_.partition.merge_blocks(found)
+    found, fused_partition = _probe(model, table, alpha, inner, outer)
     if fused_partition == p_down:
         return {found}
     lower = _chain_search(model, table, p_down, fused_partition, inner, found,
@@ -265,6 +296,14 @@ def _chain_search(model, table, p_down, p_up, inner, outer,
     upper = _chain_search(model, table, fused_partition, p_up, found, outer,
                           probes)
     return lower | upper
+
+
+def _probe(model, table, alpha, inner, outer) -> tuple[frozenset[int], Partition]:
+    """Minimal minimizer at `alpha` on the bracket (inner, outer), and the
+    stored partition at `alpha` with it fused."""
+    slice_ = table.value_at(alpha)
+    found = minimize(_oracle_at(model, slice_, alpha, inner, outer)).minimal
+    return found, slice_.partition.merge_blocks(found)
 
 
 def solve_chain_breakpoints(state: ParState, chain_sets) -> list[Fraction]:
@@ -276,7 +315,7 @@ def solve_chain_breakpoints(state: ParState, chain_sets) -> list[Fraction]:
     first root wins, which lands in the region where the left side is
     strictly increasing; a boundary root belongs to the lower (upper-closed)
     segment by the half-open convention.  Returns the crossings in chain
-    order with H(V) appended for the top set.
+    order with the axis top appended for the top set.
     """
     chain = sorted(chain_sets, key=len)
     for small, big in zip(chain, chain[1:]):
@@ -288,7 +327,7 @@ def solve_chain_breakpoints(state: ParState, chain_sets) -> list[Fraction]:
         diff = sorted(big - small)
         target = model.entropy(big) - model.entropy(small)
         alphas.append(_solve_rate_equation(state, diff, target))
-    alphas.append(model.total_entropy)
+    alphas.append(state.table.top)
     if any(a > b for a, b in zip(alphas, alphas[1:])):
         raise InternalError(f"critical points out of order: {alphas}")
     return alphas
@@ -321,57 +360,69 @@ def parametric_iteration(state: ParState) -> ParState:
     the segment ends, and applies the per-segment update: the new
     user's rate gains f~(S_j) (an affine value) and the blocks of S_j fuse.
     Empty chain segments (equal adjacent critical points) are dropped.
+
+    The chain's top set T is the set active at the axis top: V_i on the
+    whole axis, else m(top), found by one probe at top over the whole
+    lattice.  The chain below T is the lower child of a probe at top.
     """
+    model = state.model
     user = state.carrier_size + 1
-    if user > state.model.size:
+    if user > model.size:
         raise DomainError("state already covers the whole ground set")
-    probes: list[Probe] = []
+    extended = _extended_table(state, user)
+    top = extended.top
+    inner = singleton(user)
     carrier = frozenset(range(1, user + 1))
-    found = strong_map_chain(
-        state,
-        Partition.singletons(carrier),
-        Partition.whole(carrier),
-        probes=probes,
-    )
-    chain = sorted(found | {carrier}, key=len)
+    singletons = Partition.singletons(carrier)
+    probes: list[Probe] = []
+    if top == model.total_entropy:
+        top_set, top_partition = carrier, Partition.whole(carrier)
+    else:
+        probes.append(Probe(top, singletons, Partition.whole(carrier)))
+        top_set, top_partition = _probe(model, extended, top, inner, carrier)
+    chain = [inner]
+    if top_set != inner:
+        # m is monotone, so T = {i} leaves nothing below it to search
+        found = _chain_search(model, extended, singletons, top_partition,
+                              inner, top_set, probes)
+        chain = sorted(found | {top_set}, key=len)
     alphas = solve_chain_breakpoints(state, chain)
-    if chain[0] != frozenset({user}):
+    if chain[0] != inner:
         raise InternalError("minimizer chain must start at the new user's singleton")
 
-    extended = _extended_table(state, user)
     new_pieces = []
     for upper in sorted(set(extended.uppers).union(alphas)):
         slice_ = extended.value_at(upper)
         fused = chain[bisect_left(alphas, upper)]
-        blocks_inside = [b for b in slice_.partition.blocks if b <= fused]
-        if frozenset().union(*blocks_inside) != fused:
+        try:
+            partition = slice_.partition.merge_blocks(fused)
+        except DomainError:
             raise InternalError(
                 f"minimizer {sorted(fused)} is not a block union on the segment "
                 f"ending at {upper}"
-            )
-        gain = AffineValue(state.model.entropy(fused), Fraction(0))
+            ) from None
+        gain = AffineValue(model.entropy(fused), Fraction(0))
         for u in sorted(fused - {user}):
             gain = gain - slice_.rates[u - 1]
-        new_rate = AffineValue(-state.model.total_entropy, Fraction(1)) + gain
+        new_rate = AffineValue(-model.total_entropy, Fraction(1)) + gain
         rates = slice_.rates[:-1] + (new_rate,)
-        new_pieces.append(
-            (upper, StateSlice(slice_.partition.merge_blocks(fused), rates))
-        )
+        new_pieces.append((upper, StateSlice(partition, rates)))
 
     return ParState(
-        state.model, user, Segmented(new_pieces),
+        model, user, Segmented(new_pieces),
         last_chain=MinimizerChain(tuple(chain), tuple(alphas)),
         last_probes=tuple(probes),
     )
 
 
-def iter_parametric(model: SourceModel) -> Iterator[ParState]:
-    """Yield the sweep state after each user 1, 2, ..., n.
+def iter_parametric(model: SourceModel, top=None) -> Iterator[ParState]:
+    """Yield the sweep state after each user 1, 2, ..., n on the axis [0, top].
 
     This is the hand-off interface for a growing ground set: the state
     after user i is everything user i+1 needs (plus H(V)) to continue.
+    `top` defaults to H(V) (see `initial_state`).
     """
-    state = initial_state(model)
+    state = initial_state(model, top)
     yield state
     for _ in range(2, model.size + 1):
         state = parametric_iteration(state)
@@ -388,7 +439,17 @@ def run_parametric(model: SourceModel) -> tuple[ParState, PSPResult]:
 
 def extract_psp(state: ParState) -> PSPResult:
     """Read the principal sequence and sum-rate solution off a sweep state."""
+    _require_whole_axis(state)
     return _psp_from_views(state.users, state.partition_view, state.rate_view)
+
+
+def _require_whole_axis(state: ParState) -> None:
+    """The principal sequence needs the state on all of [0, H(V)]."""
+    if state.table.top != state.model.total_entropy:
+        raise DomainError(
+            f"state axis stops at {state.table.top}, below H(V) = "
+            f"{state.model.total_entropy}"
+        )
 
 
 def _psp_from_views(users, partition_view: Segmented, rate_view: Segmented) -> PSPResult:
@@ -422,6 +483,7 @@ def prefix_psp(state: ParState) -> PSPResult:
     principal sequence of the prefix, from which the prefix's minimum
     sum-rate and optimal rate vector read off as usual.
     """
+    _require_whole_axis(state)
     model = state.model
     users = state.users
     shift = model.entropy(users) - model.total_entropy  # <= 0

@@ -59,6 +59,14 @@ class Partition:
             raise DomainError("partition blocks must be pairwise disjoint")
         object.__setattr__(self, "blocks", tuple(sorted(frozen, key=min)))
 
+    @classmethod
+    def _from_canonical(cls, blocks: tuple[frozenset[int], ...]) -> "Partition":
+        """Wrap blocks already known to be nonempty, disjoint and in canonical
+        order, skipping the constructor's checks."""
+        partition = object.__new__(cls)
+        object.__setattr__(partition, "blocks", blocks)
+        return partition
+
     def __setattr__(self, name, value):
         raise AttributeError("Partition is immutable")
 
@@ -103,7 +111,8 @@ class Partition:
         """Replace the blocks whose union is `fused` by the single block `fused`.
 
         `fused` must be a union of whole blocks; anything that would split a
-        block is a domain error.
+        block is a domain error.  Once that holds the result is a partition,
+        so it is built without the constructor's checks.
         """
         fused = frozenset(fused)
         inside = [b for b in self.blocks if b <= fused]
@@ -113,7 +122,7 @@ class Partition:
                 f"{sorted(fused)} is not a union of whole blocks of {self}"
             )
         rest = [b for b in self.blocks if not b <= fused]
-        return Partition(rest + [fused])
+        return Partition._from_canonical(tuple(sorted(rest + [fused], key=min)))
 
     def __str__(self) -> str:
         return "{" + ",".join(

@@ -12,6 +12,11 @@ complimentary.  The block's own solution comes for free: the alpha where
 its sub-blocks finish merging in the segmented partition equals
 H(V) - H(C) + R(C), and the stored rate vector evaluated there, restricted
 to C, attains local omniscience in C at sum rate R(C).
+
+Both the block and its merge point lie at or below alpha_bar, so the sweep
+runs on the truncated axis [0, alpha_bar] only (see `par`): per user one
+minimization at alpha_bar finds the chain top, and the chain search below
+it runs only when that top is more than the new user.
 """
 
 from __future__ import annotations
@@ -99,7 +104,8 @@ def find_complimentary(model: SourceModel, alpha_bar=None) -> SOPlan | None:
     set is inspected instead, exposing the most-merged structure available
     under that bound.  Callers overriding alpha_bar are responsible for
     keeping it at most the minimum sum-rate; `verify_complimentary` or the
-    sweep itself can confirm that after the fact.
+    sweep itself can confirm that after the fact.  Either way the sweep
+    covers only the axis [0, alpha_bar].
     """
     sweep_all = alpha_bar is not None
     if alpha_bar is None:
@@ -109,8 +115,7 @@ def find_complimentary(model: SourceModel, alpha_bar=None) -> SOPlan | None:
     if not Fraction(0) <= alpha_bar <= model.total_entropy:
         raise DomainError(f"alpha_bar {alpha_bar} outside [0, {model.total_entropy}]")
 
-    plan = None
-    for state in iter_parametric(model):
+    for state in iter_parametric(model, alpha_bar):
         if state.carrier_size == 1:
             continue
         if sweep_all and state.carrier_size < model.size:

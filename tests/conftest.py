@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from omnirate import BitPoolSource, EntropyTable
+from omnirate import BitPoolSource, EntropyTable, lower_bound_alpha
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 FIVE_USER_PATH = REPO_ROOT / "models" / "example_5user.bitpool"
@@ -32,6 +32,22 @@ def random_bitpool(rng: random.Random, max_users: int = 6, max_bits: int = 12) -
     universe = [f"b{k}" for k in range(n_bits)]
     pools = [rng.sample(universe, rng.randint(1, n_bits)) for _ in range(n)]
     return BitPoolSource(pools)
+
+
+def twin_bitpool(rng: random.Random, max_users: int = 6, max_bits: int = 12) -> BitPoolSource:
+    """A random bit-pool source in which some users copy another's pool."""
+    pools = list(random_bitpool(rng, max_users, max_bits).bits_per_user)
+    for _ in range(rng.randint(1, len(pools) - 1)):
+        pools[rng.randrange(len(pools))] = rng.choice(pools)
+    return BitPoolSource(pools)
+
+
+def axis_caps(rng: random.Random, model) -> tuple[Fraction, ...]:
+    """Axis tops to truncate a sweep at: 0, the successive-omniscience
+    lower bound, a random interior point (1/1000 grid) and H(V)."""
+    total = model.total_entropy
+    return (Fraction(0), lower_bound_alpha(model),
+            total * Fraction(rng.randrange(1, 1000), 1000), total)
 
 
 def spread_bitpool(rng: random.Random, n: int) -> BitPoolSource:

@@ -7,13 +7,15 @@ from omnirate import (AffineValue, BitPoolSource, DomainError, EntropyTable,
                       InternalError, Partition, brute_min_sum_rate,
                       check_achievable, coordinate_saturation, minimize_brute,
                       par, sfm)
-from omnirate.par import (MinimizerChain, extract_psp, fusion_oracle_at,
-                          initial_state, iter_parametric, mda_reference,
-                          parametric_iteration, prefix_psp, run_parametric,
-                          solve_chain_breakpoints, strong_map_chain)
+from omnirate.par import (MinimizerChain, ParState, extract_psp,
+                          fusion_oracle_at, initial_state, iter_parametric,
+                          mda_reference, parametric_iteration, prefix_psp,
+                          run_parametric, solve_chain_breakpoints,
+                          strong_map_chain)
+from omnirate.partition import Segmented
 
-from conftest import (random_alpha, random_bitpool, rank_sum_table,
-                      spread_bitpool)
+from conftest import (axis_caps, random_alpha, random_bitpool, rank_sum_table,
+                      spread_bitpool, twin_bitpool)
 
 AF = AffineValue.of
 F = Fraction
@@ -362,7 +364,7 @@ class TestBracketedProbes:
     checked as it happens, so a wrong bracket fails at its first probe.
     """
 
-    def check_sweeps(self, models, monkeypatch):
+    def check_sweeps(self, models, monkeypatch, tops=lambda model: (None,)):
         blocks = {"restricted": 0, "full": 0}
         alphas = []
         prev = []
@@ -381,12 +383,13 @@ class TestBracketedProbes:
 
         monkeypatch.setattr(par, "minimize", checked)
         for model in models:
-            state = initial_state(model)
-            while state.carrier_size < model.size:
-                prev.append(state)
-                alphas.clear()
-                state = parametric_iteration(state)
-                assert alphas == [p.alpha for p in state.last_probes]
+            for top in tops(model):
+                state = initial_state(model, top)
+                while state.carrier_size < model.size:
+                    prev.append(state)
+                    alphas.clear()
+                    state = parametric_iteration(state)
+                    assert alphas == [p.alpha for p in state.last_probes]
         # the brackets do shrink the lattices, not only keep the answers
         assert blocks["restricted"] < blocks["full"]
 
@@ -400,6 +403,14 @@ class TestBracketedProbes:
         models = [rank_sum_table(rng, rng.randint(2, 7)) for _ in range(60)]
         self.check_sweeps(models, monkeypatch)
 
+    def test_truncated_axes(self, monkeypatch):
+        # the top probe at a cut axis end minimizes on the whole lattice
+        rng = random.Random(4052)
+        models = [random_bitpool(rng, max_users=7, max_bits=12) for _ in range(30)]
+        models += [rank_sum_table(rng, rng.randint(2, 6)) for _ in range(15)]
+        self.check_sweeps(models, monkeypatch,
+                          lambda model: axis_caps(rng, model)[:3])
+
     def test_bracket_off_the_blocks_raises(self, golden_states):
         # Before user 5 at alpha = 23/4 the blocks are {1,2}, {3}, {4}, {5}.
         alpha = F(23, 4)
@@ -412,6 +423,59 @@ class TestBracketedProbes:
             par._oracle_at(model, slice_, alpha, frozenset({5}), frozenset({1, 5}))
         with pytest.raises(InternalError):   # the lower end leaves the upper
             par._oracle_at(model, slice_, alpha, frozenset({4, 5}), frozenset({3, 5}))
+
+
+def clipped(table: Segmented, cap) -> Segmented:
+    """`table` cut at `cap`: the segments below it, then the one holding it."""
+    below = [(u, v) for u, v in zip(table.uppers, table.values) if u < cap]
+    return Segmented([*below, (cap, table.value_at(cap))])
+
+
+class TestTruncatedAxis:
+    """A sweep on [0, top] is the whole-axis sweep cut at top, state by state."""
+
+    def check_clipped(self, rng, models):
+        for model in models:
+            full = list(iter_parametric(model))
+            for top in axis_caps(rng, model):
+                cut = list(iter_parametric(model, top))
+                assert len(cut) == len(full)
+                for state, whole in zip(cut, full):
+                    assert state == ParState(model, whole.carrier_size,
+                                             clipped(whole.table, top))
+
+    def test_random_bitpools(self):
+        rng = random.Random(5150)
+        self.check_clipped(rng, [random_bitpool(rng, max_users=8, max_bits=10)
+                                 for _ in range(100)])
+
+    def test_bitpools_with_identical_users(self):
+        rng = random.Random(5151)
+        self.check_clipped(rng, [twin_bitpool(rng, max_users=8, max_bits=8)
+                                 for _ in range(60)])
+
+    def test_rational_rank_sum_tables(self):
+        rng = random.Random(5152)
+        self.check_clipped(rng, [rank_sum_table(rng, rng.randint(2, 7))
+                                 for _ in range(40)])
+
+    def test_initial_rate_refers_to_the_whole_entropy(self, five_user):
+        # cut, not shifted: r_1 = alpha - H(V) + H({1}) whatever the top
+        state = initial_state(five_user, F(23, 4))
+        assert state.table.top == F(23, 4)
+        assert state.table.values[0].rates == (AF(8 - 10, 1),)
+
+    def test_top_outside_the_axis(self, five_user):
+        for top in (F(-1), F(11)):
+            with pytest.raises(DomainError):
+                initial_state(five_user, top)
+
+    def test_psp_needs_the_whole_axis(self, golden_states):
+        state = golden_states[5]
+        truncated = ParState(state.model, 5, clipped(state.table, F(13, 2)))
+        for read in (extract_psp, prefix_psp):
+            with pytest.raises(DomainError):
+                read(truncated)
 
 
 class TestStateInvariants:
@@ -494,3 +558,28 @@ class TestStateInvariants:
             start, seen = seen, seen + len(state.last_probes)
             assert calls[start:] == [p.alpha for p in state.last_probes]
         assert seen > 0
+
+    def test_truncated_probe_record_counts_minimizations(self, monkeypatch):
+        # On [0, top] the record still holds one probe per minimization,
+        # the top probe included, and no probe leaves the axis.
+        calls = []
+        real_minimize = par.minimize
+
+        def counted(oracle):
+            calls.append(oracle.alpha)
+            return real_minimize(oracle)
+
+        monkeypatch.setattr(par, "minimize", counted)
+        rng = random.Random(782)
+        for _ in range(15):
+            model = random_bitpool(rng, max_users=7, max_bits=8)
+            for top in axis_caps(rng, model):
+                seen = len(calls)
+                for state in iter_parametric(model, top):
+                    start, seen = seen, seen + len(state.last_probes)
+                    assert calls[start:] == [p.alpha for p in state.last_probes]
+                    assert all(p.alpha <= top for p in state.last_probes)
+                if top < model.total_entropy:
+                    for read in (extract_psp, prefix_psp):
+                        with pytest.raises(DomainError):
+                            read(state)

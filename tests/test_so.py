@@ -5,10 +5,11 @@ import pytest
 
 from omnirate import (BitPoolSource, DecompositionError, DomainError,
                       brute_min_sum_rate, check_achievable, decompose_rates,
-                      find_complimentary, lower_bound_alpha, run_parametric,
+                      find_complimentary, iter_parametric, lower_bound_alpha,
+                      par, plan_from_state, run_parametric,
                       verify_complimentary)
 
-from conftest import random_bitpool
+from conftest import rank_sum_table, random_bitpool, twin_bitpool
 
 F = Fraction
 
@@ -84,6 +85,60 @@ class TestFindComplimentary:
                 continue
             assert check_achievable(model, plan.local_rates, plan.local_users)
             assert sum(plan.local_rates) == plan.local_min_sum_rate
+
+
+def whole_axis_plan(model, alpha_bar=None):
+    """The plan read off the whole-axis sweep states: the default bound at
+    the first iteration that shows a block, a given bound at the last."""
+    states = list(iter_parametric(model))[1:]
+    if alpha_bar is not None:
+        return plan_from_state(states[-1], alpha_bar)
+    bound = lower_bound_alpha(model)
+    return next(filter(None, (plan_from_state(s, bound) for s in states)), None)
+
+
+class TestTruncatedSearch:
+    """The search sweeps only [0, alpha_bar]; its plans are the whole axis's."""
+
+    def check_plans(self, rng, models):
+        found = 0
+        for model in models:
+            plan = find_complimentary(model)
+            assert plan == whole_axis_plan(model)
+            found += plan is not None
+            rate = run_parametric(model)[1].min_sum_rate
+            for bound in (rate * F(rng.randrange(0, 1001), 1000), rate):
+                assert find_complimentary(model, bound) == whole_axis_plan(model, bound)
+        assert found > len(models) // 4
+
+    def test_random_bitpools(self):
+        rng = random.Random(6160)
+        self.check_plans(rng, [random_bitpool(rng, max_users=8, max_bits=10)
+                               for _ in range(60)])
+
+    def test_bitpools_with_identical_users(self):
+        rng = random.Random(6161)
+        self.check_plans(rng, [twin_bitpool(rng, max_users=8, max_bits=8)
+                               for _ in range(40)])
+
+    def test_rational_rank_sum_tables(self):
+        rng = random.Random(6162)
+        self.check_plans(rng, [rank_sum_table(rng, rng.randint(2, 7))
+                               for _ in range(30)])
+
+    def test_golden_probes_stay_at_or_below_the_bound(self, five_user, monkeypatch):
+        alphas = []
+        real_minimize = par.minimize
+
+        def counted(oracle):
+            alphas.append(oracle.alpha)
+            return real_minimize(oracle)
+
+        monkeypatch.setattr(par, "minimize", counted)
+        find_complimentary(five_user)
+        # user 2 only: one probe at the bound, whose minimizer {1, 2} leads
+        # to one chain probe below it
+        assert alphas == [F(23, 4), F(4)]
 
 
 class TestVerifyComplimentary:
