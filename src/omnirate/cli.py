@@ -15,8 +15,8 @@ Commands (model files per `omnirate.modelfile`; pass '-' to read stdin):
     omnirate so MODEL [--alpha-bar R] [--decimal]
         Complimentary subset selection with the local rate vector.  The
         default bound is the singleton-partition lower bound; an explicit
-        --alpha-bar must not exceed the minimum sum-rate (checked after
-        solving).
+        --alpha-bar must not be negative (checked before solving) and must
+        not exceed the minimum sum-rate (checked after solving).
 
     omnirate verify MODEL
         Cross-checks the parametric sweep against the fixed-point baseline
@@ -126,6 +126,8 @@ def cmd_so(args) -> int:
             override = Fraction(args.alpha_bar)
         except (ValueError, ZeroDivisionError):
             raise DomainError(f"--alpha-bar must be a rational, got {args.alpha_bar!r}")
+        if override < 0:
+            raise DomainError(f"alpha_bar {override} outside [0, {model.total_entropy}]")
         state, psp = run_parametric(model)
         if override > psp.min_sum_rate:
             raise DomainError(
@@ -134,8 +136,6 @@ def cmd_so(args) -> int:
                 f"alpha_bar <= R_CO(V) for complimentary-subset detection"
             )
         print(f"alpha-bar = {_fmt(override, d)}")
-        if override < 0:
-            raise DomainError(f"alpha_bar {override} outside [0, {model.total_entropy}]")
         plan = plan_from_state(state, override)
     if plan is None:
         print("no complimentary subset")

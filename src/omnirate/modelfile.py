@@ -23,8 +23,9 @@ Rules:
 * Table: one `H <comma-separated ids> = <value>` line per nonempty subset,
   all 2^n - 1 subsets exactly once, ids must form 1..n contiguously across
   the file.  Values are exact rationals written as `p/q`, an integer, or a
-  finite decimal such as `6.5` (parsed exactly).  An id past
-  `model.MAX_TABLE_USERS` raises CapacityError at its line.
+  finite decimal such as `6.5` or `1.5e-3` (parsed exactly; exponents past
+  +-`MAX_EXPONENT` are refused).  An id past `model.MAX_TABLE_USERS` raises
+  CapacityError at its line.
 
 Parse problems raise ModelFormatError carrying the offending line number.
 Axiom violations in tables are *not* raised here; run `model.validate` on
@@ -33,6 +34,7 @@ the result.
 
 from __future__ import annotations
 
+import re
 import sys
 from fractions import Fraction
 
@@ -42,6 +44,13 @@ from .model import (MAX_TABLE_USERS, BitPoolSource, EntropyTable, SourceModel,
 
 # How many missing user ids a contiguity error names.
 _SHOWN_GAPS = 5
+
+# Largest decimal exponent magnitude of a table value.  `int` refuses digit
+# strings past 4300 digits (`sys.get_int_max_str_digits()`), so no value
+# written in digits reaches 10**4300; a larger exponent would only make
+# `Fraction` spend seconds building a huge int for a 9-byte token.
+MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")  # as `fractions` reads it
 
 
 def parse_model(text: str) -> SourceModel:
@@ -172,12 +181,16 @@ def _parse_value(text: str) -> Fraction:
     The common forms, an optionally signed integer and `p/q` with plain
     digits, are built from `int`s, which costs about half of what the
     `fractions` regex does.  Everything else (decimals, exponents,
-    underscores, inner spaces, a sign after the `/`) goes to `Fraction`.
+    underscores, inner spaces, a sign after the `/`) goes to `Fraction`,
+    except that an exponent past +-`MAX_EXPONENT` raises ValueError.
     """
     num, slash, den = text.partition("/")
     digits = num[1:] if num.startswith(("+", "-")) else num
     if digits.isdecimal() and (den.isdecimal() or not slash):
         return Fraction(int(num), int(den or 1))
+    exponent = _EXPONENT.search(text)
+    if exponent and abs(int(exponent[1])) > MAX_EXPONENT:
+        raise ValueError(f"exponent of {text!r} is past +-{MAX_EXPONENT}")
     return Fraction(text)
 
 

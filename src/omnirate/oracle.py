@@ -13,7 +13,7 @@ from typing import Iterable, Iterator
 
 from .dilworth import AlphaFunction, check_alpha, check_carrier
 from .errors import CapacityError, DomainError, InternalError
-from .model import SourceModel
+from .model import SourceModel, as_rational
 from .partition import Partition
 
 MAX_ENUM_USERS = 8
@@ -123,10 +123,11 @@ def check_achievable(model: SourceModel, rates, carrier=None) -> bool:
     """Multiterminal source-coding achievability of a rate vector.
 
     True iff r(X) >= H(X | carrier \\ X) for every nonempty X strictly
-    inside the carrier (2^n - 2 constraints).
+    inside the carrier (2^n - 2 constraints).  Rates must be exact
+    (`as_rational`); a float or Decimal raises DomainError.
     """
     users = check_carrier(model, carrier)
-    rates = tuple(Fraction(r) for r in rates)
+    rates = tuple(as_rational(r) for r in rates)
     if len(rates) != len(users):
         raise InternalError(
             f"rate vector length {len(rates)} does not match carrier size {len(users)}"

@@ -36,10 +36,13 @@ that contains m(a), so it contains every block meeting m(a).  The search
 hands each lower child the bracket (inner, m(alpha)) and each upper child
 (m(alpha), outer), starting from ({i}, V_i).
 
-With the chain sets known, the critical points solve the per-chain-pair
-affine equations r_alpha(S_{j-1} \\ S_j) = H(S_{j-1}) - H(S_j), whose left
-side is piecewise affine and strictly increasing where the equation is
-relevant (`solve_chain_breakpoints`).
+The critical points come from the same search.  At a terminal probe
+(m(alpha) fused into the stored partition gives back p_down), p_down and
+p_up are adjacent pieces of the lower envelope over the probe's bracket
+(the Eisner-Severance argument), so m switches from the bracket's inner set
+to its outer set exactly at the probe's alpha: the inner set's critical
+point whenever inner != outer.  `solve_chain_breakpoints` orders them and
+checks each exactly: r_alpha(S_{j-1} \\ S_j) = H(S_{j-1}) - H(S_j).
 
 The sweep can also run on a truncated axis [0, top], top < H(V): successive
 omniscience reads the state at one lower bound only (`so`).  The state at
@@ -254,14 +257,15 @@ def fusion_oracle_at(state: ParState, user: int, alpha) -> FusionOracle:
 
 
 def strong_map_chain(state: ParState, p_down: Partition, p_up: Partition, *,
-                     probes: list[Probe] | None = None) -> set[frozenset[int]]:
-    """All distinct minimal-minimizer sets for the next user, by recursion.
+                     probes: list[Probe] | None = None) -> dict[frozenset[int], Fraction]:
+    """Critical points of the next user's minimal-minimizer chain, by recursion.
 
     `p_down` must strictly refine `p_up`; both partition the extended
     carrier.  Each call probes the alpha where the partition cost lines of
     p_down and p_up cross, takes the minimal minimizer there, fuses it into
     the stored partition at that alpha and either stops (the fused result
-    equals p_down) or recurses on the two subintervals.  The extended
+    equals p_down) or recurses on the two subintervals.  Returns each chain
+    set with its critical point, a terminal probe's alpha; the extended
     carrier V_i itself is an implied top element and never returned.
 
     Each probe minimizes only over the sublattice its parent probes leave
@@ -276,12 +280,14 @@ def strong_map_chain(state: ParState, p_down: Partition, p_up: Partition, *,
     table = _extended_table(state, user)
     if probes is None:
         probes = []
-    return _chain_search(state.model, table, p_down, p_up, singleton(user),
-                         frozenset(range(1, user + 1)), probes)
+    crossings = {}
+    _chain_search(state.model, table, p_down, p_up, singleton(user),
+                  frozenset(range(1, user + 1)), probes, crossings)
+    return crossings
 
 
-def _chain_search(model, table, p_down, p_up, inner, outer,
-                  probes) -> set[frozenset[int]]:
+def _chain_search(model, table, p_down, p_up, inner, outer, probes,
+                  crossings) -> None:
     if p_down == p_up or not p_down.refines(p_up):
         raise DomainError("need p_down strictly finer than p_up")
     h_down = partition_entropy(model, p_down)
@@ -290,12 +296,14 @@ def _chain_search(model, table, p_down, p_up, inner, outer,
     probes.append(Probe(alpha, p_down, p_up))
     found, fused_partition = _probe(model, table, alpha, inner, outer)
     if fused_partition == p_down:
-        return {found}
-    lower = _chain_search(model, table, p_down, fused_partition, inner, found,
-                          probes)
-    upper = _chain_search(model, table, fused_partition, p_up, found, outer,
-                          probes)
-    return lower | upper
+        # terminal: m switches from inner to outer at alpha
+        if inner != outer:
+            crossings[inner] = alpha
+        return
+    _chain_search(model, table, p_down, fused_partition, inner, found, probes,
+                  crossings)
+    _chain_search(model, table, fused_partition, p_up, found, outer, probes,
+                  crossings)
 
 
 def _probe(model, table, alpha, inner, outer) -> tuple[frozenset[int], Partition]:
@@ -306,51 +314,27 @@ def _probe(model, table, alpha, inner, outer) -> tuple[frozenset[int], Partition
     return found, slice_.partition.merge_blocks(found)
 
 
-def solve_chain_breakpoints(state: ParState, chain_sets) -> list[Fraction]:
-    """Critical points for a nested chain of minimal-minimizer sets.
-
-    For each adjacent pair S_small < S_big the crossing alpha solves the
-    affine equation r_alpha(S_big \\ S_small) = H(S_big) - H(S_small) on the
-    segmented rate vector.  Segments are scanned from low alpha up and the
-    first root wins, which lands in the region where the left side is
-    strictly increasing; a boundary root belongs to the lower (upper-closed)
-    segment by the half-open convention.  Returns the crossings in chain
-    order with the axis top appended for the top set.
+def solve_chain_breakpoints(state: ParState, crossings) -> MinimizerChain:
+    """The minimizer chain from each set's critical point (the top set's is
+    the axis top), checked: the sets nest, the points are in order, and at
+    the point a of each pair S_small < S_big the segmented rates satisfy
+    r_a(S_big \\ S_small) = H(S_big) - H(S_small) exactly.
     """
-    chain = sorted(chain_sets, key=len)
+    chain = sorted(crossings, key=len)
     for small, big in zip(chain, chain[1:]):
         if not small < big:
             raise InternalError(f"chain sets not nested: {sorted(small)} vs {sorted(big)}")
-    model = state.model
-    alphas: list[Fraction] = []
-    for small, big in zip(chain, chain[1:]):
-        diff = sorted(big - small)
-        target = model.entropy(big) - model.entropy(small)
-        alphas.append(_solve_rate_equation(state, diff, target))
-    alphas.append(state.table.top)
-    if any(a > b for a, b in zip(alphas, alphas[1:])):
+    alphas = [crossings[s] for s in chain]
+    if alphas != sorted(alphas) or alphas[-1] != state.table.top:
         raise InternalError(f"critical points out of order: {alphas}")
-    return alphas
-
-
-def _solve_rate_equation(state: ParState, users: list[int], target: Fraction) -> Fraction:
-    positions = [u - 1 for u in users]
-    for k, (lower, upper, slice_) in enumerate(state.table):
-        total = AffineValue(Fraction(0), Fraction(0))
-        for p in positions:
-            total = total + slice_.rates[p]
-        if total.slope == 0:
-            if total.intercept == target:
-                raise InternalError(
-                    "rate equation is flat and equal on a whole segment"
-                )
-            continue
-        root = (target - total.intercept) / total.slope
-        if root <= upper and (lower < root or k == 0 <= root):
-            return root
-    raise InternalError(
-        f"no segment solves r_alpha({users}) = {target}; upstream state is inconsistent"
-    )
+    entropy = state.model.entropy
+    for small, big, alpha in zip(chain, chain[1:], alphas):
+        rates = state.table.value_at(alpha).rates
+        sent = sum((rates[u - 1].at(alpha) for u in big - small), Fraction(0))
+        if sent != entropy(big) - entropy(small):
+            raise InternalError(f"critical point {alpha} of {sorted(small)} < "
+                                f"{sorted(big)} misses its rate equation")
+    return MinimizerChain(tuple(chain), tuple(alphas))
 
 
 def parametric_iteration(state: ParState) -> ParState:
@@ -380,20 +364,19 @@ def parametric_iteration(state: ParState) -> ParState:
     else:
         probes.append(Probe(top, singletons, Partition.whole(carrier)))
         top_set, top_partition = _probe(model, extended, top, inner, carrier)
-    chain = [inner]
+    crossings = {top_set: top}
     if top_set != inner:
         # m is monotone, so T = {i} leaves nothing below it to search
-        found = _chain_search(model, extended, singletons, top_partition,
-                              inner, top_set, probes)
-        chain = sorted(found | {top_set}, key=len)
-    alphas = solve_chain_breakpoints(state, chain)
-    if chain[0] != inner:
+        _chain_search(model, extended, singletons, top_partition, inner,
+                      top_set, probes, crossings)
+    chain = solve_chain_breakpoints(state, crossings)
+    if chain.sets[0] != inner:
         raise InternalError("minimizer chain must start at the new user's singleton")
 
     new_pieces = []
-    for upper in sorted(set(extended.uppers).union(alphas)):
+    for upper in sorted(set(extended.uppers).union(chain.alphas)):
         slice_ = extended.value_at(upper)
-        fused = chain[bisect_left(alphas, upper)]
+        fused = chain.sets[bisect_left(chain.alphas, upper)]
         try:
             partition = slice_.partition.merge_blocks(fused)
         except DomainError:
@@ -410,7 +393,7 @@ def parametric_iteration(state: ParState) -> ParState:
 
     return ParState(
         model, user, Segmented(new_pieces),
-        last_chain=MinimizerChain(tuple(chain), tuple(alphas)),
+        last_chain=chain,
         last_probes=tuple(probes),
     )
 

@@ -3,13 +3,13 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from omnirate import (BitPoolSource, CapacityError, EntropyTable,
                       ModelFormatError, format_bitpool, format_table,
                       parse_model, run_parametric, validate)
 from omnirate.model import MAX_TABLE_USERS
-from omnirate.modelfile import _parse_value
+from omnirate.modelfile import MAX_EXPONENT, _parse_value
 
 BITPOOL_DOC = """\
 # comments and blank lines are fine
@@ -139,6 +139,15 @@ def outcome(parse, text):
     return value, type(value)
 
 
+def exponent_past_cap(text):
+    """Whether `text` ends in an `e`/`E` and an int past +-MAX_EXPONENT."""
+    match = re.search(r"[eE]([^eE]*)$", text)
+    try:
+        return match is not None and abs(int(match[1])) > MAX_EXPONENT
+    except ValueError:
+        return False
+
+
 # Forms the int fast path must hand to `Fraction` (or reject as it does):
 # signs after the `/`, inner spaces, underscores, decimals, exponents, a
 # non-ASCII digit, zero denominators, base prefixes and padding.
@@ -157,8 +166,28 @@ class TestValueGrammar:
         assert outcome(_parse_value, text) == outcome(Fraction, text)
 
     @given(st.text(alphabet="0123456789+-/._eE \t", max_size=8))
+    @example("1E701109")
     def test_short_strings_match_fraction(self, text):
-        assert outcome(_parse_value, text) == outcome(Fraction, text)
+        # Past the exponent cap `Fraction` would build a huge int; the
+        # parser refuses instead.
+        if exponent_past_cap(text):
+            with pytest.raises(ValueError):
+                _parse_value(text)
+        else:
+            assert outcome(_parse_value, text) == outcome(Fraction, text)
+
+    @pytest.mark.parametrize("sign", ["", "+", "-"])
+    def test_exponent_at_the_cap(self, sign):
+        value = _parse_value(f"1.5e{sign}{MAX_EXPONENT}")
+        assert value == Fraction(3, 2) * Fraction(10) ** int(f"{sign}{MAX_EXPONENT}")
+
+    @pytest.mark.parametrize("text", [f"1e{MAX_EXPONENT + 1}", f"-2E-{MAX_EXPONENT + 1}",
+                                      "1e6000000", "1e-6000000"])
+    def test_exponent_past_the_cap_rejected_at_its_line(self, text):
+        doc = f"type=table\nH 1 = 1\nH 2 = {text}\nH 1,2 = 2\n"
+        message = re.escape(f"line 3: bad rational value '{text}'")
+        with pytest.raises(ModelFormatError, match=message):
+            parse_model(doc)
 
     @pytest.mark.parametrize("text", ["3/-4", "3 / 4", "+3/+4", "1/0", "0x10"])
     def test_rejected_at_its_line(self, text):

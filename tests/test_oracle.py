@@ -1,4 +1,5 @@
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -96,6 +97,13 @@ class TestCheckAchievable:
                 scale = Fraction(63, 10) / total if total else 0
                 cut = [c * scale for c in cut]
             assert not check_achievable(five_user, cut)
+
+    @pytest.mark.parametrize("inexact", [4.5, Decimal("4.5")])
+    def test_inexact_rates_rejected(self, five_user, inexact):
+        # 4.5 is the optimal vector's first rate: accepting it would pass
+        with pytest.raises(DomainError):
+            check_achievable(five_user, [inexact, 0, Fraction(1, 2), Fraction(1, 2), 1])
+        assert check_achievable(five_user, ["9/2", 0, "1/2", Fraction(1, 2), 1])
 
     def test_slack_added_stays_achievable(self, five_user):
         rates = [Fraction(9, 2) + 1, 0, Fraction(1, 2), Fraction(1, 2), 1]

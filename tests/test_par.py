@@ -14,8 +14,8 @@ from omnirate.par import (MinimizerChain, ParState, extract_psp,
                           strong_map_chain)
 from omnirate.partition import Segmented
 
-from conftest import (axis_caps, random_alpha, random_bitpool, rank_sum_table,
-                      spread_bitpool, twin_bitpool)
+from conftest import (axis_caps, corpus_models, random_alpha, random_bitpool,
+                      rank_sum_table, spread_bitpool, twin_bitpool)
 
 AF = AffineValue.of
 F = Fraction
@@ -93,14 +93,14 @@ class TestChainSearch:
         state = golden_states[1]
         carrier = frozenset({1, 2})
         probes = []
-        found = strong_map_chain(state, Partition.singletons(carrier),
-                                 Partition.whole(carrier), probes=probes)
-        assert found == {frozenset({2})}
+        crossings = strong_map_chain(state, Partition.singletons(carrier),
+                                     Partition.whole(carrier), probes=probes)
+        assert crossings == {frozenset({2}): F(4)}
         # crossing of the two-singleton line with the one-block line
         assert probes[0].alpha == 10 - (8 + 6 - 8)
-        chain = sorted(found | {carrier}, key=len)
-        alphas = solve_chain_breakpoints(state, chain)
-        assert alphas == [F(4), F(10)]
+        chain = solve_chain_breakpoints(state, {**crossings, carrier: F(10)})
+        assert chain.sets == (frozenset({2}), carrier)
+        assert chain.alphas == (F(4), F(10))
 
     def test_fifth_user_chain_and_probes(self, golden_states):
         st = golden_states[5]
@@ -119,13 +119,13 @@ class TestChainSearch:
         model = BitPoolSource(["x", "y"])
         state = initial_state(model)
         carrier = frozenset({1, 2})
-        found = strong_map_chain(state, Partition.singletons(carrier),
-                                 Partition.whole(carrier))
-        chain = sorted(found | {carrier}, key=len)
-        alphas = solve_chain_breakpoints(state, chain)
+        crossings = strong_map_chain(state, Partition.singletons(carrier),
+                                     Partition.whole(carrier))
+        crossings[carrier] = model.total_entropy
+        chain = solve_chain_breakpoints(state, crossings)
         # the two-block set only ties at H(V): it is never selected below it
-        assert chain == [frozenset({2}), carrier]
-        assert alphas == [model.total_entropy, model.total_entropy]
+        assert chain.sets == (frozenset({2}), carrier)
+        assert chain.alphas == (model.total_entropy, model.total_entropy)
         final = parametric_iteration(state)
         assert list(final.partition_view) == [seg(0, 2, Partition([[1], [2]]))]
 
@@ -134,6 +134,82 @@ class TestChainSearch:
         p = Partition.singletons(carrier)
         with pytest.raises(DomainError):
             strong_map_chain(golden_states[1], p, p)
+
+
+def solved_breakpoints(state: ParState, sets) -> tuple[Fraction, ...]:
+    """Critical points of a chain solved from the rate equations alone.
+
+    For each adjacent pair S_small < S_big, the lowest alpha with
+    r_alpha(S_big \\ S_small) = H(S_big) - H(S_small), scanning the
+    segments of `state` (the state before the chain's iteration) from low
+    alpha up; a root on a segment end belongs to the lower segment.  The
+    top set's point is the axis top.  An independent reference for the
+    points the chain search reads off its terminal probes.
+    """
+    model = state.model
+    alphas = []
+    for small, big in zip(sets, sets[1:]):
+        target = model.entropy(big) - model.entropy(small)
+        for k, (lower, upper, slice_) in enumerate(state.table):
+            total = sum((slice_.rates[u - 1] for u in big - small), AF(0, 0))
+            assert total.slope != 0 or total.intercept != target
+            if total.slope == 0:
+                continue
+            root = (target - total.intercept) / total.slope
+            if root <= upper and (lower < root or k == 0 <= root):
+                alphas.append(root)
+                break
+        else:
+            raise AssertionError(f"no segment solves the pair {sorted(small)} < {sorted(big)}")
+    return (*alphas, state.table.top)
+
+
+class TestCriticalPointsFromProbes:
+    """The chain search's terminal probes give the critical points that the
+    rate equations solve to, on whole and cut axes."""
+
+    @staticmethod
+    def models():
+        rng = random.Random(6061)
+        yield from corpus_models()
+        yield from (twin_bitpool(rng, max_users=8, max_bits=8) for _ in range(40))
+        yield from (rank_sum_table(rng, rng.randint(2, 7)) for _ in range(40))
+        yield from (random_bitpool(rng, max_users=9, max_bits=12) for _ in range(20))
+        yield from (spread_bitpool(rng, n) for n in (8, 12, 16))
+
+    def test_match_the_rate_equation_solve(self):
+        rng = random.Random(6062)
+        iterations = 0
+        for model in self.models():
+            for top in axis_caps(rng, model)[1:]:
+                states = list(iter_parametric(model, top))
+                for prev, state in zip(states, states[1:]):
+                    chain = state.last_chain
+                    assert chain.alphas == solved_breakpoints(prev, chain.sets)
+                    iterations += 1
+        assert iterations > 2000
+
+    @pytest.mark.parametrize("moved, to", [(0, F(25, 4)), (0, F(11, 2)),
+                                           (1, F(27, 4)), (1, F(6)), (2, F(9))])
+    def test_a_moved_crossing_raises(self, golden_states, moved, to):
+        # User 5's chain {5} < {1,2,5} < V at 6 < 13/2 < 10; each move keeps
+        # the order of the critical points.
+        chain = golden_states[5].last_chain
+        crossings = dict(zip(chain.sets, chain.alphas))
+        assert solve_chain_breakpoints(golden_states[4], crossings) == chain
+        crossings[chain.sets[moved]] = to
+        with pytest.raises(InternalError):
+            solve_chain_breakpoints(golden_states[4], crossings)
+
+    def test_out_of_order_or_unnested_crossings_raise(self, golden_states):
+        v = frozenset({1, 2, 3, 4, 5})
+        state = golden_states[4]
+        with pytest.raises(InternalError, match="out of order"):
+            solve_chain_breakpoints(state, {frozenset({5}): F(13, 2),
+                                            frozenset({1, 2, 5}): F(6), v: F(10)})
+        with pytest.raises(InternalError, match="not nested"):
+            solve_chain_breakpoints(state, {frozenset({3, 5}): F(6),
+                                            frozenset({1, 2, 5}): F(13, 2), v: F(10)})
 
 
 class TestRunParametric:
