@@ -6,7 +6,7 @@ per user tracks the number of distinct minimizer-chain sets it uncovers.
 Each probe's minimization runs only on the sublattice its parent probes
 leave open, so the table also reports how many non-anchor blocks those
 bracketed lattices have, and how many of the sweep's minimizations each
-backend solved (brute enumeration / min cut / min-norm-point).
+backend solved (brute enumeration / min cut).
 A true parametric solver could share work across all probes of one user
 and bring the per-user cost down to a single minimization-equivalent;
 this implementation deliberately keeps plain minimizations (simple and
@@ -29,7 +29,7 @@ import omnirate.par
 from omnirate import (BitPoolSource, find_complimentary, iter_parametric,
                       mda_reference, sfm)
 
-BACKENDS = {"minimize_brute": "brute", "minimize_cut": "cut", "minimize_mnp": "mnp"}
+BACKENDS = {"minimize_brute": "brute", "minimize_cut": "cut"}
 
 
 def random_model(rng, users, bits=10):
@@ -88,7 +88,7 @@ def main(seed=20240):
     print("submodular-minimization call counts, 15 random sources per size")
     print(f"{'users':>5s} {'sweep mean':>11s} {'sweep/user':>11s} "
           f"{'probes/user':>12s} {'so/user':>8s} {'blocks max/mean':>16s} "
-          f"{'brute/cut/mnp':>14s} "
+          f"{'brute/cut':>14s} "
           f"{'baseline mean':>14s} {'baseline/user':>14s}")
     for users in (*range(2, 8), 10, 13, 16):
         sweep_calls, probe_rates, so_rates, base_calls, blocks = [], [], [], [], []
@@ -120,7 +120,7 @@ def main(seed=20240):
         "minimization at alpha_bar, plus the chain search below it once a\n"
         "block forms); 'blocks' is the largest and the mean number of\n"
         "non-anchor blocks a sweep minimization sees on its bracketed\n"
-        "lattice, and 'brute/cut/mnp' the sweep calls each backend solved\n"
+        "lattice, and 'brute/cut' the sweep calls each backend solved\n"
         f"over the 15 sources (bit pools go to the min cut above {sfm.CUT_CROSSOVER}\n"
         "blocks).  The baseline multiplies a full |V|-step truncation\n"
         "by however many alpha updates it needs.  With a shared parametric\n"

@@ -41,7 +41,7 @@ from fractions import Fraction
 from .errors import (CapacityError, DomainError, ModelFormatError,
                      OmnirateError)
 from .model import partition_entropy, validate
-from .modelfile import load_model
+from .modelfile import _parse_value, load_model
 from .oracle import MAX_ENUM_USERS, brute_dilworth, brute_min_sum_rate, check_achievable
 from .par import (extract_psp, fusion_oracle_at, iter_parametric,
                   mda_reference, run_parametric)
@@ -55,9 +55,16 @@ EXIT_CAPACITY = 4
 
 
 def _fmt(value: Fraction, decimal: bool) -> str:
-    if decimal:
-        return f"{float(value):.6f}"
-    return str(value)
+    """`value` as p/q, or rounded half to even to 6 decimals (a negative value
+    keeps its sign); CapacityError past Python's int-to-str digit limit."""
+    try:
+        if not decimal:
+            return str(value)
+        whole, frac = divmod(abs(round(value * 10**6)), 10**6)
+        return f"{'-' if value < 0 else ''}{whole}.{frac:06d}"
+    except ValueError:
+        raise CapacityError("a value has more digits than Python's int-to-str "
+                            f"limit of {sys.get_int_max_str_digits()}") from None
 
 
 def _fmt_vector(values, decimal: bool) -> str:
@@ -123,16 +130,17 @@ def cmd_so(args) -> int:
         plan = find_complimentary(model)
     else:
         try:
-            override = Fraction(args.alpha_bar)
+            override = _parse_value(args.alpha_bar)
         except (ValueError, ZeroDivisionError):
             raise DomainError(f"--alpha-bar must be a rational, got {args.alpha_bar!r}")
         if override < 0:
-            raise DomainError(f"alpha_bar {override} outside [0, {model.total_entropy}]")
+            raise DomainError(f"alpha_bar {_fmt(override, False)} outside "
+                              f"[0, {_fmt(model.total_entropy, False)}]")
         state, psp = run_parametric(model)
         if override > psp.min_sum_rate:
             raise DomainError(
-                f"--alpha-bar {override} exceeds the minimum sum-rate "
-                f"{psp.min_sum_rate}; the bound must satisfy "
+                f"--alpha-bar {_fmt(override, False)} exceeds the minimum sum-rate "
+                f"{_fmt(psp.min_sum_rate, False)}; the bound must satisfy "
                 f"alpha_bar <= R_CO(V) for complimentary-subset detection"
             )
         print(f"alpha-bar = {_fmt(override, d)}")
@@ -158,10 +166,10 @@ def cmd_verify(args) -> int:
         )
     failures = 0
 
-    def check(label: str, ok: bool, detail: str = ""):
+    def check(label: str, ok: bool, *values):
         nonlocal failures
         status = "ok" if ok else "FAIL"
-        suffix = f"  ({detail})" if detail and not ok else ""
+        suffix = f"  ({' vs '.join(_fmt(v, False) for v in values)})" if values and not ok else ""
         print(f"{status:4s} {label}{suffix}")
         if not ok:
             failures += 1
@@ -173,13 +181,13 @@ def cmd_verify(args) -> int:
     brute_rate, brute_part = brute_min_sum_rate(model)
 
     check("sweep vs fixed-point baseline: minimum sum-rate",
-          psp.min_sum_rate == mda_rate, f"{psp.min_sum_rate} vs {mda_rate}")
+          psp.min_sum_rate == mda_rate, psp.min_sum_rate, mda_rate)
     check("sweep vs fixed-point baseline: finest maximizer",
           psp.finest_maximizer == mda_part)
     check("sweep vs fixed-point baseline: rate vector",
           psp.rates == mda_vector)
     check("sweep vs brute enumeration: minimum sum-rate",
-          psp.min_sum_rate == brute_rate, f"{psp.min_sum_rate} vs {brute_rate}")
+          psp.min_sum_rate == brute_rate, psp.min_sum_rate, brute_rate)
     check("sweep vs brute enumeration: finest maximizer",
           psp.finest_maximizer == brute_part)
     check("optimal rate vector is achievable",
@@ -195,11 +203,12 @@ def cmd_verify(args) -> int:
         fixed = coordinate_saturation(model, alpha)
         b_value, b_part = brute_dilworth(model, alpha)
         swept = final.table.value_at(alpha)
-        check(f"alpha={alpha}: saturation vs brute truncation value",
-              fixed.value == b_value, f"{fixed.value} vs {b_value}")
-        check(f"alpha={alpha}: saturation vs brute finest minimizer",
+        at = f"alpha={_fmt(alpha, False)}"
+        check(f"{at}: saturation vs brute truncation value",
+              fixed.value == b_value, fixed.value, b_value)
+        check(f"{at}: saturation vs brute finest minimizer",
               fixed.partition == b_part)
-        check(f"alpha={alpha}: sweep state matches fixed-alpha saturation",
+        check(f"{at}: sweep state matches fixed-alpha saturation",
               swept.partition == fixed.partition
               and tuple(r.at(alpha) for r in swept.rates) == fixed.rates)
 

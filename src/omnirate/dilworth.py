@@ -90,19 +90,19 @@ def coordinate_saturation(model: SourceModel, alpha, carrier=None) -> DilworthRe
     f_alpha = AlphaFunction(model, alpha)
     base = alpha - model.total_entropy
 
-    first = users[0]
-    rates: dict[int, Fraction] = {first: f_alpha({first})}
-    partition = Partition.singletons([first])
+    rates = [f_alpha(users[:1])]
+    partition = Partition.singletons(users[:1])
     for user in users[1:]:
+        # Each block C of the partition has r(C) = f_alpha(C): the raise below
+        # gives a fused block M the sum r(M - {user}) + base + f~(M) = f_alpha(M).
         blocks = partition.blocks + (singleton(user),)
-        rates[user] = base
-        oracle = FusionOracle(model, alpha, blocks, singleton(user), dict(rates))
+        oracle = FusionOracle(model, alpha, blocks,
+                              (*map(f_alpha, partition.blocks), base))
         result = minimize(oracle)
-        rates[user] = base + result.min_value
+        rates.append(base + result.min_value)
         partition = Partition(blocks).merge_blocks(result.minimal)
 
-    vector = tuple(rates[u] for u in users)
-    return DilworthResult(users, vector, partition, sum(vector, Fraction(0)))
+    return DilworthResult(users, tuple(rates), partition, sum(rates, Fraction(0)))
 
 
 def dilworth_truncation(model: SourceModel, alpha, carrier=None) -> Fraction:

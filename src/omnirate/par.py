@@ -212,8 +212,8 @@ def _oracle_at(model: SourceModel, slice_: StateSlice, alpha: Fraction,
     """Fusion oracle at `alpha` on the sublattice between `inner` and `outer`.
 
     The blocks of the slice's partition inside `outer` are kept (restriction)
-    and those meeting `inner` fuse into the anchor (contraction); only the
-    users of `outer` get rates.  `outer` must be a union of blocks holding
+    and those meeting `inner` fuse into the anchor (contraction); each block
+    gets its users' rate sum.  `outer` must be a union of blocks holding
     `inner`, which the bracket argument guarantees; a violation means the
     search state is corrupt.
     """
@@ -232,10 +232,12 @@ def _oracle_at(model: SourceModel, slice_: StateSlice, alpha: Fraction,
             f"bracket {sorted(inner)} <= {sorted(outer)} is not a block union "
             f"at alpha {alpha}"
         )
-    rates = {u: slice_.rates[u - 1].at(alpha) for u in outer}
     # Anchor last: on the whole lattice that is where the new user's
     # singleton sits, so `fusion_oracle_at` keeps the partition's order.
-    return FusionOracle(model, alpha, (*rest, anchor), anchor, rates)
+    blocks = (*rest, anchor)
+    rates = slice_.rates
+    return FusionOracle(model, alpha, blocks, tuple(
+        sum((rates[u - 1].at(alpha) for u in b), Fraction(0)) for b in blocks))
 
 
 def fusion_oracle_at(state: ParState, user: int, alpha) -> FusionOracle:

@@ -10,36 +10,30 @@ it is an entropy-derived submodular function minus a modular rate term, so
 the minimizers form a lattice and the componentwise-minimal and -maximal
 minimizers both exist.
 
-`minimize` is the one entry point.  It picks a backend by source type and
-lattice size (k non-anchor blocks):
+`minimize` is the one entry point, with one exact backend per lattice (k
+non-anchor blocks):
 
-* `minimize_cut`, on a `BitPoolSource` with k > CUT_CROSSOVER: f~ is then a
-  maximum-weight closure, solved exactly by one int s-t max-flow whose
-  residual network gives both extreme minimizers.  It has no size cap.
-* `minimize_brute`, on any other lattice with k <= AUTO_BRUTE_LIMIT:
-  enumerates all 2^k anchored block unions in Gray-code order.  Called
-  directly it refuses k > BRUTE_LIMIT with a CapacityError.
-* `minimize_mnp`, on the rest (explicit tables with k > AUTO_BRUTE_LIMIT):
-  the Fujishige-Wolfe minimum-norm-point algorithm on the base polytope of
-  the function contracted onto the anchor, entirely in exact arithmetic,
-  reading both extreme minimizers off the sign pattern of the norm point.
-  If it hits its iteration cap, `minimize` falls back to brute enumeration
-  (and so to BRUTE_LIMIT).
+* `minimize_cut` on a `BitPoolSource` with k > CUT_CROSSOVER: f~ is then a
+  maximum-weight closure, solved by one int s-t max-flow whose residual
+  network gives both extreme minimizers.  It has no size cap.
+* `minimize_brute` on every other lattice: all 2^k anchored block unions in
+  Gray-code order, refusing k > BRUTE_LIMIT with a CapacityError that no
+  explicit table (at most MAX_TABLE_USERS users) reaches.
 
-A bit pool therefore never meets BRUTE_LIMIT or the iteration cap through
-`minimize`; brute and min-norm-point still solve bit pools when called
-directly, as references.
+`minimize_mnp`, the Fujishige-Wolfe minimum-norm-point algorithm on the
+base polytope of f~ contracted onto the anchor, is the reference that tests
+check both backends against.
 
-All backends work on user bitmasks and ints.  Once per call they compute
-the anchor's mask, one mask per non-anchor block and each block's rate sum
-scaled to an int by the lcm of those sums' denominators; brute and
+All solvers work on user bitmasks and ints.  Once per call they compute
+the anchor's mask, one mask per non-anchor block and the oracle's block
+rate sums scaled to ints by the lcm of their denominators; brute and
 min-norm-point read entropies from `SourceModel.entropy_of_mask`, the cut
 reads the pooled bits from `BitPoolSource.bits_of_mask`.  Nothing is
 rounded: values are compared by cross-multiplication, the min-norm-point's
 linear algebra is fraction-free and the flow is over ints, so the answers
 are the exact ones.
 
-Every backend returns the same canonical answer: the minimum value, the
+Every solver returns the same canonical answer: the minimum value, the
 minimal minimizer (intersection of all minimizers) and the maximal
 minimizer (union), each expressed as a set of users.
 """
@@ -49,18 +43,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .errors import CapacityError, DomainError, InternalError, SolverError
 from .model import BitPoolSource, SourceModel, subset_mask
 
-# 2^11 brute evaluations is still instantaneous; larger lattices go to the
-# min-norm-point path.
-AUTO_BRUTE_LIMIT = 11
 # Bit-pool lattices with more non-anchor blocks than this go to the min cut:
 # per call on fresh bench models, the cut overtakes brute enumeration at 6
 # blocks (CHANGES.md has the per-k table).
 CUT_CROSSOVER = 5
+# Brute enumeration's cap.  `minimize` sends it explicit tables of at most
+# MAX_TABLE_USERS users, so at most 19 non-anchor blocks: their 2^19 unions
+# took 0.4-0.5 s on a 20-user table (2-vCPU Xeon), min-norm-point 8 ms.
 BRUTE_LIMIT = 24
 _MNP_ITERATION_CAP = 10_000
 
@@ -69,31 +63,34 @@ _MNP_ITERATION_CAP = 10_000
 class FusionOracle:
     """Evaluator for f~ on the anchored block lattice of one saturation step.
 
-    `blocks` is the carrier partition (anchor included), `anchor` the block
-    that every candidate must contain, `rates` the current rate of every
-    user in the carrier, and `alpha` the sum-rate estimate.  Submodularity
-    of the evaluator needs no check: it holds for any modular `rates`.
+    `blocks` is the carrier partition with the anchor, the block that every
+    candidate must contain, last; `rates` is parallel to it, the exact rate
+    sum of each block; `alpha` is the sum-rate estimate.  Submodularity of
+    the evaluator needs no check: it holds for any rates.
     """
 
     model: SourceModel
     alpha: Fraction
     blocks: tuple[frozenset[int], ...]
-    anchor: frozenset[int]
-    rates: Mapping[int, Fraction]
+    rates: tuple[Fraction, ...]
 
-    def __post_init__(self):
-        if self.anchor not in self.blocks:
-            raise DomainError("anchor must be one of the carrier blocks")
+    @property
+    def anchor(self) -> frozenset[int]:
+        return self.blocks[-1]
 
     @property
     def non_anchor_blocks(self) -> tuple[frozenset[int], ...]:
-        return tuple(b for b in self.blocks if b != self.anchor)
+        return self.blocks[:-1]
 
     def f_tilde(self, fused: frozenset[int]) -> Fraction:
-        """f~(X~) = alpha - H(V) + H(X~) - r(X~); X~ must contain the anchor."""
-        if not self.anchor <= fused:
-            raise DomainError("candidate must contain the anchor block")
-        rate = sum((self.rates[u] for u in fused), Fraction(0))
+        """f~(X~) = alpha - H(V) + H(X~) - r(X~) for a block union X~ holding the anchor."""
+        rate, size = Fraction(0), 0
+        for block, block_rate in zip(self.blocks, self.rates):
+            if block <= fused:
+                rate += block_rate
+                size += len(block)
+        if size != len(fused) or not self.anchor <= fused:
+            raise DomainError("candidate must be a union of blocks containing the anchor")
         return self.alpha - self.model.total_entropy + self.model.entropy(fused) - rate
 
 
@@ -118,17 +115,15 @@ def _scaled_lattice(oracle: FusionOracle):
     block's rate sum as an int over a common denominator, and that
     denominator `scale` (the lcm of the block sums' denominators).
     """
-    rest = oracle.non_anchor_blocks
-    sums = [sum((oracle.rates[u] for u in b), Fraction(0)) for b in rest]
+    sums = oracle.rates[:-1]
     scale = lcm(*(s.denominator for s in sums))
-    return (subset_mask(oracle.anchor), [subset_mask(b) for b in rest],
+    return (subset_mask(oracle.anchor), [subset_mask(b) for b in oracle.non_anchor_blocks],
             [s.numerator * (scale // s.denominator) for s in sums], scale)
 
 
 def _offset(oracle: FusionOracle) -> Fraction:
     """alpha - H(V) - r(anchor): f~(X~) less H(X~) - r(X~ minus the anchor)."""
-    anchor_rate = sum((oracle.rates[u] for u in oracle.anchor), Fraction(0))
-    return oracle.alpha - oracle.model.total_entropy - anchor_rate
+    return oracle.alpha - oracle.model.total_entropy - oracle.rates[-1]
 
 
 def _fused(oracle: FusionOracle, choice: int) -> frozenset[int]:
@@ -201,7 +196,7 @@ def minimize_mnp(oracle: FusionOracle, iteration_cap: int = _MNP_ITERATION_CAP) 
     exactly, so the extreme minimizers are read directly off the sign
     pattern of the norm point x: strictly negative coordinates give the
     minimal minimizer, nonpositive ones the maximal.  Raises SolverError if
-    the iteration cap is hit (callers may fall back to minimize_brute).
+    the iteration cap is hit.
     """
     k = len(oracle.non_anchor_blocks)
     if k == 0:
@@ -475,20 +470,13 @@ def _max_flow(residual: list[dict[int, int]], source: int, sink: int,
 
 
 def minimize(oracle: FusionOracle) -> SfmResult:
-    """Canonical extreme minimizers of f~, with the backend picked by size.
+    """Canonical extreme minimizers of f~, from one of two exact backends.
 
     A bit-pool lattice of more than CUT_CROSSOVER non-anchor blocks goes to
-    the min cut, whatever its size.  Every other lattice goes to brute
-    enumeration up to AUTO_BRUTE_LIMIT blocks and to min-norm-point above
-    it; if min-norm-point fails to converge the call falls back to brute
-    enumeration, so the answer is the same exact one either way.
+    the min cut, whatever its size; every other lattice goes to brute
+    enumeration, which raises CapacityError past BRUTE_LIMIT blocks (only a
+    source that is neither a bit pool nor an explicit table can get there).
     """
-    k = len(oracle.non_anchor_blocks)
-    if k > CUT_CROSSOVER and isinstance(oracle.model, BitPoolSource):
+    if len(oracle.non_anchor_blocks) > CUT_CROSSOVER and isinstance(oracle.model, BitPoolSource):
         return minimize_cut(oracle)
-    if k <= AUTO_BRUTE_LIMIT:
-        return minimize_brute(oracle)
-    try:
-        return minimize_mnp(oracle)
-    except SolverError:
-        return minimize_brute(oracle)
+    return minimize_brute(oracle)

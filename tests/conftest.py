@@ -55,7 +55,7 @@ def spread_bitpool(rng: random.Random, n: int) -> BitPoolSource:
 
     The sizes are dealt to the users in a random order and each pool is a
     random subset of its size: the recipe of the `sweep-bitpool` bench
-    workload, whose top probes reach the min-norm-point backend.
+    workload, whose late users' top probes reach the min cut.
     """
     universe = [f"b{k}" for k in range(3 * n)]
     sizes = [1 + (3 * n - 1) * k // (n - 1) for k in range(n)]

@@ -1,11 +1,12 @@
 import csv
 import io
+import sys
 from fractions import Fraction
 
 import pytest
 
 from omnirate import format_table, parse_model
-from omnirate.cli import main
+from omnirate.cli import _fmt, main
 
 F = Fraction
 
@@ -66,6 +67,26 @@ class TestPsp:
         code, out, _ = run_cli(capsys, "psp", five_user_path, "--decimal")
         assert code == 0
         assert "R_CO = 6.500000" in out
+
+    def test_decimal_rendering_is_exact(self, capsys, tmp_path):
+        # Past a float's precision and range: no lost fraction, no overflow.
+        assert _fmt(F(2 * 10**20) + F(1, 3), True) == "200000000000000000000.333333"
+        assert _fmt(F(-1, 10**7), True) == "-0.000000"
+        path = tmp_path / "large.table"
+        path.write_text("type=table\nH 1 = 1e400\nH 2 = 1e400\nH 1,2 = 2e400\n")
+        for command in ("psp", "so"):
+            code, out, err = run_cli(capsys, command, str(path), "--decimal")
+            assert code == 0, err
+            assert f"{2 * 10**400}.000000" in out
+
+    def test_value_past_the_int_to_str_limit_is_a_capacity_error(self, capsys, tmp_path):
+        path = tmp_path / "huge-values.table"
+        path.write_text("type=table\nH 1 = 1e4300\nH 2 = 1e4300\nH 1,2 = 2e4300\n")
+        for argv in (["psp"], ["psp", "--decimal"], ["so"], ["verify"]):
+            code, _, err = run_cli(capsys, argv[0], str(path), *argv[1:])
+            assert code == 4
+            assert err.startswith("error:")
+            assert f"limit of {sys.get_int_max_str_digits()}" in err
 
     def test_malformed_file(self, capsys, tmp_path):
         path = tmp_path / "broken.bitpool"
@@ -196,6 +217,12 @@ class TestSo:
     def test_unparsable_override(self, capsys, five_user_path):
         code, _, err = run_cli(capsys, "so", five_user_path, "--alpha-bar", "x/y")
         assert code == 3
+
+    def test_override_past_the_exponent_cap(self, capsys, five_user_path):
+        # Parsed by the table grammar, so refused before building the int.
+        code, _, err = run_cli(capsys, "so", five_user_path, "--alpha-bar", "1e6000000")
+        assert code == 3
+        assert err.startswith("error:")
 
 
 class TestVerify:

@@ -332,28 +332,25 @@ class TestMdaReference:
             assert psp.rates == rates
 
     def test_large_ground_set_uses_min_norm_point_path(self, monkeypatch):
-        # 12 users give at most 11 non-anchor blocks, within the brute
-        # limit, so the default sweep enumerates.  Lowering the limit to 0
-        # forces every lattice through min-norm-point; the fixed-point
-        # baseline and the forced rerun must agree with the default sweep.
-        # Bit pools go to the min cut above CUT_CROSSOVER blocks, so the
-        # source is solved as an explicit table of its entropies.
+        # Every minimization of a 12-user table sweep is checked against
+        # min-norm-point; the fixed-point baseline must agree with the
+        # sweep.  Bit pools go to the min cut above CUT_CROSSOVER blocks,
+        # so the source is solved as an explicit table of its entropies.
         model = self.twelve_user_table()
+        mnp_calls = []
+        real_minimize = par.minimize
+
+        def checked(oracle):
+            mnp_calls.append(len(oracle.non_anchor_blocks))
+            result = real_minimize(oracle)
+            assert result == sfm.minimize_mnp(oracle)
+            return result
+
+        monkeypatch.setattr(par, "minimize", checked)
         _, psp = run_parametric(model)
         value, partition, rates = mda_reference(model)
         assert (psp.min_sum_rate, psp.finest_maximizer, psp.rates) == \
             (value, partition, rates)
-        mnp_calls = []
-        real_mnp = sfm.minimize_mnp
-
-        def counted(oracle):
-            mnp_calls.append(len(oracle.non_anchor_blocks))
-            return real_mnp(oracle)
-
-        monkeypatch.setattr(sfm, "AUTO_BRUTE_LIMIT", 0)
-        monkeypatch.setattr(sfm, "minimize_mnp", counted)
-        _, forced = run_parametric(model)
-        assert forced == psp
         assert mnp_calls
         assert check_achievable(model, psp.rates)
 
@@ -395,9 +392,9 @@ class TestMdaReference:
     @pytest.mark.parametrize("n", [24, 32])
     def test_spread_bitpool_past_the_brute_limit(self, n, monkeypatch):
         # The bench's sweep-bitpool recipe at larger sizes: the top probes
-        # of the late users still see more than AUTO_BRUTE_LIMIT non-anchor
-        # blocks.  Those bit-pool lattices go to the min cut, and each cut
-        # call is checked against brute enumeration (min-norm-point past
+        # of the late users still see more than 11 non-anchor blocks.
+        # Those bit-pool lattices go to the min cut, and each cut call is
+        # checked against brute enumeration (min-norm-point past
         # BRUTE_LIMIT).
         blocks = []
         real_minimize = par.minimize
@@ -426,7 +423,7 @@ class TestMdaReference:
         value, partition, rates = mda_reference(model)
         assert (psp.min_sum_rate, psp.finest_maximizer, psp.rates) == \
             (value, partition, rates)
-        assert max(blocks) > sfm.AUTO_BRUTE_LIMIT
+        assert max(blocks) > 11
         assert cut_blocks == [k for k in blocks if k > sfm.CUT_CROSSOVER]
 
 

@@ -8,15 +8,22 @@ from hypothesis import given, settings, strategies as st
 from omnirate import (BitPoolSource, CapacityError, DomainError, FusionOracle,
                       InternalError, minimize, minimize_brute, minimize_cut,
                       minimize_mnp, sfm)
-from omnirate.model import subset_mask
+from omnirate.model import MAX_TABLE_USERS, subset_mask
 from omnirate.par import fusion_oracle_at, initial_state, iter_parametric
 
 from conftest import random_bitpool, rank_sum_table, spread_bitpool
 
 
+def lattice_oracle(model, alpha, blocks, anchor, rates):
+    """The oracle on `blocks` with `anchor` moved last and the per-user
+    `rates` summed per block."""
+    blocks = [b for b in map(frozenset, blocks) if b != anchor] + [frozenset(anchor)]
+    return FusionOracle(model, Fraction(alpha), tuple(blocks), tuple(
+        sum((Fraction(rates[u]) for u in b), Fraction(0)) for b in blocks))
+
+
 def oracle_for(model, alpha, blocks, anchor_user, rates):
-    return FusionOracle(model, Fraction(alpha), tuple(frozenset(b) for b in blocks),
-                        frozenset({anchor_user}), {u: Fraction(r) for u, r in rates.items()})
+    return lattice_oracle(model, alpha, blocks, {anchor_user}, rates)
 
 
 class TestBruteOnGoldenSource:
@@ -45,21 +52,21 @@ class TestBruteOnGoldenSource:
         o = oracle_for(five_user, 6, [[1], [2]], 2, {1: 4, 2: -4})
         with pytest.raises(SolverError):
             minimize_mnp(o, iteration_cap=0)
-        # Route this lattice to min-norm-point and make it hit its cap:
-        # minimize must fall back to brute enumeration.
-        failures = []
+        # A table lattice of 12 non-anchor blocks is solved by brute
+        # enumeration: min-norm-point is no backend of minimize.
+        def unreachable(oracle, iteration_cap=0):
+            raise SolverError("minimize reached min-norm-point")
 
-        def capped(oracle):
-            try:
-                return minimize_mnp(oracle, iteration_cap=0)
-            except SolverError:
-                failures.append(oracle)
-                raise
-
-        monkeypatch.setattr(sfm, "AUTO_BRUTE_LIMIT", 0)
-        monkeypatch.setattr(sfm, "minimize_mnp", capped)
+        monkeypatch.setattr(sfm, "minimize_mnp", unreachable)
+        model = rank_sum_table(random.Random(12), 13)
+        o = oracle_for(model, model.total_entropy / 2, [[u] for u in model.users], 13,
+                       {u: Fraction(u % 5 - 1, 3) for u in model.users})
+        assert len(o.non_anchor_blocks) == 12
         assert minimize(o) == minimize_brute(o)
-        assert failures == [o]
+
+    def test_table_lattices_stay_under_the_brute_limit(self):
+        # minimize sends every table lattice to brute enumeration.
+        assert MAX_TABLE_USERS - 1 <= sfm.BRUTE_LIMIT
 
     def test_capacity_cap(self, five_user):
         blocks = [[1], [2]]
@@ -403,7 +410,7 @@ def bitpool_oracles(draw):
     rates = {u: draw(st.fractions(-6, 6, max_denominator=6)) for u in range(1, n + 1)}
     alpha = draw(st.fractions(0, 3 * width, max_denominator=4))
     model = BitPoolSource([[f"b{k}" for k in pool] for pool in pools])
-    return FusionOracle(model, alpha, blocks, anchor, rates)
+    return lattice_oracle(model, alpha, blocks, anchor, rates)
 
 
 class TestMinCut:
@@ -420,9 +427,8 @@ class TestMinCut:
         model = BitPoolSource(["ab", "c", "a", "b", "de", "e", "e", "gh"])
         rates = {1: 1, 2: -2, 3: Fraction(1, 2), 4: -1, 5: 2, 6: 1, 7: 0,
                  8: Fraction(3, 2)}
-        blocks = tuple(map(frozenset, [[1, 2], [3], [4], [5], [6], [7], [8]]))
-        o = FusionOracle(model, Fraction(7), blocks, blocks[0],
-                         {u: Fraction(r) for u, r in rates.items()})
+        blocks = [[1, 2], [3], [4], [5], [6], [7], [8]]
+        o = lattice_oracle(model, 7, blocks, {1, 2}, rates)
         res = minimize_cut(o)
         # {3} is free gain; {5} and {6} only pay off together; {7} costs and
         # gains nothing once e is paid for; {4} and {8} only cost.
