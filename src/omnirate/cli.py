@@ -134,12 +134,12 @@ def cmd_so(args) -> int:
         except (ValueError, ZeroDivisionError):
             raise DomainError(f"--alpha-bar must be a rational, got {args.alpha_bar!r}")
         if override < 0:
-            raise DomainError(f"alpha_bar {_fmt(override, False)} outside "
+            raise DomainError(f"alpha_bar {args.alpha_bar} outside "
                               f"[0, {_fmt(model.total_entropy, False)}]")
         state, psp = run_parametric(model)
         if override > psp.min_sum_rate:
             raise DomainError(
-                f"--alpha-bar {_fmt(override, False)} exceeds the minimum sum-rate "
+                f"--alpha-bar {args.alpha_bar} exceeds the minimum sum-rate "
                 f"{_fmt(psp.min_sum_rate, False)}; the bound must satisfy "
                 f"alpha_bar <= R_CO(V) for complimentary-subset detection"
             )

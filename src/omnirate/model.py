@@ -45,6 +45,8 @@ MAX_TABLE_USERS = 20
 # in all.
 MAX_SCALED_BITS = 1 << 28
 
+_ZERO = Fraction(0)
+
 
 def as_rational(value) -> Fraction:
     """Coerce ints, strings like '5/2' or '6.5', and Fractions to an exact Fraction."""
@@ -152,9 +154,17 @@ class BitPoolSource(SourceModel):
         names = sorted(set().union(*pools))
         index = {name: i for i, name in enumerate(names)}
         self.bit_names = tuple(names)
-        self._bit_masks = tuple(
-            sum(1 << index[name] for name in pool) for pool in pools
-        )
+        # per user the mask of its bits, and per bit the mask of its holders
+        masks, holders = [0] * len(pools), [0] * len(names)
+        for u, pool in enumerate(pools):
+            user, mask = 1 << u, 0
+            for name in pool:
+                i = index[name]
+                mask |= 1 << i
+                holders[i] |= user
+            masks[u] = mask
+        self._bit_masks = tuple(masks)
+        self.bit_holders = tuple(holders)
         # every entropy is a bit count, so one Fraction per count serves all
         self._counts = tuple(map(Fraction, range(len(names) + 1)))
 
@@ -219,6 +229,11 @@ class EntropyTable(SourceModel):
                 f"{self._full_mask} nonempty subsets of 1..{size}"
             )
         self._table = table
+
+    def entropy_of_mask(self, mask: int) -> Fraction:
+        """H(X) read straight from the table, which is keyed by mask already,
+        so no entry is also held in the entropy cache."""
+        return self._table[mask] if mask else _ZERO
 
     def _entropy_of_mask(self, mask: int) -> Fraction:
         return self._table[mask]

@@ -71,6 +71,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Iterator
 
 from .dilworth import coordinate_saturation
@@ -235,9 +236,30 @@ def _oracle_at(model: SourceModel, slice_: StateSlice, alpha: Fraction,
     # Anchor last: on the whole lattice that is where the new user's
     # singleton sits, so `fusion_oracle_at` keeps the partition's order.
     blocks = (*rest, anchor)
-    rates = slice_.rates
-    return FusionOracle(model, alpha, blocks, tuple(
-        sum((rates[u - 1].at(alpha) for u in b), Fraction(0)) for b in blocks))
+    return FusionOracle(model, alpha, blocks, _block_rates(slice_.rates, blocks, alpha))
+
+
+def _block_rates(rates: tuple[AffineValue, ...], blocks, alpha: Fraction) -> tuple[Fraction, ...]:
+    """Each block's rate sum sum_{u in b} rates[u - 1].at(alpha), exactly.
+
+    The users' intercepts and slopes are scaled to ints over one common
+    denominator, the lcm of theirs (1 on bit pools), and summed per block
+    as ints; with alpha = p/q, a block's rate is then one Fraction
+    (intercepts * q + slopes * p) / (scale * q).
+    """
+    used = [rates[u - 1] for b in blocks for u in b]
+    scale = lcm(*{r.intercept.denominator for r in used},
+                *{r.slope.denominator for r in used})
+    p, q = alpha.numerator, alpha.denominator
+    sums = []
+    for b in blocks:
+        intercepts = slopes = 0
+        for u in b:
+            r = rates[u - 1]
+            intercepts += r.intercept.numerator * (scale // r.intercept.denominator)
+            slopes += r.slope.numerator * (scale // r.slope.denominator)
+        sums.append(Fraction(intercepts * q + slopes * p, scale * q))
+    return tuple(sums)
 
 
 def fusion_oracle_at(state: ParState, user: int, alpha) -> FusionOracle:

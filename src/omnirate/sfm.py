@@ -14,7 +14,8 @@ minimizers both exist.
 non-anchor blocks):
 
 * `minimize_cut` on a `BitPoolSource` with k > CUT_CROSSOVER: f~ is then a
-  maximum-weight closure, solved by one int s-t max-flow whose residual
+  maximum-weight closure, solved by one int max-flow on the bipartite
+  network source -> blocks -> shared bit groups -> sink, whose residual
   network gives both extreme minimizers.  It has no size cap.
 * `minimize_brute` on every other lattice: all 2^k anchored block unions in
   Gray-code order, refusing k > BRUTE_LIMIT with a CapacityError that no
@@ -28,10 +29,10 @@ All solvers work on user bitmasks and ints.  Once per call they compute
 the anchor's mask, one mask per non-anchor block and the oracle's block
 rate sums scaled to ints by the lcm of their denominators; brute and
 min-norm-point read entropies from `SourceModel.entropy_of_mask`, the cut
-reads the pooled bits from `BitPoolSource.bits_of_mask`.  Nothing is
-rounded: values are compared by cross-multiplication, the min-norm-point's
-linear algebra is fraction-free and the flow is over ints, so the answers
-are the exact ones.
+reads the pooled bits from `BitPoolSource.bits_of_mask` and each bit's
+holders from `BitPoolSource.bit_holders`.  Nothing is rounded: values are
+compared by cross-multiplication, the min-norm-point's linear algebra is
+fraction-free and the flow is over ints, so the answers are the exact ones.
 
 Every solver returns the same canonical answer: the minimum value, the
 minimal minimizer (intersection of all minimizers) and the maximal
@@ -49,8 +50,9 @@ from .errors import CapacityError, DomainError, InternalError, SolverError
 from .model import BitPoolSource, SourceModel, subset_mask
 
 # Bit-pool lattices with more non-anchor blocks than this go to the min cut:
-# per call on fresh bench models, the cut overtakes brute enumeration at 6
-# blocks (CHANGES.md has the per-k table).
+# per call on fresh bench models, the bipartite-flow cut ties brute
+# enumeration at 5 blocks and overtakes it at 6 (CHANGES.md has the per-k
+# table).
 CUT_CROSSOVER = 5
 # Brute enumeration's cap.  `minimize` sends it explicit tables of at most
 # MAX_TABLE_USERS users, so at most 19 non-anchor blocks: their 2^19 unions
@@ -99,7 +101,8 @@ class SfmResult:
     """The minimum of f~ and its extreme minimizers.
 
     `evaluations` is the backend's work count: f~ values read by brute and
-    min-norm-point, max-flow phases by the cut.
+    min-norm-point, augmenting paths by the cut (0 when the greedy pour
+    alone is a maximum flow).
     """
 
     min_value: Fraction
@@ -336,137 +339,192 @@ def minimize_cut(oracle: FusionOracle) -> SfmResult:
     alpha - H(V) + H(anchor) - r(anchor), `scale` times f~ is
     scale * |new bits of S~| - (int rates of S~).  Minimizing it is a
     maximum-weight closure (Picard 1976): blocks are projects worth their
-    int rate, new bits are resources costing `scale` each.  A bit that only
-    one block adds is folded into that block's weight; the other new bits
-    are grouped by the set of blocks that adds them, one node per group
-    with capacity scale * (group size) to the sink and an uncuttable edge
-    from each of its blocks.  A block of positive weight gets an edge of
-    that capacity from the source, one of negative weight an edge to the
-    sink.  The source side of a minimum cut is then a minimizer and the cut
+    int rate, new bits are resources costing `scale` each.  The new bits
+    are grouped in one pass by the set of blocks that adds them (read off
+    `BitPoolSource.bit_holders`); a bit only one block adds is folded into
+    that block's weight.  The network is bipartite: source -> block with
+    capacity its weight when that is positive, block -> group uncuttable,
+    group -> sink with capacity scale * (group size).  A block of weight
+    <= 0 gets no source arc and so carries no flow; one of negative weight
+    would have an arc to the sink, so it reaches the sink in every residual
+    network.  The source side of a minimum cut is a minimizer and the cut
     value is P + scale * (f~ - constant), with P the sum of the positive
     weights.
 
-    After one int max-flow, the blocks reachable from the source in the
-    residual network form the minimal minimizer, and the blocks that cannot
-    reach the sink the maximal one; blocks of weight 0 or adding no new bit
-    need no special case.  `evaluations` is the number of max-flow phases.
+    The flow (`_bipartite_flow`) pours each block's weight greedily into
+    its groups, then places the rest on shortest augmenting paths.  Once
+    no path is left, the blocks reachable from the source in the residual
+    network form the minimal minimizer and the blocks that cannot reach
+    the sink the maximal one.  The minimum is the constant less the weight
+    left over `scale`.  `evaluations` is the number of augmenting paths.
     """
     model = oracle.model
     if not isinstance(model, BitPoolSource):
         raise DomainError("the min-cut solver needs a bit-pool source")
     anchor_mask, masks, rates, scale = _scaled_lattice(oracle)
     anchor_bits = model.bits_of_mask(anchor_mask)
-    adds = [model.bits_of_mask(m) & ~anchor_bits for m in masks]
-    k = len(adds)
-    # (cover, bits): the new bits added by exactly the blocks set in cover.
-    groups: list[tuple[int, int]] = []
-    for j, added in enumerate(adds):
-        split = []
-        for cover, bits in groups:
-            inside = bits & added
-            if inside:
-                split.append((cover | 1 << j, inside))
-                added ^= inside
-            if inside != bits:
-                split.append((cover, bits ^ inside))
-        if added:
-            split.append((1 << j, added))
-        groups = split
+    weights, room, members, groups_of = _closure_network(
+        model, anchor_bits, masks, rates, scale)
+    left, flow, reached, paths = _bipartite_flow(weights, room, groups_of)
+
+    # The blocks reaching the sink: those of negative weight, the members
+    # of a group with room left, and, through the reverse arcs, the members
+    # of a group that a reaching block sends flow to.
+    k = len(weights)
+    to_sink = [w < 0 for w in weights]
+    group_seen = [bool(r) for r in room]
+    for g, r in enumerate(room):
+        if r:
+            for j in members[g]:
+                to_sink[j] = True
+    queue = [j for j in range(k) if to_sink[j]]
+    for j in queue:
+        for g in groups_of[j]:
+            if not group_seen[g] and flow[g].get(j):
+                group_seen[g] = True
+                for i in members[g]:
+                    if not to_sink[i]:
+                        to_sink[i] = True
+                        queue.append(i)
+    minimal = sum(1 << j for j in range(k) if reached[j])
+    maximal = sum(1 << j for j in range(k) if not to_sink[j])
+    value = (_offset(oracle) + anchor_bits.bit_count()
+             - Fraction(sum(left), scale))
+    return SfmResult(value, _fused(oracle, minimal), _fused(oracle, maximal), paths)
+
+
+def _closure_network(model: BitPoolSource, anchor_bits: int, masks: list[int],
+                     rates: list[int], scale: int):
+    """The blocks' weights and the shared bit groups of `minimize_cut`.
+
+    Returns each block's int rate less `scale` per new bit that it alone
+    adds; per group of new bits added by two or more blocks, its capacity
+    scale * (group size) and the indices of those blocks; and per block
+    the indices of its groups.  The new bits are counted in one pass by the
+    users of the lattice holding them; each distinct holder mask then
+    becomes its cover, the blocks adding those bits, with each block named
+    by its lowest user's bit (its rep).
+    """
+    lattice = reps = 0
+    rep_of = {}  # a non-rep user's bit -> its block's rep
+    index = {}  # a rep -> its block's index
+    for j, mask in enumerate(masks):
+        lattice |= mask
+        rep = mask & -mask
+        reps |= rep
+        index[rep] = j
+        mask ^= rep
+        while mask:
+            low = mask & -mask
+            rep_of[low] = rep
+            mask ^= low
+    holders = model.bit_holders
+    by_holders: dict[int, int] = {}
+    new = model.bits_of_mask(lattice) & ~anchor_bits
+    while new:
+        low = new & -new
+        held = holders[low.bit_length() - 1] & lattice
+        by_holders[held] = by_holders.get(held, 0) + 1
+        new ^= low
     weights = list(rates)
-    shared = []
-    for cover, bits in groups:
+    by_cover: dict[int, int] = {}
+    for held, count in by_holders.items():
+        cover = held & reps
+        others = held ^ cover
+        while others:
+            low = others & -others
+            cover |= rep_of[low]
+            others ^= low
         if cover & (cover - 1):  # added by two or more blocks
-            shared.append((cover, scale * bits.bit_count()))
+            by_cover[cover] = by_cover.get(cover, 0) + count
         else:
-            weights[cover.bit_length() - 1] -= scale * bits.bit_count()
-    positive = sum(w for w in weights if w > 0)
-    # Nodes: blocks 0..k-1, source k, sink k+1, then one per shared group.
-    # residual[u][v] is the residual capacity of the arc u -> v; every arc
-    # has its reverse entry, so residual[v] also lists the arcs into v.
-    source, sink = k, k + 1
-    residual: list[dict[int, int]] = [{} for _ in range(k + 2 + len(shared))]
-    for j, w in enumerate(weights):
-        if w > 0:
-            residual[source][j] = w
-            residual[j][source] = 0
-        elif w < 0:
-            residual[j][sink] = -w
-            residual[sink][j] = 0
-    # No flow exceeds `positive`, so positive + 1 is never saturated.
-    for node, (cover, c) in enumerate(shared, start=k + 2):
-        arcs = residual[node]
+            weights[index[cover]] -= scale * count
+    room, members = [], []
+    groups_of: list[list[int]] = [[] for _ in masks]
+    for g, (cover, count) in enumerate(by_cover.items()):
+        room.append(scale * count)
+        blocks = []
         while cover:
             low = cover & -cover
-            j = low.bit_length() - 1
-            residual[j][node] = positive + 1
-            arcs[j] = 0
+            j = index[low]
+            blocks.append(j)
+            groups_of[j].append(g)
             cover ^= low
-        arcs[sink] = c
-        residual[sink][node] = 0
-
-    flow, phases, reached = _max_flow(residual, source, sink, positive)
-    reaches_sink = [False] * len(residual)
-    reaches_sink[sink] = True
-    queue = [sink]
-    for v in queue:
-        for u in residual[v]:
-            if residual[u][v] and not reaches_sink[u]:
-                reaches_sink[u] = True
-                queue.append(u)
-    minimal = sum(1 << j for j in range(k) if reached[j])
-    maximal = sum(1 << j for j in range(k) if not reaches_sink[j])
-    value = (_offset(oracle) + anchor_bits.bit_count()
-             + Fraction(flow - positive, scale))
-    return SfmResult(value, _fused(oracle, minimal), _fused(oracle, maximal), phases)
+        members.append(blocks)
+    return weights, room, members, groups_of
 
 
-def _max_flow(residual: list[dict[int, int]], source: int, sink: int,
-              limit: int) -> tuple[int, int, list[bool]]:
-    """Dinic's maximum flow on an int network, leaving `residual` residual.
+def _bipartite_flow(weights: list[int], room: list[int], groups_of: list[list[int]]):
+    """Maximum flow source -> blocks -> groups -> sink, on ints.
 
-    `limit` must bound the flow (the capacity out of the source).  Returns
-    the flow value, the number of blocking-flow phases and, per node,
-    whether the source reaches it in the final residual network.  A level
-    graph path visits each node once, so the recursion is at most as deep
-    as the network has nodes.
+    Block j's source arc has capacity max(weights[j], 0), each block -> group
+    arc (j, g in groups_of[j]) is uncuttable and group g's arc to the sink
+    has capacity room[g], which is left as the residual.  Each block pours
+    its weight greedily into its groups; what it has left then goes along
+    shortest augmenting paths block -> group (-> block -> group)* whose
+    group -> block steps are reverse arcs, undoing flow already placed.
+    Returns the weight each block has left, flow[g][j] on each block ->
+    group arc, whether the source reaches each block in the final residual
+    network, and the number of augmenting paths.
     """
-    n = len(residual)
-    flow = phases = 0
+    k = len(weights)
+    flow: list[dict[int, int]] = [{} for _ in room]
+    left = [max(w, 0) for w in weights]
+    for j, w in enumerate(left):
+        for g in groups_of[j] if w else ():
+            poured = min(w, room[g])
+            if poured:
+                room[g] -= poured
+                flow[g][j] = poured
+                w -= poured
+                if not w:
+                    break
+        left[j] = w
+    paths = 0
     while True:
-        level = [-1] * n
-        level[source] = 0
-        queue = [source]
-        for u in queue:
-            for v, c in residual[u].items():
-                if c and level[v] < 0:
-                    level[v] = level[u] + 1
-                    queue.append(v)
-        if level[sink] < 0:
-            return flow, phases, [d >= 0 for d in level]
-
-        def push(u: int, most: int) -> int:
-            # Send up to `most` from u to the sink along the level graph.  A
-            # node that cannot pass on all it is offered leaves the level
-            # graph for the rest of the phase.
-            if u == sink:
-                return most
-            arcs = residual[u]
-            deeper = level[u] + 1
-            sent = 0
-            for v, c in arcs.items():
-                if c and level[v] == deeper:
-                    got = push(v, min(most - sent, c))
-                    if got:
-                        arcs[v] = c - got
-                        residual[v][u] += got
-                        sent += got
-                        if sent == most:
-                            return sent
-            level[u] = -1
-            return sent
-
-        flow += push(source, limit)
-        phases += 1
+        # One breadth-first search from every block with weight left;
+        # via_group[j] is the group a non-root block was reached from and
+        # via_block[g] the block group g was reached from.
+        reached = [w > 0 for w in left]
+        queue = [j for j in range(k) if reached[j]]
+        via_group = [-1] * k
+        via_block = [-1] * len(room)
+        end = -1
+        for j in queue:
+            for g in groups_of[j]:
+                if via_block[g] < 0:
+                    via_block[g] = j
+                    if room[g]:
+                        end = g
+                        break
+                    for i, f in flow[g].items():
+                        if f and not reached[i]:
+                            reached[i] = True
+                            via_group[i] = g
+                            queue.append(i)
+            if end >= 0:
+                break
+        if end < 0:
+            return left, flow, reached, paths
+        paths += 1
+        # Walk the path back from `end`: each (g, j) of `forward` is an arc
+        # block -> group that gains flow, each of `backward` one whose flow
+        # the path undoes.
+        forward, backward = [], []
+        g = end
+        while g >= 0:
+            j = via_block[g]
+            forward.append((g, j))
+            g = via_group[j]
+            if g >= 0:
+                backward.append((g, j))
+        amount = min(room[end], left[j], *(flow[g][j] for g, j in backward))
+        room[end] -= amount
+        left[j] -= amount
+        for g, j in forward:
+            flow[g][j] = flow[g].get(j, 0) + amount
+        for g, j in backward:
+            flow[g][j] -= amount
 
 
 def minimize(oracle: FusionOracle) -> SfmResult:

@@ -63,6 +63,25 @@ def spread_bitpool(rng: random.Random, n: int) -> BitPoolSource:
     return BitPoolSource([rng.sample(universe, size) for size in sizes])
 
 
+def planted_pair_bitpool(rng: random.Random, n: int) -> BitPoolSource:
+    """n users holding n of 3n background bits each, two of them (user
+    n // 2 + 1 and an earlier one) keeping half of theirs and sharing n
+    core bits: the recipe of the `plan-bitpool` bench workload, whose
+    complimentary pair shows up about halfway through the users.
+    """
+    universe = [f"b{k}" for k in range(3 * n)]
+    core = [f"c{k}" for k in range(n)]
+    m = n // 2 + 1
+    partner = rng.randint(1, m - 1)
+    pools = []
+    for user in range(1, n + 1):
+        pool = rng.sample(universe, n)
+        if user in (partner, m):
+            pool = pool[: n // 2] + core
+        pools.append(pool)
+    return BitPoolSource(pools)
+
+
 def rank_sum_table(rng, n):
     """Seeded rational polymatroid: sum_k w_k min(|X & S_k|, r_k) + sum_{u in X} c_u.
 

@@ -224,6 +224,19 @@ class TestSo:
         assert code == 3
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("bound, message", [
+        ("1e4300", "--alpha-bar 1e4300 exceeds the minimum sum-rate 13/2"),
+        ("-1e4300", "alpha_bar -1e4300 outside [0, 10]"),
+    ], ids=["too-large", "negative"])
+    def test_override_past_the_digit_limit(self, capsys, five_user_path, bound, message):
+        # The bound parses (its exponent is at the cap) but has more digits
+        # than an int prints: the message names it as given, so it is a
+        # bad bound (3), not a capacity limit (4).
+        code, out, err = run_cli(capsys, "so", five_user_path, f"--alpha-bar={bound}")
+        assert code == 3
+        assert out == ""
+        assert message in err
+
 
 class TestVerify:
     def test_golden_source_passes(self, capsys, five_user_path):

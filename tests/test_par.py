@@ -484,6 +484,27 @@ class TestBracketedProbes:
         self.check_sweeps(models, monkeypatch,
                           lambda model: axis_caps(rng, model)[:3])
 
+    def test_block_rates_equal_per_user_sums(self, monkeypatch):
+        # The int block sums of `_oracle_at` against one Fraction sum of the
+        # evaluated per-user rates per block, on every probe.
+        real_oracle_at = par._oracle_at
+        probes = []
+
+        def checked(model, slice_, alpha, inner, outer):
+            oracle = real_oracle_at(model, slice_, alpha, inner, outer)
+            assert oracle.rates == tuple(
+                sum((slice_.rates[u - 1].at(alpha) for u in b), F(0))
+                for b in oracle.blocks)
+            probes.append(any(r.denominator > 1 for r in oracle.rates))
+            return oracle
+
+        monkeypatch.setattr(par, "_oracle_at", checked)
+        rng = random.Random(6131)
+        for model in [*corpus_models(),
+                      *(rank_sum_table(rng, rng.randint(2, 7)) for _ in range(20))]:
+            run_parametric(model)
+        assert len(probes) > 1000 and sum(probes) > 100
+
     def test_bracket_off_the_blocks_raises(self, golden_states):
         # Before user 5 at alpha = 23/4 the blocks are {1,2}, {3}, {4}, {5}.
         alpha = F(23, 4)

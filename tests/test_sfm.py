@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from omnirate import (BitPoolSource, CapacityError, DomainError, FusionOracle,
-                      InternalError, minimize, minimize_brute, minimize_cut,
-                      minimize_mnp, sfm)
+                      InternalError, find_complimentary, lower_bound_alpha,
+                      minimize, minimize_brute, minimize_cut, minimize_mnp, par,
+                      sfm)
 from omnirate.model import MAX_TABLE_USERS, subset_mask
 from omnirate.par import fusion_oracle_at, initial_state, iter_parametric
 
-from conftest import random_bitpool, rank_sum_table, spread_bitpool
+from conftest import (planted_pair_bitpool, random_bitpool, rank_sum_table,
+                      spread_bitpool)
 
 
 def lattice_oracle(model, alpha, blocks, anchor, rates):
@@ -436,6 +438,51 @@ class TestMinCut:
         assert res.maximal == frozenset({1, 2, 3, 5, 6, 7})
         assert res.min_value == o.f_tilde(res.minimal) == Fraction(5, 2)
         assert res == minimize_brute(o) == minimize_mnp(o)
+
+    def test_weight_stranded_by_the_greedy_pour(self):
+        # Anchor {1} holds a; {2} adds x and y, {3} adds x, {4} adds y, so
+        # x and y are groups shared by two blocks.  {2} pours its weight
+        # into x first, which leaves {3} no room; only the path
+        # {3} -> x -> {2} (a reverse arc) -> y places {3}'s weight.
+        model = BitPoolSource(["a", "xy", "x", "y"])
+        o = lattice_oracle(model, 3, [[2], [3], [4]], {1},
+                           {1: 0, 2: 1, 3: Fraction(3, 2), 4: 0})
+        res = minimize_cut(o)
+        assert res.evaluations >= 1  # augmenting paths
+        # {3} alone, {2,3} and {2,3,4} all cost 1/2 less than the anchor
+        assert res.minimal == frozenset({1, 3})
+        assert res.maximal == frozenset({1, 2, 3, 4})
+        assert res == minimize_brute(o) == minimize_mnp(o)
+        assert (res.min_value, res.minimal, res.maximal) == enumerated_extremes(o)
+
+    def test_top_probes_of_successive_omniscience(self, monkeypatch):
+        # Every top probe at the bound, on the whole lattice of i - 1 blocks,
+        # of 16-24-user spread and planted-pair pools.  An explicit bound
+        # sweeps every user (the default stops at the first plan, a prefix
+        # of the same probes), so the lattices reach 23 blocks.
+        rng = random.Random(2718)
+        models = [make(rng, n) for make in (spread_bitpool, planted_pair_bitpool)
+                  for n in (16, 20, 24)]
+        real_minimize = par.minimize
+        paths = 0
+        for model in models:
+            bound = lower_bound_alpha(model)
+            tops = []
+
+            def recorded(oracle):
+                carrier = oracle.anchor.union(*oracle.non_anchor_blocks)
+                if oracle.alpha == bound and carrier == set(range(1, max(carrier) + 1)):
+                    tops.append(oracle)
+                return real_minimize(oracle)
+
+            monkeypatch.setattr(par, "minimize", recorded)
+            find_complimentary(model, bound)
+            assert len(tops) == model.size - 1
+            for oracle in tops:
+                cut = minimize_cut(oracle)
+                assert cut == minimize_mnp(oracle)
+                paths += cut.evaluations
+        assert paths > 0
 
     def test_refuses_tables(self):
         o = oracle_for(rank_sum_table(random.Random(3), 3), 1, [[1], [2], [3]], 3,
