@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable
 
 from .errors import DomainError
@@ -96,9 +97,10 @@ def coordinate_saturation(model: SourceModel, alpha, carrier=None) -> DilworthRe
         # Each block C of the partition has r(C) = f_alpha(C): the raise below
         # gives a fused block M the sum r(M - {user}) + base + f~(M) = f_alpha(M).
         blocks = partition.blocks + (singleton(user),)
-        oracle = FusionOracle(model, alpha, blocks,
-                              (*map(f_alpha, partition.blocks), base))
-        result = minimize(oracle)
+        values = (*map(f_alpha, partition.blocks), base)
+        scale = lcm(*(v.denominator for v in values))
+        rates_scaled = tuple(v.numerator * (scale // v.denominator) for v in values)
+        result = minimize(FusionOracle(model, alpha, blocks, rates_scaled, scale))
         rates.append(base + result.min_value)
         partition = Partition(blocks).merge_blocks(result.minimal)
 

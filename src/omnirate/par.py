@@ -236,15 +236,17 @@ def _oracle_at(model: SourceModel, slice_: StateSlice, alpha: Fraction,
     # Anchor last: on the whole lattice that is where the new user's
     # singleton sits, so `fusion_oracle_at` keeps the partition's order.
     blocks = (*rest, anchor)
-    return FusionOracle(model, alpha, blocks, _block_rates(slice_.rates, blocks, alpha))
+    return FusionOracle(model, alpha, blocks, *_block_rates(slice_.rates, blocks, alpha))
 
 
-def _block_rates(rates: tuple[AffineValue, ...], blocks, alpha: Fraction) -> tuple[Fraction, ...]:
-    """Each block's rate sum sum_{u in b} rates[u - 1].at(alpha), exactly.
+def _block_rates(rates: tuple[AffineValue, ...], blocks,
+                 alpha: Fraction) -> tuple[tuple[int, ...], int]:
+    """Each block's rate sum sum_{u in b} rates[u - 1].at(alpha), as ints
+    over one shared denominator, and that denominator.
 
     The users' intercepts and slopes are scaled to ints over one common
-    denominator, the lcm of theirs (1 on bit pools), and summed per block
-    as ints; with alpha = p/q, a block's rate is then one Fraction
+    denominator `scale`, the lcm of theirs (1 on bit pools), and summed per
+    block as ints; with alpha = p/q, a block's rate is then
     (intercepts * q + slopes * p) / (scale * q).
     """
     used = [rates[u - 1] for b in blocks for u in b]
@@ -258,8 +260,8 @@ def _block_rates(rates: tuple[AffineValue, ...], blocks, alpha: Fraction) -> tup
             r = rates[u - 1]
             intercepts += r.intercept.numerator * (scale // r.intercept.denominator)
             slopes += r.slope.numerator * (scale // r.slope.denominator)
-        sums.append(Fraction(intercepts * q + slopes * p, scale * q))
-    return tuple(sums)
+        sums.append(intercepts * q + slopes * p)
+    return tuple(sums), scale * q
 
 
 def fusion_oracle_at(state: ParState, user: int, alpha) -> FusionOracle:
@@ -381,12 +383,13 @@ def parametric_iteration(state: ParState) -> ParState:
     top = extended.top
     inner = singleton(user)
     carrier = frozenset(range(1, user + 1))
-    singletons = Partition.singletons(carrier)
+    singletons = Partition._from_canonical(tuple(map(singleton, range(1, user + 1))))
+    whole = Partition._from_canonical((carrier,))
     probes: list[Probe] = []
     if top == model.total_entropy:
-        top_set, top_partition = carrier, Partition.whole(carrier)
+        top_set, top_partition = carrier, whole
     else:
-        probes.append(Probe(top, singletons, Partition.whole(carrier)))
+        probes.append(Probe(top, singletons, whole))
         top_set, top_partition = _probe(model, extended, top, inner, carrier)
     crossings = {top_set: top}
     if top_set != inner:

@@ -112,9 +112,12 @@ class Partition:
 
         `fused` must be a union of whole blocks; anything that would split a
         block is a domain error.  Once that holds the result is a partition,
-        so it is built without the constructor's checks.
+        so it is built without the constructor's checks; when `fused` is
+        already a block, the result is this partition itself.
         """
         fused = frozenset(fused)
+        if fused in self.blocks:
+            return self
         inside = [b for b in self.blocks if b <= fused]
         covered: frozenset[int] = frozenset().union(*inside) if inside else frozenset()
         if covered != fused:

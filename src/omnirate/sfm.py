@@ -25,12 +25,12 @@ non-anchor blocks):
 base polytope of f~ contracted onto the anchor, is the reference that tests
 check both backends against.
 
-All solvers work on user bitmasks and ints.  Once per call they compute
-the anchor's mask, one mask per non-anchor block and the oracle's block
-rate sums scaled to ints by the lcm of their denominators; brute and
-min-norm-point read entropies from `SourceModel.entropy_of_mask`, the cut
-reads the pooled bits from `BitPoolSource.bits_of_mask` and each bit's
-holders from `BitPoolSource.bit_holders`.  Nothing is rounded: values are
+All solvers work on user bitmasks and ints.  The oracle carries its block
+rate sums as ints over one shared denominator, so a call only computes the
+anchor's mask and one mask per non-anchor block; brute and min-norm-point
+read entropies from `SourceModel.entropy_of_mask`, and the cut reads each
+bit's holders from `BitPoolSource.bit_holders` and keeps every set of
+blocks in its network as one bitmask.  Nothing is rounded: values are
 compared by cross-multiplication, the min-norm-point's linear algebra is
 fraction-free and the flow is over ints, so the answers are the exact ones.
 
@@ -41,6 +41,7 @@ minimizer (union), each expressed as a set of users.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
@@ -66,15 +67,17 @@ class FusionOracle:
     """Evaluator for f~ on the anchored block lattice of one saturation step.
 
     `blocks` is the carrier partition with the anchor, the block that every
-    candidate must contain, last; `rates` is parallel to it, the exact rate
-    sum of each block; `alpha` is the sum-rate estimate.  Submodularity of
-    the evaluator needs no check: it holds for any rates.
+    candidate must contain, last; `rates` is parallel to it, each block's
+    exact rate sum as an int over the shared denominator `scale`; `alpha`
+    is the sum-rate estimate.  Submodularity of the evaluator needs no
+    check: it holds for any rates.
     """
 
     model: SourceModel
     alpha: Fraction
     blocks: tuple[frozenset[int], ...]
-    rates: tuple[Fraction, ...]
+    rates: tuple[int, ...]
+    scale: int
 
     @property
     def anchor(self) -> frozenset[int]:
@@ -86,14 +89,15 @@ class FusionOracle:
 
     def f_tilde(self, fused: frozenset[int]) -> Fraction:
         """f~(X~) = alpha - H(V) + H(X~) - r(X~) for a block union X~ holding the anchor."""
-        rate, size = Fraction(0), 0
+        rate = size = 0
         for block, block_rate in zip(self.blocks, self.rates):
             if block <= fused:
                 rate += block_rate
                 size += len(block)
         if size != len(fused) or not self.anchor <= fused:
             raise DomainError("candidate must be a union of blocks containing the anchor")
-        return self.alpha - self.model.total_entropy + self.model.entropy(fused) - rate
+        return (self.alpha - self.model.total_entropy + self.model.entropy(fused)
+                - Fraction(rate, self.scale))
 
 
 @dataclass(frozen=True)
@@ -112,21 +116,16 @@ class SfmResult:
 
 
 def _scaled_lattice(oracle: FusionOracle):
-    """Per-call set-up shared by the backends.
-
-    Returns the anchor's user mask, one user mask per non-anchor block, each
-    block's rate sum as an int over a common denominator, and that
-    denominator `scale` (the lcm of the block sums' denominators).
-    """
-    sums = oracle.rates[:-1]
-    scale = lcm(*(s.denominator for s in sums))
+    """The anchor's user mask, one user mask per non-anchor block, the int
+    block rates (the anchor's last) and their denominator."""
     return (subset_mask(oracle.anchor), [subset_mask(b) for b in oracle.non_anchor_blocks],
-            [s.numerator * (scale // s.denominator) for s in sums], scale)
+            oracle.rates, oracle.scale)
 
 
 def _offset(oracle: FusionOracle) -> Fraction:
     """alpha - H(V) - r(anchor): f~(X~) less H(X~) - r(X~ minus the anchor)."""
-    return oracle.alpha - oracle.model.total_entropy - oracle.rates[-1]
+    return (oracle.alpha - oracle.model.total_entropy
+            - Fraction(oracle.rates[-1], oracle.scale))
 
 
 def _fused(oracle: FusionOracle, choice: int) -> frozenset[int]:
@@ -339,21 +338,22 @@ def minimize_cut(oracle: FusionOracle) -> SfmResult:
     alpha - H(V) + H(anchor) - r(anchor), `scale` times f~ is
     scale * |new bits of S~| - (int rates of S~).  Minimizing it is a
     maximum-weight closure (Picard 1976): blocks are projects worth their
-    int rate, new bits are resources costing `scale` each.  The new bits
-    are grouped in one pass by the set of blocks that adds them (read off
-    `BitPoolSource.bit_holders`); a bit only one block adds is folded into
-    that block's weight.  The network is bipartite: source -> block with
-    capacity its weight when that is positive, block -> group uncuttable,
-    group -> sink with capacity scale * (group size).  A block of weight
-    <= 0 gets no source arc and so carries no flow; one of negative weight
-    would have an arc to the sink, so it reaches the sink in every residual
-    network.  The source side of a minimum cut is a minimizer and the cut
-    value is P + scale * (f~ - constant), with P the sum of the positive
-    weights.
+    int rate, new bits are resources costing `scale` each.  Each block is
+    named by its rep, its lowest user's bit, and every set of blocks is a
+    mask of reps.  The new bits are grouped in one pass by the blocks that
+    add them, their cover (read off `BitPoolSource.bit_holders`); a bit
+    only one block adds is folded into that block's weight.  The network is
+    bipartite: source -> block with capacity its weight when that is
+    positive, block -> group uncuttable, group -> sink with capacity
+    scale * (group size), its room.  A block of weight <= 0 gets no source
+    arc and so carries no flow; one of negative weight would have an arc to
+    the sink, so it reaches the sink in every residual network.  The source
+    side of a minimum cut is a minimizer and the cut value is
+    P + scale * (f~ - constant), with P the sum of the positive weights.
 
-    The flow (`_bipartite_flow`) pours each block's weight greedily into
-    its groups, then places the rest on shortest augmenting paths.  Once
-    no path is left, the blocks reachable from the source in the residual
+    The flow (`_max_flow`) pours the blocks' weight greedily into the
+    groups, then places the rest on shortest augmenting paths.  Once no
+    path is left, the blocks reachable from the source in the residual
     network form the minimal minimizer and the blocks that cannot reach
     the sink the maximal one.  The minimum is the constant less the weight
     left over `scale`.  `evaluations` is the number of augmenting paths.
@@ -363,71 +363,60 @@ def minimize_cut(oracle: FusionOracle) -> SfmResult:
         raise DomainError("the min-cut solver needs a bit-pool source")
     anchor_mask, masks, rates, scale = _scaled_lattice(oracle)
     anchor_bits = model.bits_of_mask(anchor_mask)
-    weights, room, members, groups_of = _closure_network(
-        model, anchor_bits, masks, rates, scale)
-    left, flow, reached, paths = _bipartite_flow(weights, room, groups_of)
+    weights, groups = _closure_network(model, anchor_mask, masks, rates, scale)
+    covers, room = list(groups), list(groups.values())
+    left, carrying, reached, paths = _max_flow(weights, covers, room)
 
-    # The blocks reaching the sink: those of negative weight, the members
-    # of a group with room left, and, through the reverse arcs, the members
-    # of a group that a reaching block sends flow to.
-    k = len(weights)
-    to_sink = [w < 0 for w in weights]
-    group_seen = [bool(r) for r in room]
-    for g, r in enumerate(room):
+    # The blocks reaching the sink: those of negative weight, the blocks of
+    # a group's cover with room left, and, through the reverse arcs, the
+    # cover of a group that a reaching block sends flow to.
+    to_sink = sum(rep for rep, w in weights.items() if w < 0)
+    for cover, r in zip(covers, room):
         if r:
-            for j in members[g]:
-                to_sink[j] = True
-    queue = [j for j in range(k) if to_sink[j]]
-    for j in queue:
-        for g in groups_of[j]:
-            if not group_seen[g] and flow[g].get(j):
-                group_seen[g] = True
-                for i in members[g]:
-                    if not to_sink[i]:
-                        to_sink[i] = True
-                        queue.append(i)
-    minimal = sum(1 << j for j in range(k) if reached[j])
-    maximal = sum(1 << j for j in range(k) if not to_sink[j])
+            to_sink |= cover
+    grown = True
+    while grown:
+        grown = False
+        for cover, carried in zip(covers, carrying):
+            if carried & to_sink and cover & ~to_sink:
+                to_sink |= cover
+                grown = True
+    minimal = sum(1 << j for j, mask in enumerate(masks) if mask & reached)
+    maximal = sum(1 << j for j, mask in enumerate(masks) if not mask & to_sink)
     value = (_offset(oracle) + anchor_bits.bit_count()
-             - Fraction(sum(left), scale))
+             - Fraction(sum(left.values()), scale))
     return SfmResult(value, _fused(oracle, minimal), _fused(oracle, maximal), paths)
 
 
-def _closure_network(model: BitPoolSource, anchor_bits: int, masks: list[int],
-                     rates: list[int], scale: int):
+def _closure_network(model: BitPoolSource, anchor_mask: int, masks: list[int],
+                     rates: Sequence[int], scale: int):
     """The blocks' weights and the shared bit groups of `minimize_cut`.
 
-    Returns each block's int rate less `scale` per new bit that it alone
-    adds; per group of new bits added by two or more blocks, its capacity
-    scale * (group size) and the indices of those blocks; and per block
-    the indices of its groups.  The new bits are counted in one pass by the
-    users of the lattice holding them; each distinct holder mask then
-    becomes its cover, the blocks adding those bits, with each block named
-    by its lowest user's bit (its rep).
+    Returns, per block rep, its int rate less `scale` per new bit that it
+    alone adds, and per cover of two or more blocks its room, scale times
+    the number of new bits those blocks add.  The new bits are counted in
+    one pass by the users of the lattice holding them; each distinct holder
+    mask then becomes its cover by swapping each non-rep user for its
+    block's rep (on singleton blocks the holder mask is the cover).
     """
     lattice = reps = 0
     rep_of = {}  # a non-rep user's bit -> its block's rep
-    index = {}  # a rep -> its block's index
-    for j, mask in enumerate(masks):
+    weights = {}
+    for mask, rate in zip(masks, rates):
         lattice |= mask
         rep = mask & -mask
         reps |= rep
-        index[rep] = j
+        weights[rep] = rate
         mask ^= rep
         while mask:
             low = mask & -mask
             rep_of[low] = rep
             mask ^= low
-    holders = model.bit_holders
-    by_holders: dict[int, int] = {}
-    new = model.bits_of_mask(lattice) & ~anchor_bits
-    while new:
-        low = new & -new
-        held = holders[low.bit_length() - 1] & lattice
-        by_holders[held] = by_holders.get(held, 0) + 1
-        new ^= low
-    weights = list(rates)
-    by_cover: dict[int, int] = {}
+    # A bit is new when the lattice holds it and the anchor does not.
+    by_holders = Counter(held & lattice for held in model.bit_holders
+                         if not held & anchor_mask)
+    by_holders.pop(0, None)
+    groups: dict[int, int] = {}
     for held, count in by_holders.items():
         cover = held & reps
         others = held ^ cover
@@ -436,76 +425,74 @@ def _closure_network(model: BitPoolSource, anchor_bits: int, masks: list[int],
             cover |= rep_of[low]
             others ^= low
         if cover & (cover - 1):  # added by two or more blocks
-            by_cover[cover] = by_cover.get(cover, 0) + count
+            groups[cover] = groups.get(cover, 0) + scale * count
         else:
-            weights[index[cover]] -= scale * count
-    room, members = [], []
-    groups_of: list[list[int]] = [[] for _ in masks]
-    for g, (cover, count) in enumerate(by_cover.items()):
-        room.append(scale * count)
-        blocks = []
-        while cover:
-            low = cover & -cover
-            j = index[low]
-            blocks.append(j)
-            groups_of[j].append(g)
-            cover ^= low
-        members.append(blocks)
-    return weights, room, members, groups_of
+            weights[cover] -= scale * count
+    return weights, groups
 
 
-def _bipartite_flow(weights: list[int], room: list[int], groups_of: list[list[int]]):
-    """Maximum flow source -> blocks -> groups -> sink, on ints.
+def _max_flow(weights: dict[int, int], covers: list[int], room: list[int]):
+    """Maximum flow source -> blocks -> groups -> sink, on ints and rep masks.
 
-    Block j's source arc has capacity max(weights[j], 0), each block -> group
-    arc (j, g in groups_of[j]) is uncuttable and group g's arc to the sink
-    has capacity room[g], which is left as the residual.  Each block pours
-    its weight greedily into its groups; what it has left then goes along
-    shortest augmenting paths block -> group (-> block -> group)* whose
-    group -> block steps are reverse arcs, undoing flow already placed.
-    Returns the weight each block has left, flow[g][j] on each block ->
-    group arc, whether the source reaches each block in the final residual
-    network, and the number of augmenting paths.
+    Block rep j's source arc has capacity max(weights[j], 0), each arc from
+    a block to a group whose cover holds it is uncuttable, and group g's
+    arc to the sink has capacity room[g], which is left as the residual.
+    The greedy pour fills each group in turn from `cover & holding`, the
+    blocks of its cover that still hold weight, lowest rep first; what is
+    left then goes along shortest augmenting paths block -> group
+    (-> block -> group)* whose group -> block steps are reverse arcs,
+    undoing flow already placed.  The search grows one level at a time: a
+    group joins when its cover meets the blocks reached last, and the
+    blocks it carries flow from join the next level.  Returns the weight
+    each block has left, per group the reps carrying flow into it, the
+    blocks that the source reaches in the final residual network and the
+    number of augmenting paths.
     """
-    k = len(weights)
-    flow: list[dict[int, int]] = [{} for _ in room]
-    left = [max(w, 0) for w in weights]
-    for j, w in enumerate(left):
-        for g in groups_of[j] if w else ():
-            poured = min(w, room[g])
-            if poured:
-                room[g] -= poured
-                flow[g][j] = poured
-                w -= poured
-                if not w:
-                    break
-        left[j] = w
+    left = {rep: w for rep, w in weights.items() if w > 0}
+    holding = sum(left)
+    flow: dict[tuple[int, int], int] = {}  # (g, j) -> flow on the arc j -> g
+    carrying = [0] * len(covers)
+    for g, cover in enumerate(covers):
+        pour, r = cover & holding, room[g]
+        while pour and r:
+            j = pour & -pour
+            w = left[j]
+            if w > r:
+                left[j], flow[g, j], r = w - r, r, 0
+            else:
+                left[j], flow[g, j], r = 0, w, r - w
+                holding ^= j
+            carrying[g] |= j
+            pour ^= j
+        room[g] = r
     paths = 0
     while True:
-        # One breadth-first search from every block with weight left;
-        # via_group[j] is the group a non-root block was reached from and
-        # via_block[g] the block group g was reached from.
-        reached = [w > 0 for w in left]
-        queue = [j for j in range(k) if reached[j]]
-        via_group = [-1] * k
-        via_block = [-1] * len(room)
+        # via_block[g] is the block group g was reached from and via_group[j]
+        # the group a block reached through a reverse arc was reached from.
+        reached = frontier = holding
+        via_block: dict[int, int] = {}
+        via_group: dict[int, int] = {}
         end = -1
-        for j in queue:
-            for g in groups_of[j]:
-                if via_block[g] < 0:
-                    via_block[g] = j
-                    if room[g]:
-                        end = g
-                        break
-                    for i, f in flow[g].items():
-                        if f and not reached[i]:
-                            reached[i] = True
-                            via_group[i] = g
-                            queue.append(i)
-            if end >= 0:
-                break
+        while frontier and end < 0:
+            nxt = 0
+            for g, cover in enumerate(covers):
+                hit = cover & frontier
+                if not hit or g in via_block:
+                    continue
+                via_block[g] = hit & -hit
+                if room[g]:
+                    end = g
+                    break
+                fresh = carrying[g] & ~reached
+                reached |= fresh
+                nxt |= fresh
+                while fresh:
+                    j = fresh & -fresh
+                    via_group[j] = g
+                    fresh ^= j
+            frontier = nxt
         if end < 0:
-            return left, flow, reached, paths
+            return left, carrying, reached, paths
         paths += 1
         # Walk the path back from `end`: each (g, j) of `forward` is an arc
         # block -> group that gains flow, each of `backward` one whose flow
@@ -515,16 +502,21 @@ def _bipartite_flow(weights: list[int], room: list[int], groups_of: list[list[in
         while g >= 0:
             j = via_block[g]
             forward.append((g, j))
-            g = via_group[j]
+            g = via_group.get(j, -1)
             if g >= 0:
                 backward.append((g, j))
-        amount = min(room[end], left[j], *(flow[g][j] for g, j in backward))
+        amount = min(room[end], left[j], *(flow[arc] for arc in backward))
         room[end] -= amount
         left[j] -= amount
+        if not left[j]:
+            holding ^= j
         for g, j in forward:
-            flow[g][j] = flow[g].get(j, 0) + amount
+            flow[g, j] = flow.get((g, j), 0) + amount
+            carrying[g] |= j
         for g, j in backward:
-            flow[g][j] -= amount
+            flow[g, j] -= amount
+            if not flow[g, j]:
+                carrying[g] ^= j
 
 
 def minimize(oracle: FusionOracle) -> SfmResult:

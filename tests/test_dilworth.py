@@ -5,11 +5,11 @@ from itertools import combinations
 import pytest
 
 from omnirate import (DomainError, Partition, brute_dilworth,
-                      coordinate_saturation, dilworth_truncation,
-                      partition_value)
+                      coordinate_saturation, dilworth, dilworth_truncation,
+                      mda_reference, partition_value, run_parametric)
 from omnirate.dilworth import AlphaFunction
 
-from conftest import random_alpha, random_bitpool
+from conftest import random_alpha, random_bitpool, rank_sum_table
 
 
 class TestCoordinateSaturation:
@@ -41,6 +41,31 @@ class TestCoordinateSaturation:
             coordinate_saturation(five_user, 3, [])
         with pytest.raises(DomainError):
             coordinate_saturation(five_user, 3, [4, 9])
+
+    def test_rank_sum_tables_with_mixed_denominators(self, monkeypatch):
+        # Each step scales its blocks' f_alpha values to ints over one
+        # denominator.  At R_CO the rates and partition equal those of
+        # mda_reference and of the parametric sweep, which builds its block
+        # rates on another path; many steps mix block denominators.
+        real_minimize = dilworth.minimize
+        mixed = []
+
+        def recorded(oracle):
+            denominators = {Fraction(r, oracle.scale).denominator for r in oracle.rates}
+            mixed.append(len(denominators) > 1)
+            return real_minimize(oracle)
+
+        rng = random.Random(5077)
+        for _ in range(25):
+            model = rank_sum_table(rng, rng.randint(3, 7))
+            alpha, partition, rates = mda_reference(model)
+            _, psp = run_parametric(model)
+            with monkeypatch.context() as patch:
+                patch.setattr(dilworth, "minimize", recorded)
+                res = coordinate_saturation(model, alpha)
+            assert (res.rates, res.partition) == (rates, partition)
+            assert (alpha, partition, rates) == (psp.min_sum_rate, psp.finest_maximizer, psp.rates)
+        assert sum(mixed) > len(mixed) // 2
 
 
 class TestTruncationValue:

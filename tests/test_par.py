@@ -485,17 +485,18 @@ class TestBracketedProbes:
                           lambda model: axis_caps(rng, model)[:3])
 
     def test_block_rates_equal_per_user_sums(self, monkeypatch):
-        # The int block sums of `_oracle_at` against one Fraction sum of the
-        # evaluated per-user rates per block, on every probe.
+        # The int block sums of `_oracle_at` over its scale against one
+        # Fraction sum of the evaluated per-user rates per block, on every probe.
         real_oracle_at = par._oracle_at
         probes = []
 
         def checked(model, slice_, alpha, inner, outer):
             oracle = real_oracle_at(model, slice_, alpha, inner, outer)
-            assert oracle.rates == tuple(
+            rates = tuple(F(r, oracle.scale) for r in oracle.rates)
+            assert rates == tuple(
                 sum((slice_.rates[u - 1].at(alpha) for u in b), F(0))
                 for b in oracle.blocks)
-            probes.append(any(r.denominator > 1 for r in oracle.rates))
+            probes.append(any(r.denominator > 1 for r in rates))
             return oracle
 
         monkeypatch.setattr(par, "_oracle_at", checked)

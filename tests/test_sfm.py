@@ -1,9 +1,10 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings, strategies as st, target
 
 from omnirate import (BitPoolSource, CapacityError, DomainError, FusionOracle,
                       InternalError, find_complimentary, lower_bound_alpha,
@@ -18,10 +19,12 @@ from conftest import (planted_pair_bitpool, random_bitpool, rank_sum_table,
 
 def lattice_oracle(model, alpha, blocks, anchor, rates):
     """The oracle on `blocks` with `anchor` moved last and the per-user
-    `rates` summed per block."""
+    `rates` summed per block, as ints over the lcm of the sums' denominators."""
     blocks = [b for b in map(frozenset, blocks) if b != anchor] + [frozenset(anchor)]
-    return FusionOracle(model, Fraction(alpha), tuple(blocks), tuple(
-        sum((Fraction(rates[u]) for u in b), Fraction(0)) for b in blocks))
+    sums = [sum((Fraction(rates[u]) for u in b), Fraction(0)) for b in blocks]
+    scale = lcm(*(s.denominator for s in sums))
+    return FusionOracle(model, Fraction(alpha), tuple(blocks),
+                        tuple(s.numerator * (scale // s.denominator) for s in sums), scale)
 
 
 def oracle_for(model, alpha, blocks, anchor_user, rates):
@@ -392,26 +395,51 @@ class TestAffineMinimizer:
 def bitpool_oracles(draw):
     """A fusion oracle on a random bit pool, block partition and anchor.
 
-    Rates are p/q with q up to 6 and may be 0 or negative; the anchor may
-    hold several users; some users may hold only anchor bits, so their
-    blocks add no new bit.
+    Up to 9 users share n to 2n groups of 1-3 bits, each group held by two
+    or three users, so a block adds several bits that other blocks add too;
+    some users also hold a bit of their own.  Blocks may hold several users
+    and the anchor may be any of them; some users may hold only anchor
+    bits, so their blocks add no new bit.  Rates start on a greedy vertex
+    of H in a drawn order with the anchor first, where many unions tie and
+    the cut's flow is tight, so the greedy pour often strands weight that
+    only augmenting paths through reverse arcs place; any set of users is
+    then nudged by p/q in [-2, 2] with q up to 6, which can make rates 0 or
+    negative.
     """
-    n = draw(st.integers(2, 7))
-    width = draw(st.integers(1, 8))
-    pools = draw(st.lists(st.sets(st.integers(0, width - 1), min_size=1),
-                          min_size=n, max_size=n))
-    labels = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
-    blocks = {}
-    for u, label in enumerate(labels, start=1):
-        blocks.setdefault(label, set()).add(u)
-    blocks = tuple(frozenset(b) for b in blocks.values())
+    n = draw(st.integers(2, 9))
+    groups = draw(st.lists(st.tuples(st.sets(st.integers(1, n), min_size=2, max_size=3),
+                                     st.integers(1, 3)),
+                           min_size=n, max_size=2 * n))
+    pools = [set() for _ in range(n)]
+    for g, (holders, size) in enumerate(groups):
+        for u in holders:
+            pools[u - 1] |= {f"g{g}.{k}" for k in range(size)}
+    for u in draw(st.sets(st.integers(1, n))) | {u for u in range(1, n + 1) if not pools[u - 1]}:
+        pools[u - 1].add(f"own{u}")
+    order = draw(st.permutations(range(1, n + 1)))
+    joins = draw(st.lists(st.sampled_from([False, False, True]), min_size=n - 1, max_size=n - 1))
+    blocks, block = [], {order[0]}
+    for u, join in zip(order[1:], joins):
+        if not join:
+            blocks.append(frozenset(block))
+            block = set()
+        block.add(u)
+    blocks = tuple(blocks + [frozenset(block)])
     anchor = draw(st.sampled_from(blocks))
     anchor_bits = sorted(set().union(*(pools[u - 1] for u in anchor)))
-    for u in draw(st.sets(st.integers(1, n))) - anchor:
+    for u in draw(st.sets(st.integers(1, n), max_size=2)) - anchor:
         pools[u - 1] = draw(st.sets(st.sampled_from(anchor_bits), min_size=1))
-    rates = {u: draw(st.fractions(-6, 6, max_denominator=6)) for u in range(1, n + 1)}
-    alpha = draw(st.fractions(0, 3 * width, max_denominator=4))
-    model = BitPoolSource([[f"b{k}" for k in pool] for pool in pools])
+    model = BitPoolSource(pools)
+    rates = dict.fromkeys(anchor, Fraction(0))
+    prefix, prev = set(anchor), model.entropy(anchor)
+    for u in draw(st.permutations(sorted(set(model.users) - anchor))):
+        prefix.add(u)
+        h = model.entropy(prefix)
+        rates[u] = h - prev
+        prev = h
+    for u in draw(st.sets(st.integers(1, n))):
+        rates[u] += draw(st.fractions(-2, 2, max_denominator=6))
+    alpha = draw(st.fractions(0, len(model.bit_names), max_denominator=4))
     return lattice_oracle(model, alpha, blocks, anchor, rates)
 
 
@@ -420,8 +448,24 @@ class TestMinCut:
     @given(bitpool_oracles())
     def test_agrees_with_brute_and_mnp(self, oracle):
         cut = minimize_cut(oracle)
+        target(float(cut.evaluations))  # steer towards augmenting paths
         assert cut == minimize_brute(oracle) == minimize_mnp(oracle)
         assert (cut.min_value, cut.minimal, cut.maximal) == enumerated_extremes(oracle)
+
+    def test_strategy_reaches_augmenting_paths(self):
+        # Without target(), a fixed run of the strategy alone: a real share
+        # of its oracles needs augmenting paths, and some hold multi-user
+        # blocks beside them.
+        paths, shared = [], []
+
+        @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+        @given(bitpool_oracles())
+        def run(oracle):
+            paths.append(minimize_cut(oracle).evaluations > 0)
+            shared.append(paths[-1] and any(len(b) > 1 for b in oracle.blocks))
+
+        run()
+        assert sum(paths) >= len(paths) // 10 and any(shared)
 
     def test_special_blocks(self):
         # Anchor {1,2} holds a, b, c.  {3} and {4} add no new bit, {5} adds d
