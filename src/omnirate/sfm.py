@@ -115,11 +115,9 @@ class SfmResult:
     evaluations: int = field(compare=False, default=0)
 
 
-def _scaled_lattice(oracle: FusionOracle):
-    """The anchor's user mask, one user mask per non-anchor block, the int
-    block rates (the anchor's last) and their denominator."""
-    return (subset_mask(oracle.anchor), [subset_mask(b) for b in oracle.non_anchor_blocks],
-            oracle.rates, oracle.scale)
+def _block_masks(oracle: FusionOracle) -> tuple[int, list[int]]:
+    """The anchor's user mask and one user mask per non-anchor block."""
+    return subset_mask(oracle.anchor), [subset_mask(b) for b in oracle.non_anchor_blocks]
 
 
 def _offset(oracle: FusionOracle) -> Fraction:
@@ -158,7 +156,8 @@ def minimize_brute(oracle: FusionOracle) -> SfmResult:
         raise CapacityError(
             f"brute enumeration capped at {BRUTE_LIMIT} non-anchor blocks, got {k}"
         )
-    users, masks, rates, scale = _scaled_lattice(oracle)
+    users, masks = _block_masks(oracle)
+    rates, scale = oracle.rates, oracle.scale
     entropy = oracle.model.entropy_of_mask
     h = entropy(users)
     best_num, best_den = h.numerator * scale, h.denominator
@@ -204,7 +203,7 @@ def minimize_mnp(oracle: FusionOracle, iteration_cap: int = _MNP_ITERATION_CAP) 
     if k == 0:
         return SfmResult(oracle.f_tilde(oracle.anchor), oracle.anchor, oracle.anchor, 1)
 
-    anchor_mask, masks, rates, scale = _scaled_lattice(oracle)
+    anchor_mask, masks = _block_masks(oracle)
     entropy = oracle.model.entropy_of_mask
     anchor_h = entropy(anchor_mask)
     cache: dict[int, Fraction] = {0: Fraction(0)}
@@ -217,10 +216,10 @@ def minimize_mnp(oracle: FusionOracle, iteration_cap: int = _MNP_ITERATION_CAP) 
         for j in sorted(range(k), key=weights.__getitem__):
             choice |= 1 << j
             users |= masks[j]
-            rate += rates[j]
+            rate += oracle.rates[j]
             cur = cache.get(choice)
             if cur is None:
-                cur = cache[choice] = entropy(users) - anchor_h - Fraction(rate, scale)
+                cur = cache[choice] = entropy(users) - anchor_h - Fraction(rate, oracle.scale)
             vertex[j] = cur - prev
             prev = cur
         return tuple(vertex)
@@ -361,9 +360,9 @@ def minimize_cut(oracle: FusionOracle) -> SfmResult:
     model = oracle.model
     if not isinstance(model, BitPoolSource):
         raise DomainError("the min-cut solver needs a bit-pool source")
-    anchor_mask, masks, rates, scale = _scaled_lattice(oracle)
+    anchor_mask, masks = _block_masks(oracle)
     anchor_bits = model.bits_of_mask(anchor_mask)
-    weights, groups = _closure_network(model, anchor_mask, masks, rates, scale)
+    weights, groups = _closure_network(model, anchor_mask, masks, oracle.rates, oracle.scale)
     covers, room = list(groups), list(groups.values())
     left, carrying, reached, paths = _max_flow(weights, covers, room)
 
@@ -384,7 +383,7 @@ def minimize_cut(oracle: FusionOracle) -> SfmResult:
     minimal = sum(1 << j for j, mask in enumerate(masks) if mask & reached)
     maximal = sum(1 << j for j, mask in enumerate(masks) if not mask & to_sink)
     value = (_offset(oracle) + anchor_bits.bit_count()
-             - Fraction(sum(left.values()), scale))
+             - Fraction(sum(left.values()), oracle.scale))
     return SfmResult(value, _fused(oracle, minimal), _fused(oracle, maximal), paths)
 
 
@@ -392,17 +391,18 @@ def _closure_network(model: BitPoolSource, anchor_mask: int, masks: list[int],
                      rates: Sequence[int], scale: int):
     """The blocks' weights and the shared bit groups of `minimize_cut`.
 
-    Returns, per block rep, its int rate less `scale` per new bit that it
-    alone adds, and per cover of two or more blocks its room, scale times
-    the number of new bits those blocks add.  The new bits are counted in
-    one pass by the users of the lattice holding them; each distinct holder
-    mask then becomes its cover by swapping each non-rep user for its
-    block's rep (on singleton blocks the holder mask is the cover).
+    Returns, per block rep, its int rate (`rates` ends with the anchor's)
+    less `scale` per new bit that it alone adds, and per cover of two or
+    more blocks its room, scale times the number of new bits those blocks
+    add.  The new bits are counted in one pass by the users of the lattice
+    holding them; each distinct holder mask then becomes its cover by
+    swapping each non-rep user for its block's rep (on singleton blocks the
+    holder mask is the cover).
     """
     lattice = reps = 0
     rep_of = {}  # a non-rep user's bit -> its block's rep
     weights = {}
-    for mask, rate in zip(masks, rates):
+    for mask, rate in zip(masks, rates[:-1]):
         lattice |= mask
         rep = mask & -mask
         reps |= rep

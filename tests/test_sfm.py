@@ -395,19 +395,51 @@ class TestAffineMinimizer:
 def bitpool_oracles(draw):
     """A fusion oracle on a random bit pool, block partition and anchor.
 
-    Up to 9 users share n to 2n groups of 1-3 bits, each group held by two
-    or three users, so a block adds several bits that other blocks add too;
-    some users also hold a bit of their own.  Blocks may hold several users
-    and the anchor may be any of them; some users may hold only anchor
-    bits, so their blocks add no new bit.  Rates start on a greedy vertex
-    of H in a drawn order with the anchor first, where many unions tie and
-    the cut's flow is tight, so the greedy pour often strands weight that
-    only augmenting paths through reverse arcs place; any set of users is
-    then nudged by p/q in [-2, 2] with q up to 6, which can make rates 0 or
-    negative.
+    Rates are p/q with q up to 6 and may be 0 or negative; the anchor may
+    hold several users; some users may hold only anchor bits, so their
+    blocks add no new bit.
     """
-    n = draw(st.integers(2, 9))
-    groups = draw(st.lists(st.tuples(st.sets(st.integers(1, n), min_size=2, max_size=3),
+    n = draw(st.integers(2, 7))
+    width = draw(st.integers(1, 8))
+    pools = draw(st.lists(st.sets(st.integers(0, width - 1), min_size=1),
+                          min_size=n, max_size=n))
+    labels = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    blocks = {}
+    for u, label in enumerate(labels, start=1):
+        blocks.setdefault(label, set()).add(u)
+    blocks = tuple(frozenset(b) for b in blocks.values())
+    anchor = draw(st.sampled_from(blocks))
+    anchor_bits = sorted(set().union(*(pools[u - 1] for u in anchor)))
+    for u in draw(st.sets(st.integers(1, n))) - anchor:
+        pools[u - 1] = draw(st.sets(st.sampled_from(anchor_bits), min_size=1))
+    rates = {u: draw(st.fractions(-6, 6, max_denominator=6)) for u in range(1, n + 1)}
+    alpha = draw(st.fractions(0, 3 * width, max_denominator=4))
+    model = BitPoolSource([[f"b{k}" for k in pool] for pool in pools])
+    return lattice_oracle(model, alpha, blocks, anchor, rates)
+
+
+@st.composite
+def shared_group_oracles(draw):
+    """A fusion oracle on a bit pool of shared bit groups.
+
+    Up to 9 users share n to 2n groups of 1-3 bits, each group held by two
+    to three users or, in some pools, by any number of them, so a block
+    adds several bits that other blocks add too; some users also hold a
+    bit of their own.  Pools of 6-9 users are drawn as often as all others,
+    since few blocks rarely need an augmenting path.  Blocks may hold
+    several users and the anchor may be any of them; up to two users, or
+    in some pools any number, hold only anchor bits, so their blocks add no
+    new bit.  Rates are either p/q in [-6, 6] with q up to 6, or start on a
+    greedy vertex of H with the anchor first, where many unions tie and the
+    cut's flow is tight; its order is drawn, or half the time descending,
+    against the pour's lowest-rep-first order, so the greedy pour often
+    strands weight that only augmenting paths through reverse arcs place.
+    Any set of users is then nudged by p/q in [-2, 2], which can make rates
+    0 or negative.
+    """
+    n = draw(st.integers(2, 9) | st.integers(6, 9))
+    widest = draw(st.sampled_from([3, n]))
+    groups = draw(st.lists(st.tuples(st.sets(st.integers(1, n), min_size=2, max_size=widest),
                                      st.integers(1, 3)),
                            min_size=n, max_size=2 * n))
     pools = [set() for _ in range(n)]
@@ -427,18 +459,22 @@ def bitpool_oracles(draw):
     blocks = tuple(blocks + [frozenset(block)])
     anchor = draw(st.sampled_from(blocks))
     anchor_bits = sorted(set().union(*(pools[u - 1] for u in anchor)))
-    for u in draw(st.sets(st.integers(1, n), max_size=2)) - anchor:
+    for u in draw(st.sets(st.integers(1, n), max_size=draw(st.sampled_from([2, n])))) - anchor:
         pools[u - 1] = draw(st.sets(st.sampled_from(anchor_bits), min_size=1))
     model = BitPoolSource(pools)
-    rates = dict.fromkeys(anchor, Fraction(0))
-    prefix, prev = set(anchor), model.entropy(anchor)
-    for u in draw(st.permutations(sorted(set(model.users) - anchor))):
-        prefix.add(u)
-        h = model.entropy(prefix)
-        rates[u] = h - prev
-        prev = h
-    for u in draw(st.sets(st.integers(1, n))):
-        rates[u] += draw(st.fractions(-2, 2, max_denominator=6))
+    if draw(st.sampled_from([False, False, True])):
+        rates = {u: draw(st.fractions(-6, 6, max_denominator=6)) for u in model.users}
+    else:
+        rates = dict.fromkeys(anchor, Fraction(0))
+        prefix, prev = set(anchor), model.entropy(anchor)
+        rest = sorted(set(model.users) - anchor, reverse=True)
+        for u in rest if draw(st.booleans()) else draw(st.permutations(rest)):
+            prefix.add(u)
+            h = model.entropy(prefix)
+            rates[u] = h - prev
+            prev = h
+        for u in draw(st.sets(st.integers(1, n))):
+            rates[u] += draw(st.fractions(-2, 2, max_denominator=6))
     alpha = draw(st.fractions(0, len(model.bit_names), max_denominator=4))
     return lattice_oracle(model, alpha, blocks, anchor, rates)
 
@@ -448,24 +484,36 @@ class TestMinCut:
     @given(bitpool_oracles())
     def test_agrees_with_brute_and_mnp(self, oracle):
         cut = minimize_cut(oracle)
+        assert cut == minimize_brute(oracle) == minimize_mnp(oracle)
+        assert (cut.min_value, cut.minimal, cut.maximal) == enumerated_extremes(oracle)
+
+    @settings(max_examples=200, deadline=None)
+    @given(shared_group_oracles())
+    def test_agrees_on_shared_bit_groups(self, oracle):
+        cut = minimize_cut(oracle)
         target(float(cut.evaluations))  # steer towards augmenting paths
         assert cut == minimize_brute(oracle) == minimize_mnp(oracle)
         assert (cut.min_value, cut.minimal, cut.maximal) == enumerated_extremes(oracle)
 
-    def test_strategy_reaches_augmenting_paths(self):
-        # Without target(), a fixed run of the strategy alone: a real share
-        # of its oracles needs augmenting paths, and some hold multi-user
-        # blocks beside them.
-        paths, shared = [], []
+    def test_shared_groups_reach_augmenting_paths(self):
+        # Without target(), a fixed run of the shared-group strategy alone: a
+        # real share of its oracles needs augmenting paths, some of them with
+        # multi-user blocks and some with a new bit added by 4 or more blocks.
+        paths, multi, wide = [], [], []
 
-        @settings(max_examples=100, deadline=None, derandomize=True, database=None)
-        @given(bitpool_oracles())
+        @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+        @given(shared_group_oracles())
         def run(oracle):
             paths.append(minimize_cut(oracle).evaluations > 0)
-            shared.append(paths[-1] and any(len(b) > 1 for b in oracle.blocks))
+            multi.append(paths[-1] and any(len(b) > 1 for b in oracle.blocks))
+            anchor = subset_mask(oracle.anchor)
+            masks = [subset_mask(b) for b in oracle.non_anchor_blocks]
+            wide.append(paths[-1] and any(
+                sum(1 for m in masks if m & held) >= 4
+                for held in oracle.model.bit_holders if not held & anchor))
 
         run()
-        assert sum(paths) >= len(paths) // 10 and any(shared)
+        assert sum(paths) >= len(paths) // 10 and any(multi) and any(wide)
 
     def test_special_blocks(self):
         # Anchor {1,2} holds a, b, c.  {3} and {4} add no new bit, {5} adds d
