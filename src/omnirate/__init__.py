@@ -19,12 +19,12 @@ from .oracle import (brute_dilworth, brute_min_sum_rate, check_achievable,
 from .par import (MinimizerChain, ParState, PSPResult, StateSlice,
                   extract_psp, fusion_oracle_at, initial_state,
                   iter_parametric, mda_reference, parametric_iteration,
-                  prefix_psp, run_parametric, solve_chain_breakpoints,
-                  strong_map_chain)
+                  prefix_psp, run_parametric, solve_chain_breakpoints)
 from .partition import (AffineValue, Partition, Segmented)
 from .sfm import (FusionOracle, SfmResult, minimize, minimize_brute,
                   minimize_cut, minimize_mnp)
 from .so import (SOPlan, decompose_rates, find_complimentary,
                  lower_bound_alpha, plan_from_state, verify_complimentary)
+from .verify import Check, Verification, fusion_gaps, verify_model
 
 __version__ = "0.1.0"

@@ -19,11 +19,11 @@ Commands (model files per `omnirate.modelfile`; pass '-' to read stdin):
         not exceed the minimum sum-rate (checked after solving).
 
     omnirate verify MODEL
-        Cross-checks the parametric sweep against the fixed-point baseline
-        and brute-force enumeration (ground sets up to 8 users), plus
-        structural property samples, then reports how many submodular
-        minimizations the sweep used (one per probe).  Nonzero exit on any
-        mismatch.
+        Prints each check of `omnirate.verify.verify_model` as ok or FAIL:
+        the sweep against the fixed-point baseline and brute force (ground
+        sets up to 8 users), also at ten seeded alphas, and the chain and
+        strong-map structure; then the sweep's submodular minimizations (one
+        per probe).  Exit 1 on any failed check.
 
 Exit codes: 0 success; 1 verification mismatch or other solve-time error;
 2 I/O problems; 3 parse or validation problems (including a too-large
@@ -42,10 +42,9 @@ from .errors import (CapacityError, DomainError, ModelFormatError,
                      OmnirateError)
 from .model import partition_entropy, validate
 from .modelfile import _parse_value, load_model
-from .oracle import MAX_ENUM_USERS, brute_dilworth, brute_min_sum_rate, check_achievable
-from .par import (extract_psp, fusion_oracle_at, iter_parametric,
-                  mda_reference, run_parametric)
+from .par import iter_parametric, run_parametric
 from .so import find_complimentary, lower_bound_alpha, plan_from_state
+from .verify import verify_model
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -159,90 +158,18 @@ def cmd_so(args) -> int:
 
 def cmd_verify(args) -> int:
     model = _load_validated(args.model)
-    if model.size > MAX_ENUM_USERS:
-        raise CapacityError(
-            f"verify needs brute-force enumeration and is capped at "
-            f"{MAX_ENUM_USERS} users, got {model.size}"
-        )
-    failures = 0
-
-    def check(label: str, ok: bool, *values):
-        nonlocal failures
-        status = "ok" if ok else "FAIL"
-        suffix = f"  ({' vs '.join(_fmt(v, False) for v in values)})" if values and not ok else ""
-        print(f"{status:4s} {label}{suffix}")
-        if not ok:
-            failures += 1
-
-    states = list(iter_parametric(model))
-    final = states[-1]
-    psp = extract_psp(final)
-    mda_rate, mda_part, mda_vector = mda_reference(model)
-    brute_rate, brute_part = brute_min_sum_rate(model)
-
-    check("sweep vs fixed-point baseline: minimum sum-rate",
-          psp.min_sum_rate == mda_rate, psp.min_sum_rate, mda_rate)
-    check("sweep vs fixed-point baseline: finest maximizer",
-          psp.finest_maximizer == mda_part)
-    check("sweep vs fixed-point baseline: rate vector",
-          psp.rates == mda_vector)
-    check("sweep vs brute enumeration: minimum sum-rate",
-          psp.min_sum_rate == brute_rate, psp.min_sum_rate, brute_rate)
-    check("sweep vs brute enumeration: finest maximizer",
-          psp.finest_maximizer == brute_part)
-    check("optimal rate vector is achievable",
-          check_achievable(model, psp.rates))
-    check("optimal rate vector sums to the minimum sum-rate",
-          sum(psp.rates, Fraction(0)) == psp.min_sum_rate)
-
     rng = random.Random(20113)
-    top = model.total_entropy
-    sample = sorted({top * Fraction(rng.randrange(0, 1001), 1000) for _ in range(10)})
-    from .dilworth import coordinate_saturation  # local import to keep CLI deps flat
-    for alpha in sample:
-        fixed = coordinate_saturation(model, alpha)
-        b_value, b_part = brute_dilworth(model, alpha)
-        swept = final.table.value_at(alpha)
-        at = f"alpha={_fmt(alpha, False)}"
-        check(f"{at}: saturation vs brute truncation value",
-              fixed.value == b_value, fixed.value, b_value)
-        check(f"{at}: saturation vs brute finest minimizer",
-              fixed.partition == b_part)
-        check(f"{at}: sweep state matches fixed-alpha saturation",
-              swept.partition == fixed.partition
-              and tuple(r.at(alpha) for r in swept.rates) == fixed.rates)
-
-    nesting_ok = True
-    strong_ok = True
-    for prev, state in zip(states, states[1:]):
-        chain = state.last_chain
-        for small, big in zip(chain.sets, chain.sets[1:]):
-            nesting_ok = nesting_ok and small < big
-        pairs = [(chain.alphas[0] / 2, chain.alphas[-1]),
-                 (chain.alphas[0], chain.alphas[-1] / 2 + chain.alphas[0] / 2)]
-        for lo, hi in pairs:
-            if not lo < hi:
-                continue
-            o_lo = fusion_oracle_at(prev, state.carrier_size, lo)
-            o_hi = fusion_oracle_at(prev, state.carrier_size, hi)
-            coarse = o_hi.blocks
-            x = frozenset({state.carrier_size})
-            y = frozenset().union(*coarse)
-            if x == y:
-                continue
-            gap_lo = o_lo.f_tilde(y) - o_lo.f_tilde(x)
-            gap_hi = o_hi.f_tilde(y) - o_hi.f_tilde(x)
-            strong_ok = strong_ok and gap_lo > gap_hi
-    check("minimizer chains are strictly nested", nesting_ok)
-    check("fusion gaps shrink strictly as alpha grows", strong_ok)
-
-    sweep_calls = sum(len(state.last_probes) for state in states)
-    print(f"submodular minimizations used by the sweep: {sweep_calls}")
-    if failures:
-        print(f"{failures} check(s) failed")
-        return EXIT_MISMATCH
-    print("all checks passed")
-    return EXIT_OK
+    sample = {model.total_entropy * Fraction(rng.randrange(0, 1001), 1000) for _ in range(10)}
+    result = verify_model(model, sorted(sample))
+    for check in result.checks:
+        at = "" if check.alpha is None else f"alpha={_fmt(check.alpha, False)}: "
+        failed = check.values and not check.ok
+        suffix = f"  ({' vs '.join(_fmt(v, False) for v in check.values)})" if failed else ""
+        print(f"{'ok' if check.ok else 'FAIL':4s} {at}{check.label}{suffix}")
+    print(f"submodular minimizations used by the sweep: {result.sweep_minimizations}")
+    failures = len(result.failed)
+    print(f"{failures} check(s) failed" if failures else "all checks passed")
+    return EXIT_MISMATCH if failures else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:

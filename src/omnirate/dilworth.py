@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Iterable
 
 from .errors import DomainError
@@ -98,9 +97,7 @@ def coordinate_saturation(model: SourceModel, alpha, carrier=None) -> DilworthRe
         # gives a fused block M the sum r(M - {user}) + base + f~(M) = f_alpha(M).
         blocks = partition.blocks + (singleton(user),)
         values = (*map(f_alpha, partition.blocks), base)
-        scale = lcm(*(v.denominator for v in values))
-        rates_scaled = tuple(v.numerator * (scale // v.denominator) for v in values)
-        result = minimize(FusionOracle(model, alpha, blocks, rates_scaled, scale))
+        result = minimize(FusionOracle.from_fractions(model, alpha, blocks, values))
         rates.append(base + result.min_value)
         partition = Partition(blocks).merge_blocks(result.minimal)
 

@@ -46,6 +46,9 @@ MAX_TABLE_USERS = 20
 MAX_SCALED_BITS = 1 << 28
 
 _ZERO = Fraction(0)
+# Fraction(k) at index k: every bit-pool entropy is a bit count, so one table,
+# grown to the largest pool built so far, serves every model.
+_BIT_COUNTS: list[Fraction] = []
 
 
 def as_rational(value) -> Fraction:
@@ -165,8 +168,8 @@ class BitPoolSource(SourceModel):
             masks[u] = mask
         self._bit_masks = tuple(masks)
         self.bit_holders = tuple(holders)
-        # every entropy is a bit count, so one Fraction per count serves all
-        self._counts = tuple(map(Fraction, range(len(names) + 1)))
+        have, need = len(_BIT_COUNTS), len(names) + 1
+        _BIT_COUNTS[have:need] = map(Fraction, range(have, need))  # only sets k to Fraction(k)
 
     def bits_of_mask(self, mask: int) -> int:
         """The union of the bit sets of the users in `mask`, as a mask over `bit_names`.
@@ -182,7 +185,7 @@ class BitPoolSource(SourceModel):
         return pooled
 
     def _entropy_of_mask(self, mask: int) -> Fraction:
-        return self._counts[self.bits_of_mask(mask).bit_count()]
+        return _BIT_COUNTS[self.bits_of_mask(mask).bit_count()]
 
     def __repr__(self):
         return f"BitPoolSource({len(self.bits_per_user)} users, {len(self.bit_names)} bits)"

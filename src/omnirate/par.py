@@ -14,7 +14,7 @@ segmented quantity: a nested chain of user sets
 
 switching at critical points a_q < ... < a_1 < a_0 = H(V) (the axis top),
 with S_q active on [0, a_q] and S_j on (a_{j+1}, a_j].  The chain sets are
-found by a divide-and-conquer search (`strong_map_chain`) that probes the
+found by a divide-and-conquer search (`_chain_search`) that probes the
 crossing alpha of two partition cost lines and recurses on both sides;
 each probe issues one plain submodular minimization.
 
@@ -282,38 +282,10 @@ def fusion_oracle_at(state: ParState, user: int, alpha) -> FusionOracle:
                       frozenset(range(1, user + 1)))
 
 
-def strong_map_chain(state: ParState, p_down: Partition, p_up: Partition, *,
-                     probes: list[Probe] | None = None) -> dict[frozenset[int], Fraction]:
-    """Critical points of the next user's minimal-minimizer chain, by recursion.
-
-    `p_down` must strictly refine `p_up`; both partition the extended
-    carrier.  Each call probes the alpha where the partition cost lines of
-    p_down and p_up cross, takes the minimal minimizer there, fuses it into
-    the stored partition at that alpha and either stops (the fused result
-    equals p_down) or recurses on the two subintervals.  Returns each chain
-    set with its critical point, a terminal probe's alpha; the extended
-    carrier V_i itself is an implied top element and never returned.
-
-    Each probe minimizes only over the sublattice its parent probes leave
-    open.  The minimal minimizer S* found at alpha bounds every probe of
-    the lower subinterval from above and every probe of the upper one from
-    below; the top probe's bracket is ({i}, V_i).  Since m(alpha) grows
-    with alpha and the stored partitions coarsen with it, each sublattice
-    still holds its probe's minimal minimizer, so the answers are the
-    whole-lattice ones (the bracket argument in the module docstring).
-    """
-    user = state.carrier_size + 1
-    table = _extended_table(state, user)
-    if probes is None:
-        probes = []
-    crossings = {}
-    _chain_search(state.model, table, p_down, p_up, singleton(user),
-                  frozenset(range(1, user + 1)), probes, crossings)
-    return crossings
-
-
 def _chain_search(model, table, p_down, p_up, inner, outer, probes,
                   crossings) -> None:
+    """Probe where the lines of `p_down` (strictly finer) and `p_up` cross, on
+    the bracket (inner, outer); recurse on both sides unless fusing gives p_down."""
     if p_down == p_up or not p_down.refines(p_up):
         raise DomainError("need p_down strictly finer than p_up")
     h_down = partition_entropy(model, p_down)

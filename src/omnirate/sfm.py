@@ -79,6 +79,13 @@ class FusionOracle:
     rates: tuple[int, ...]
     scale: int
 
+    @classmethod
+    def from_fractions(cls, model, alpha, blocks, rates: Sequence[Fraction]) -> FusionOracle:
+        """The oracle with `Fraction` block `rates`, scaled to ints over their lcm."""
+        scale = lcm(*(r.denominator for r in rates))
+        ints = tuple(r.numerator * (scale // r.denominator) for r in rates)
+        return cls(model, alpha, tuple(blocks), ints, scale)
+
     @property
     def anchor(self) -> frozenset[int]:
         return self.blocks[-1]

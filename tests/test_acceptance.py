@@ -15,13 +15,13 @@ from fractions import Fraction
 
 import pytest
 
-from omnirate import (brute_dilworth, brute_min_sum_rate, check_achievable,
-                      coordinate_saturation, decompose_rates,
-                      find_complimentary, lower_bound_alpha, mda_reference,
-                      minimize_brute, minimize_mnp, par, run_parametric)
+from omnirate import (check_achievable, decompose_rates, find_complimentary,
+                      lower_bound_alpha, minimize_brute, minimize_mnp, par,
+                      run_parametric)
 from omnirate.cli import main
-from omnirate.par import fusion_oracle_at, iter_parametric
+from omnirate.par import iter_parametric
 from omnirate.partition import Partition
+from omnirate.verify import fusion_gaps, verify_model
 
 from conftest import corpus_models, random_alpha
 from test_par import EXPECTED_PARTITIONS, EXPECTED_RATES
@@ -124,19 +124,10 @@ def test_criterion_6_oracle_equivalence(corpus):
     rng = random.Random(424242)
     mismatches = 0
     for model in corpus:
-        _, psp = run_parametric(model)
-        mda_rate, mda_part, mda_rates = mda_reference(model)
-        brute_rate, brute_part = brute_min_sum_rate(model)
-        if not (psp.min_sum_rate == mda_rate == brute_rate):
-            mismatches += 1
-        if not (psp.finest_maximizer == mda_part == brute_part):
-            mismatches += 1
-        for _ in range(10):
-            alpha = random_alpha(rng, model)
-            fixed = coordinate_saturation(model, alpha)
-            b_value, b_part = brute_dilworth(model, alpha)
-            if fixed.value != b_value or fixed.partition != b_part:
-                mismatches += 1
+        # sweep vs baseline vs brute, and saturation vs brute truncation at
+        # each alpha, among the rest of `verify`'s checks
+        alphas = [random_alpha(rng, model) for _ in range(10)]
+        mismatches += len(verify_model(model, alphas).failed)
     elapsed = time.monotonic() - started
     assert mismatches == 0
     assert len(corpus) >= 200
@@ -155,16 +146,15 @@ def test_criterion_7_structural_property_suite(corpus):
             if lo == hi:
                 continue
             lo, hi = min(lo, hi), max(lo, hi)
-            o_lo = fusion_oracle_at(prev, state.carrier_size, lo)
-            o_hi = fusion_oracle_at(prev, state.carrier_size, hi)
-            rest = o_hi.non_anchor_blocks
-            x = frozenset(o_hi.anchor)
+            # the new user's singleton against the unions grown block by
+            # block, in the order of the partition at hi
+            x = frozenset({state.carrier_size})
             grown = set(x)
-            for b in rest:
+            pairs = []
+            for b in prev.partition_at(hi).blocks:
                 grown |= b
-                y = frozenset(grown)
-                gap_lo = o_lo.f_tilde(y) - o_lo.f_tilde(x)
-                gap_hi = o_hi.f_tilde(y) - o_hi.f_tilde(x)
+                pairs.append((x, frozenset(grown)))
+            for gap_lo, gap_hi in fusion_gaps(prev, lo, hi, pairs):
                 assert gap_lo > gap_hi, "strict strong map violated"
             # nested minimizer chain
             chain = state.last_chain

@@ -238,6 +238,52 @@ class TestSo:
         assert message in err
 
 
+# Complete stdout of `omnirate verify models/example_5user.bitpool`.
+VERIFY_GOLDEN = """\
+ok   sweep vs fixed-point baseline: minimum sum-rate
+ok   sweep vs fixed-point baseline: finest maximizer
+ok   sweep vs fixed-point baseline: rate vector
+ok   sweep vs brute enumeration: minimum sum-rate
+ok   sweep vs brute enumeration: finest maximizer
+ok   optimal rate vector is achievable
+ok   optimal rate vector sums to the minimum sum-rate
+ok   alpha=7/25: saturation vs brute truncation value
+ok   alpha=7/25: saturation vs brute finest minimizer
+ok   alpha=7/25: sweep state matches fixed-alpha saturation
+ok   alpha=2/5: saturation vs brute truncation value
+ok   alpha=2/5: saturation vs brute finest minimizer
+ok   alpha=2/5: sweep state matches fixed-alpha saturation
+ok   alpha=72/25: saturation vs brute truncation value
+ok   alpha=72/25: saturation vs brute finest minimizer
+ok   alpha=72/25: sweep state matches fixed-alpha saturation
+ok   alpha=487/100: saturation vs brute truncation value
+ok   alpha=487/100: saturation vs brute finest minimizer
+ok   alpha=487/100: sweep state matches fixed-alpha saturation
+ok   alpha=489/100: saturation vs brute truncation value
+ok   alpha=489/100: saturation vs brute finest minimizer
+ok   alpha=489/100: sweep state matches fixed-alpha saturation
+ok   alpha=153/25: saturation vs brute truncation value
+ok   alpha=153/25: saturation vs brute finest minimizer
+ok   alpha=153/25: sweep state matches fixed-alpha saturation
+ok   alpha=319/50: saturation vs brute truncation value
+ok   alpha=319/50: saturation vs brute finest minimizer
+ok   alpha=319/50: sweep state matches fixed-alpha saturation
+ok   alpha=172/25: saturation vs brute truncation value
+ok   alpha=172/25: saturation vs brute finest minimizer
+ok   alpha=172/25: sweep state matches fixed-alpha saturation
+ok   alpha=789/100: saturation vs brute truncation value
+ok   alpha=789/100: saturation vs brute finest minimizer
+ok   alpha=789/100: sweep state matches fixed-alpha saturation
+ok   alpha=843/100: saturation vs brute truncation value
+ok   alpha=843/100: saturation vs brute finest minimizer
+ok   alpha=843/100: sweep state matches fixed-alpha saturation
+ok   minimizer chains are strictly nested
+ok   fusion gaps shrink strictly as alpha grows
+submodular minimizations used by the sweep: 12
+all checks passed
+"""
+
+
 class TestVerify:
     def test_golden_source_passes(self, capsys, five_user_path):
         code, out, _ = run_cli(capsys, "verify", five_user_path)
@@ -245,6 +291,56 @@ class TestVerify:
         assert "all checks passed" in out
         assert "submodular minimizations used by the sweep:" in out
         assert "FAIL" not in out
+
+    @pytest.mark.parametrize("kind", ["bitpool", "table dump"])
+    def test_golden_output(self, capsys, tmp_path, five_user, five_user_path, kind):
+        path = five_user_path
+        if kind == "table dump":
+            path = tmp_path / "golden.table"
+            path.write_text(format_table(five_user))
+        code, out, err = run_cli(capsys, "verify", str(path))
+        assert code == 0
+        assert out == VERIFY_GOLDEN
+        assert err == ""
+
+    def test_mismatch_reports_the_failed_check(self, capsys, monkeypatch, five_user,
+                                               five_user_path):
+        from omnirate import verify
+        baseline = verify.mda_reference
+
+        def shifted(model):
+            rate, partition, rates = baseline(model)
+            return rate + 1, partition, rates
+
+        monkeypatch.setattr(verify, "mda_reference", shifted)
+        code, out, _ = run_cli(capsys, "verify", five_user_path)
+        label = "sweep vs fixed-point baseline: minimum sum-rate"
+        expected = VERIFY_GOLDEN.replace(f"ok   {label}\n", f"FAIL {label}  (13/2 vs 15/2)\n")
+        expected = expected.replace("all checks passed\n", "1 check(s) failed\n")
+        assert f"FAIL {label}  (13/2 vs 15/2)\n" in out
+        assert out.endswith("1 check(s) failed\n")
+        assert out == expected
+        assert code == 1
+        result = verify.verify_model(five_user, [])
+        assert [c.label for c in result.failed] == [label]
+        assert result.failed[0].values == (F(13, 2), F(15, 2))
+
+    def test_fixed_alpha_mismatch_names_its_alpha(self, capsys, monkeypatch,
+                                                  five_user_path):
+        from omnirate import verify
+        brute = verify.brute_dilworth
+
+        def shifted(model, alpha):
+            value, partition = brute(model, alpha)
+            return value + 1, partition
+
+        monkeypatch.setattr(verify, "brute_dilworth", shifted)
+        code, out, _ = run_cli(capsys, "verify", five_user_path)
+        failed = [line for line in out.splitlines() if line.startswith("FAIL")]
+        assert len(failed) == 10
+        assert failed[0].startswith("FAIL alpha=7/25: saturation vs brute truncation value  (")
+        assert out.endswith("10 check(s) failed\n")
+        assert code == 1
 
     def test_seeded_random_model_passes(self, capsys, tmp_path):
         import random

@@ -47,6 +47,20 @@ class TestEntropy:
             five_user.conditional_entropy([user], [2])
         assert time.perf_counter() - started < 0.1
 
+    def test_bit_counts_shared_across_models(self):
+        # one count table serves every bit pool; a pool with more bits than
+        # any built before grows it, and both pools stay exact
+        from omnirate import model as model_module
+        small = BitPoolSource(["a", "ab"])
+        bits = len(model_module._BIT_COUNTS) + 3
+        big = BitPoolSource([[f"b{k}" for k in range(bits)], ["b0"], ["extra"]])
+        assert model_module._BIT_COUNTS == [Fraction(k) for k in range(bits + 2)]
+        assert [big.entropy(s) for s in ([1], [2], [3], [2, 3], [1, 3], [1, 2, 3])] == \
+            [bits, 1, 1, 2, bits + 1, bits + 1]
+        assert big.total_entropy == bits + 1
+        assert [small.entropy(s) for s in ([], [1], [2], [1, 2])] == [0, 1, 2, 2]
+        assert all(isinstance(big.entropy_of_mask(m), Fraction) for m in range(8))
+
     def test_exact_and_order_independent(self, five_user):
         straight = five_user.entropy([1, 3, 5])
         assert straight == five_user.entropy([5, 3, 1])

@@ -10,8 +10,7 @@ from omnirate import (AffineValue, BitPoolSource, DomainError, EntropyTable,
 from omnirate.par import (MinimizerChain, ParState, extract_psp,
                           fusion_oracle_at, initial_state, iter_parametric,
                           mda_reference, parametric_iteration, prefix_psp,
-                          run_parametric, solve_chain_breakpoints,
-                          strong_map_chain)
+                          run_parametric, solve_chain_breakpoints)
 from omnirate.partition import Segmented
 
 from conftest import (axis_caps, corpus_models, random_alpha, random_bitpool,
@@ -92,15 +91,16 @@ class TestChainSearch:
     def test_second_user_single_probe(self, five_user, golden_states):
         state = golden_states[1]
         carrier = frozenset({1, 2})
-        probes = []
-        crossings = strong_map_chain(state, Partition.singletons(carrier),
-                                     Partition.whole(carrier), probes=probes)
+        after = parametric_iteration(state)
+        probes = after.last_probes
+        crossings = dict(zip(after.last_chain.sets[:-1], after.last_chain.alphas[:-1]))
         assert crossings == {frozenset({2}): F(4)}
         # crossing of the two-singleton line with the one-block line
         assert probes[0].alpha == 10 - (8 + 6 - 8)
         chain = solve_chain_breakpoints(state, {**crossings, carrier: F(10)})
         assert chain.sets == (frozenset({2}), carrier)
         assert chain.alphas == (F(4), F(10))
+        assert after.last_chain == chain
 
     def test_fifth_user_chain_and_probes(self, golden_states):
         st = golden_states[5]
@@ -119,21 +119,20 @@ class TestChainSearch:
         model = BitPoolSource(["x", "y"])
         state = initial_state(model)
         carrier = frozenset({1, 2})
-        crossings = strong_map_chain(state, Partition.singletons(carrier),
-                                     Partition.whole(carrier))
-        crossings[carrier] = model.total_entropy
-        chain = solve_chain_breakpoints(state, crossings)
+        final = parametric_iteration(state)
+        chain = final.last_chain
         # the two-block set only ties at H(V): it is never selected below it
         assert chain.sets == (frozenset({2}), carrier)
         assert chain.alphas == (model.total_entropy, model.total_entropy)
-        final = parametric_iteration(state)
         assert list(final.partition_view) == [seg(0, 2, Partition([[1], [2]]))]
 
     def test_requires_strict_refinement(self, golden_states):
         carrier = frozenset({1, 2})
         p = Partition.singletons(carrier)
+        table = par._extended_table(golden_states[1], 2)
         with pytest.raises(DomainError):
-            strong_map_chain(golden_states[1], p, p)
+            par._chain_search(golden_states[1].model, table, p, p, frozenset({2}),
+                              carrier, [], {})
 
 
 def solved_breakpoints(state: ParState, sets) -> tuple[Fraction, ...]:

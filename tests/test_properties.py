@@ -13,23 +13,20 @@ from itertools import combinations
 from hypothesis import given, settings, strategies as st
 
 from omnirate import coordinate_saturation, format_table, parse_model, validate
-from omnirate.oracle import brute_min_sum_rate
-from omnirate.par import (fusion_oracle_at, iter_parametric, mda_reference,
-                          run_parametric)
+from omnirate.par import fusion_oracle_at, iter_parametric
 from omnirate.partition import Segmented
+from omnirate.verify import fusion_gaps, verify_model
 
 from conftest import random_alpha, random_bitpool, rank_sum_table
 
 F = Fraction
 
 
-def _anchored_unions(oracle, rng, count):
-    rest = oracle.non_anchor_blocks
+def _anchored_unions(anchor, rest, rng, count):
     picks = []
     for _ in range(count):
         chosen = [b for b in rest if rng.random() < 0.5]
-        picks.append(frozenset(oracle.anchor).union(*chosen) if chosen
-                     else frozenset(oracle.anchor))
+        picks.append(anchor.union(*chosen) if chosen else anchor)
     return picks
 
 
@@ -46,19 +43,18 @@ class TestStrictStrongMap:
                 if lo == hi:
                     continue
                 lo, hi = min(lo, hi), max(lo, hi)
-                o_lo = fusion_oracle_at(prev, i, lo)
-                o_hi = fusion_oracle_at(prev, i, hi)
                 # unions of the coarser lattice's blocks are valid in both
-                for x in _anchored_unions(o_hi, rng, 3):
-                    for y in _anchored_unions(o_hi, rng, 3):
-                        if not x <= y:
-                            continue
-                        gap_lo = o_lo.f_tilde(y) - o_lo.f_tilde(x)
-                        gap_hi = o_hi.f_tilde(y) - o_hi.f_tilde(x)
-                        if x == y:
-                            assert gap_lo == gap_hi == 0
-                        else:
-                            assert gap_lo > gap_hi
+                anchor, rest = frozenset({i}), prev.partition_at(hi).blocks
+                pairs = []
+                for x in _anchored_unions(anchor, rest, rng, 3):
+                    for y in _anchored_unions(anchor, rest, rng, 3):
+                        if x <= y:
+                            pairs.append((x, y))
+                for (x, y), (gap_lo, gap_hi) in zip(pairs, fusion_gaps(prev, lo, hi, pairs)):
+                    if x == y:
+                        assert gap_lo == gap_hi == 0
+                    else:
+                        assert gap_lo > gap_hi
 
 
 class TestNestedMinimizers:
@@ -137,9 +133,6 @@ def test_table_text_path_sweep_matches_references(n, seed):
     assert [model.entropy_of_mask(m) for m in range(1 << table.size)] == \
         [table.entropy_of_mask(m) for m in range(1 << table.size)]
     assert validate(model) == []
-    _, psp = run_parametric(model)
-    mda_rate, mda_part, mda_rates = mda_reference(model)
-    brute_rate, brute_part = brute_min_sum_rate(model)
-    assert psp.min_sum_rate == mda_rate == brute_rate
-    assert psp.finest_maximizer == mda_part == brute_part
-    assert psp.rates == mda_rates
+    # sweep vs fixed-point baseline and brute enumeration, among the rest
+    # of `verify`'s checks
+    assert verify_model(model, ()).failed == ()

@@ -1,7 +1,6 @@
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st, target
@@ -19,12 +18,10 @@ from conftest import (planted_pair_bitpool, random_bitpool, rank_sum_table,
 
 def lattice_oracle(model, alpha, blocks, anchor, rates):
     """The oracle on `blocks` with `anchor` moved last and the per-user
-    `rates` summed per block, as ints over the lcm of the sums' denominators."""
+    `rates` summed per block."""
     blocks = [b for b in map(frozenset, blocks) if b != anchor] + [frozenset(anchor)]
     sums = [sum((Fraction(rates[u]) for u in b), Fraction(0)) for b in blocks]
-    scale = lcm(*(s.denominator for s in sums))
-    return FusionOracle(model, Fraction(alpha), tuple(blocks),
-                        tuple(s.numerator * (scale // s.denominator) for s in sums), scale)
+    return FusionOracle.from_fractions(model, Fraction(alpha), blocks, sums)
 
 
 def oracle_for(model, alpha, blocks, anchor_user, rates):
