@@ -56,7 +56,9 @@ probe: the partitions (singletons, P(top) with S_0 fused) and the bracket
 partition is optimal at top and has fewer blocks (a flatter line), and
 every child's probe lies between its parent's, so no probe leaves the
 axis.  With top = H(V) that child is the whole-axis top call; with
-S_0 = {i} monotonicity leaves no chain below it.  The initial rate
+S_0 = {i} monotonicity leaves no chain below it, so such an iteration
+costs one probe and one table map that appends {i} at its tight rate
+alpha - H(V) + H({i}).  The initial rate
 r_1 = alpha - H(V) + H({1}) refers to H(V) whatever the top: the axis is
 cut, not shifted.  The principal sequence needs the whole axis, so
 `extract_psp` and `prefix_psp` reject a truncated state.
@@ -188,24 +190,23 @@ def initial_state(model: SourceModel, top=None) -> ParState:
     top = total if top is None else as_rational(top)
     if not 0 <= top <= total:
         raise DomainError(f"axis top {top} outside [0, {total}]")
-    rate = AffineValue(model.entropy({1}) - total, Fraction(1))
-    slice_ = StateSlice(Partition([singleton(1)]), (rate,))
+    slice_ = StateSlice(Partition([singleton(1)]), (_tight_rate(model, model.entropy({1})),))
     return ParState(model, 1, Segmented.constant(top, slice_))
 
 
-def _extended_table(state: ParState, user: int) -> Segmented:
-    """State table with block {user} appended and its rate at alpha - H(V)."""
-    fresh = AffineValue(-state.model.total_entropy, Fraction(1))
-    block = singleton(user)
+def _tight_rate(model: SourceModel, entropy: Fraction = Fraction(0)) -> AffineValue:
+    """alpha - H(V) + entropy: the rate sum of every stored block B at H(B);
+    at 0, the rate a new user enters the update with."""
+    return AffineValue(entropy - model.total_entropy, Fraction(1))
 
-    def extend(slice_: StateSlice) -> StateSlice:
-        # user is the largest id, so appending its block keeps the order
-        return StateSlice(
-            Partition._from_canonical(slice_.partition.blocks + (block,)),
-            slice_.rates + (fresh,),
-        )
 
-    return state.table.map(extend)
+def _extended(slice_: StateSlice, user: int, rate: AffineValue) -> StateSlice:
+    """`slice_` with the block {user} appended at rate `rate`."""
+    # user is the largest id, so appending its block keeps the order
+    return StateSlice(
+        Partition._from_canonical(slice_.partition.blocks + (singleton(user),)),
+        slice_.rates + (rate,),
+    )
 
 
 def _oracle_at(model: SourceModel, slice_: StateSlice, alpha: Fraction,
@@ -264,20 +265,18 @@ def _block_rates(rates: tuple[AffineValue, ...], blocks,
     return tuple(sums), scale * q
 
 
-def fusion_oracle_at(state: ParState, user: int, alpha) -> FusionOracle:
-    """The fusion problem user `user` would solve at `alpha` on top of `state`.
+def fusion_oracle_at(state: ParState, alpha) -> FusionOracle:
+    """The fusion problem the next user would solve at `alpha` on top of `state`.
 
     Exposed for checks: the returned oracle evaluates f~ on the whole
-    pre-update lattice of iteration `user`, not on the bracketed sublattice
-    a chain-search probe at `alpha` minimizes over.
+    pre-update lattice of the next iteration, not on the bracketed
+    sublattice a chain-search probe at `alpha` minimizes over.
     """
-    if user != state.carrier_size + 1:
-        raise DomainError(
-            f"state covers users 1..{state.carrier_size}; next user is "
-            f"{state.carrier_size + 1}, not {user}"
-        )
+    user = state.carrier_size + 1
+    if user > state.model.size:
+        raise DomainError("state already covers the whole ground set")
     alpha = as_rational(alpha)
-    slice_ = _extended_table(state, user).value_at(alpha)
+    slice_ = _extended(state.table.value_at(alpha), user, _tight_rate(state.model))
     return _oracle_at(state.model, slice_, alpha, singleton(user),
                       frozenset(range(1, user + 1)))
 
@@ -292,7 +291,7 @@ def _chain_search(model, table, p_down, p_up, inner, outer, probes,
     h_up = partition_entropy(model, p_up)
     alpha = model.total_entropy - (h_down - h_up) / (len(p_down) - len(p_up))
     probes.append(Probe(alpha, p_down, p_up))
-    found, fused_partition = _probe(model, table, alpha, inner, outer)
+    found, fused_partition = _probe(model, table.value_at(alpha), alpha, inner, outer)
     if fused_partition == p_down:
         # terminal: m switches from inner to outer at alpha
         if inner != outer:
@@ -304,10 +303,9 @@ def _chain_search(model, table, p_down, p_up, inner, outer, probes,
                   crossings)
 
 
-def _probe(model, table, alpha, inner, outer) -> tuple[frozenset[int], Partition]:
+def _probe(model, slice_, alpha, inner, outer) -> tuple[frozenset[int], Partition]:
     """Minimal minimizer at `alpha` on the bracket (inner, outer), and the
-    stored partition at `alpha` with it fused."""
-    slice_ = table.value_at(alpha)
+    partition of `slice_`, the stored one at `alpha`, with it fused."""
     found = minimize(_oracle_at(model, slice_, alpha, inner, outer)).minimal
     return found, slice_.partition.merge_blocks(found)
 
@@ -345,14 +343,17 @@ def parametric_iteration(state: ParState) -> ParState:
 
     The chain's top set T is the set active at the axis top: V_i on the
     whole axis, else m(top), found by one probe at top over the whole
-    lattice.  The chain below T is the lower child of a probe at top.
+    lattice.  The chain below T is the lower child of a probe at top.  A
+    top of T = {i} ends the iteration there: m is monotone, so {i} is the
+    minimizer on all of [0, top], and the new user joins every slice as a
+    block at its singleton's tight rate, in one table map.
     """
     model = state.model
     user = state.carrier_size + 1
     if user > model.size:
         raise DomainError("state already covers the whole ground set")
-    extended = _extended_table(state, user)
-    top = extended.top
+    top = state.table.top
+    fresh = _tight_rate(model)
     inner = singleton(user)
     carrier = frozenset(range(1, user + 1))
     singletons = Partition._from_canonical(tuple(map(singleton, range(1, user + 1))))
@@ -362,12 +363,17 @@ def parametric_iteration(state: ParState) -> ParState:
         top_set, top_partition = carrier, whole
     else:
         probes.append(Probe(top, singletons, whole))
-        top_set, top_partition = _probe(model, extended, top, inner, carrier)
+        top_slice = _extended(state.table.value_at(top), user, fresh)
+        top_set, top_partition = _probe(model, top_slice, top, inner, carrier)
+        if top_set == inner:
+            tight = _tight_rate(model, model.entropy(inner))
+            return ParState(model, user, state.table.map(lambda s: _extended(s, user, tight)),
+                            last_chain=MinimizerChain((inner,), (top,)),
+                            last_probes=tuple(probes))
+    extended = state.table.map(lambda s: _extended(s, user, fresh))
     crossings = {top_set: top}
-    if top_set != inner:
-        # m is monotone, so T = {i} leaves nothing below it to search
-        _chain_search(model, extended, singletons, top_partition, inner,
-                      top_set, probes, crossings)
+    _chain_search(model, extended, singletons, top_partition, inner,
+                  top_set, probes, crossings)
     chain = solve_chain_breakpoints(state, crossings)
     if chain.sets[0] != inner:
         raise InternalError("minimizer chain must start at the new user's singleton")
@@ -386,8 +392,7 @@ def parametric_iteration(state: ParState) -> ParState:
         gain = AffineValue(model.entropy(fused), Fraction(0))
         for u in sorted(fused - {user}):
             gain = gain - slice_.rates[u - 1]
-        new_rate = AffineValue(-model.total_entropy, Fraction(1)) + gain
-        rates = slice_.rates[:-1] + (new_rate,)
+        rates = slice_.rates[:-1] + (fresh + gain,)
         new_pieces.append((upper, StateSlice(partition, rates)))
 
     return ParState(

@@ -127,10 +127,13 @@ def _block_masks(oracle: FusionOracle) -> tuple[int, list[int]]:
     return subset_mask(oracle.anchor), [subset_mask(b) for b in oracle.non_anchor_blocks]
 
 
-def _offset(oracle: FusionOracle) -> Fraction:
-    """alpha - H(V) - r(anchor): f~(X~) less H(X~) - r(X~ minus the anchor)."""
-    return (oracle.alpha - oracle.model.total_entropy
-            - Fraction(oracle.rates[-1], oracle.scale))
+def _min_value(oracle: FusionOracle, num: int, den: int) -> Fraction:
+    """alpha - H(V) - r(anchor) + num / (den * scale), built as one Fraction:
+    f~ at a union whose H(X~) - r(X~ minus the anchor) is num / (den * scale)."""
+    a, t, scale = oracle.alpha, oracle.model.total_entropy, oracle.scale
+    ad, td = a.denominator, t.denominator
+    return Fraction((a.numerator * td - t.numerator * ad) * den * scale
+                    + (num - oracle.rates[-1] * den) * ad * td, ad * td * den * scale)
 
 
 def _fused(oracle: FusionOracle, choice: int) -> frozenset[int]:
@@ -188,7 +191,7 @@ def minimize_brute(oracle: FusionOracle) -> SfmResult:
         elif lhs == rhs:
             minimal &= choice
             maximal |= choice
-    return SfmResult(_offset(oracle) + Fraction(best_num, best_den * scale),
+    return SfmResult(_min_value(oracle, best_num, best_den),
                      _fused(oracle, minimal), _fused(oracle, maximal), 1 << k)
 
 
@@ -389,8 +392,7 @@ def minimize_cut(oracle: FusionOracle) -> SfmResult:
                 grown = True
     minimal = sum(1 << j for j, mask in enumerate(masks) if mask & reached)
     maximal = sum(1 << j for j, mask in enumerate(masks) if not mask & to_sink)
-    value = (_offset(oracle) + anchor_bits.bit_count()
-             - Fraction(sum(left.values()), oracle.scale))
+    value = _min_value(oracle, anchor_bits.bit_count() * oracle.scale - sum(left.values()), 1)
     return SfmResult(value, _fused(oracle, minimal), _fused(oracle, maximal), paths)
 
 

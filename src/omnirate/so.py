@@ -16,7 +16,10 @@ to C, attains local omniscience in C at sum rate R(C).
 Both the block and its merge point lie at or below alpha_bar, so the sweep
 runs on the truncated axis [0, alpha_bar] only (see `par`): per user one
 minimization at alpha_bar finds the chain top, and the chain search below
-it runs only when that top is more than the new user.
+it runs only when that top is more than the new user.  A user whose top is
+its own singleton costs that one probe and one table map, and the search
+skips reading a plan off that state: no block can have formed at
+alpha_bar.
 """
 
 from __future__ import annotations
@@ -49,15 +52,15 @@ class SOPlan:
 
 
 def lower_bound_alpha(model: SourceModel) -> Fraction:
-    """sum_i (H(V) - H({i})) / (|V| - 1): a guaranteed lower bound on R(V).
+    """(|V| H(V) - sum_i H({i})) / (|V| - 1): a guaranteed lower bound on R(V).
 
     This is the all-singletons evaluation of the partition form of the
     minimum sum-rate problem, hence never exceeds the maximum; it is tight
     for |V| = 2 where no other multi-block partition exists.
     """
-    total = model.total_entropy
-    gaps = sum((total - model.entropy({u}) for u in model.users), Fraction(0))
-    return gaps / (model.size - 1)
+    n, entropy = model.size, model.entropy_of_mask
+    singles = sum((entropy(1 << k) for k in range(n)), Fraction(0))
+    return (n * model.total_entropy - singles) / (n - 1)
 
 
 def plan_from_state(state: ParState, alpha_bar: Fraction) -> SOPlan | None:
@@ -116,10 +119,11 @@ def find_complimentary(model: SourceModel, alpha_bar=None) -> SOPlan | None:
         raise DomainError(f"alpha_bar {alpha_bar} outside [0, {model.total_entropy}]")
 
     for state in iter_parametric(model, alpha_bar):
-        if state.carrier_size == 1:
-            continue
-        if sweep_all and state.carrier_size < model.size:
-            continue
+        if sweep_all:
+            if state.carrier_size < model.size:
+                continue
+        elif state.carrier_size == 1 or len(state.last_chain.sets[-1]) == 1:
+            continue  # the new user is alone at alpha_bar: no block has formed
         plan = plan_from_state(state, alpha_bar)
         if plan is not None:
             return plan

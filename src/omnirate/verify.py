@@ -40,8 +40,7 @@ def fusion_gaps(state: ParState, lo, hi, pairs) -> list[tuple[Fraction, Fraction
     """(gap_lo, gap_hi) per pair (X, Y) of block unions holding the next user:
     gap_a = f~(Y) - f~(X) in that user's whole-lattice fusion problem at a.
     The strict strong map: gap_lo > gap_hi whenever lo < hi and X < Y."""
-    user = state.carrier_size + 1
-    o_lo, o_hi = fusion_oracle_at(state, user, lo), fusion_oracle_at(state, user, hi)
+    o_lo, o_hi = fusion_oracle_at(state, lo), fusion_oracle_at(state, hi)
     return [(o_lo.f_tilde(y) - o_lo.f_tilde(x), o_hi.f_tilde(y) - o_hi.f_tilde(x))
             for x, y in pairs]
 

@@ -19,7 +19,7 @@ from omnirate import (check_achievable, decompose_rates, find_complimentary,
                       lower_bound_alpha, minimize_brute, minimize_mnp, par,
                       run_parametric)
 from omnirate.cli import main
-from omnirate.par import iter_parametric
+from omnirate.par import extract_psp, iter_parametric
 from omnirate.partition import Partition
 from omnirate.verify import fusion_gaps, verify_model
 
@@ -162,7 +162,7 @@ def test_criterion_7_structural_property_suite(corpus):
                 assert small < big, "chain not strictly nested"
             assert all(a <= b for a, b in zip(chain.alphas, chain.alphas[1:]))
         # the optimal rate vector is achievable and tight
-        psp = run_parametric(model)[1]
+        psp = extract_psp(states[-1])
         assert check_achievable(model, psp.rates)
         assert sum(psp.rates, F(0)) == psp.min_sum_rate
     report(7, "strong-map strictness, chain nesting and achievability hold corpus-wide -- pass")

@@ -13,8 +13,8 @@ from omnirate.par import (MinimizerChain, ParState, extract_psp,
                           run_parametric, solve_chain_breakpoints)
 from omnirate.partition import Segmented
 
-from conftest import (axis_caps, corpus_models, random_alpha, random_bitpool,
-                      rank_sum_table, spread_bitpool, twin_bitpool)
+from conftest import (axis_caps, corpus_models, planted_pair_bitpool, random_alpha,
+                      random_bitpool, rank_sum_table, spread_bitpool, twin_bitpool)
 
 AF = AffineValue.of
 F = Fraction
@@ -129,10 +129,9 @@ class TestChainSearch:
     def test_requires_strict_refinement(self, golden_states):
         carrier = frozenset({1, 2})
         p = Partition.singletons(carrier)
-        table = par._extended_table(golden_states[1], 2)
         with pytest.raises(DomainError):
-            par._chain_search(golden_states[1].model, table, p, p, frozenset({2}),
-                              carrier, [], {})
+            par._chain_search(golden_states[1].model, golden_states[1].table, p, p,
+                              frozenset({2}), carrier, [], {})
 
 
 def solved_breakpoints(state: ParState, sets) -> tuple[Fraction, ...]:
@@ -444,7 +443,7 @@ class TestBracketedProbes:
 
         def checked(oracle):
             state = prev[-1]
-            reference = fusion_oracle_at(state, state.carrier_size + 1, oracle.alpha)
+            reference = fusion_oracle_at(state, oracle.alpha)
             result = real_minimize(oracle)
             assert result.minimal == minimize_brute(reference).minimal
             assert len(oracle.non_anchor_blocks) <= len(reference.non_anchor_blocks)
@@ -508,8 +507,9 @@ class TestBracketedProbes:
     def test_bracket_off_the_blocks_raises(self, golden_states):
         # Before user 5 at alpha = 23/4 the blocks are {1,2}, {3}, {4}, {5}.
         alpha = F(23, 4)
-        slice_ = par._extended_table(golden_states[4], 5).value_at(alpha)
         model = golden_states[4].model
+        slice_ = par._extended(golden_states[4].table.value_at(alpha), 5,
+                               par._tight_rate(model))
         oracle = par._oracle_at(model, slice_, alpha, frozenset({3, 5}),
                                 frozenset({1, 2, 3, 5}))
         assert oracle.anchor == frozenset({3, 5}) and oracle.blocks[0] == frozenset({1, 2})
@@ -529,6 +529,9 @@ class TestTruncatedAxis:
     """A sweep on [0, top] is the whole-axis sweep cut at top, state by state."""
 
     def check_clipped(self, rng, models):
+        """Returns how many cut-axis iterations had the new user's singleton
+        as their chain top."""
+        singleton_tops = 0
         for model in models:
             full = list(iter_parametric(model))
             for top in axis_caps(rng, model):
@@ -537,6 +540,9 @@ class TestTruncatedAxis:
                 for state, whole in zip(cut, full):
                     assert state == ParState(model, whole.carrier_size,
                                              clipped(whole.table, top))
+                    if top < model.total_entropy and state.carrier_size > 1:
+                        singleton_tops += len(state.last_chain.sets[-1]) == 1
+        return singleton_tops
 
     def test_random_bitpools(self):
         rng = random.Random(5150)
@@ -552,6 +558,13 @@ class TestTruncatedAxis:
         rng = random.Random(5152)
         self.check_clipped(rng, [rank_sum_table(rng, rng.randint(2, 7))
                                  for _ in range(40)])
+
+    def test_planted_pairs(self):
+        # at the successive-omniscience bound most chain tops are the new
+        # user alone, the iterations that end after their top probe
+        rng = random.Random(5153)
+        models = [planted_pair_bitpool(rng, n) for n in range(10, 17)]
+        assert self.check_clipped(rng, models) > 3 * sum(m.size - 1 for m in models) // 2
 
     def test_initial_rate_refers_to_the_whole_entropy(self, five_user):
         # cut, not shifted: r_1 = alpha - H(V) + H({1}) whatever the top

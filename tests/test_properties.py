@@ -14,10 +14,11 @@ from hypothesis import given, settings, strategies as st
 
 from omnirate import coordinate_saturation, format_table, parse_model, validate
 from omnirate.par import fusion_oracle_at, iter_parametric
-from omnirate.partition import Segmented
+from omnirate.partition import AffineValue, Segmented
 from omnirate.verify import fusion_gaps, verify_model
 
-from conftest import random_alpha, random_bitpool, rank_sum_table
+from conftest import (axis_caps, corpus_models, planted_pair_bitpool, random_alpha,
+                      random_bitpool, rank_sum_table, twin_bitpool)
 
 F = Fraction
 
@@ -88,8 +89,41 @@ class TestNestedMinimizers:
                 chain = state.last_chain
                 alpha = random_alpha(rng, model)
                 idx = next(k for k, a in enumerate(chain.alphas) if alpha <= a)
-                oracle = fusion_oracle_at(prev, state.carrier_size, alpha)
+                oracle = fusion_oracle_at(prev, alpha)
                 assert minimize_brute(oracle).minimal == chain.sets[idx]
+
+
+class TestTightBlocks:
+    """Every stored block B is tight: on every segment of every sweep state,
+    its users' rates sum to alpha - H(V) + H(B)."""
+
+    def check_blocks(self, rng, models):
+        blocks = 0
+        for model in models:
+            for top in axis_caps(rng, model):  # H(V) among them
+                for state in iter_parametric(model, top):
+                    for slice_ in state.table.values:
+                        for b in slice_.partition.blocks:
+                            rates = (slice_.rates[u - 1] for u in b)
+                            assert sum(rates, AffineValue(F(0), F(0))) == AffineValue(
+                                model.entropy(b) - model.total_entropy, F(1))
+                            blocks += 1
+        return blocks
+
+    def test_corpus(self):
+        assert self.check_blocks(random.Random(6025), corpus_models()) > 5000
+
+    def test_rank_sum_tables(self):
+        rng = random.Random(6026)
+        self.check_blocks(rng, [rank_sum_table(rng, rng.randint(2, 7)) for _ in range(40)])
+
+    def test_bitpools_with_identical_users(self):
+        rng = random.Random(6027)
+        self.check_blocks(rng, [twin_bitpool(rng, max_users=8, max_bits=8) for _ in range(40)])
+
+    def test_planted_pairs(self):
+        rng = random.Random(6028)
+        self.check_blocks(rng, [planted_pair_bitpool(rng, n) for n in range(10, 17)])
 
 
 class TestSweepAgreesWithSaturation:

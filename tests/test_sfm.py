@@ -92,7 +92,7 @@ class TestBruteOnGoldenSource:
         # iterations: a cap of 2 solves it, a cap of 1 raises.
         from omnirate import SolverError
         state = list(iter_parametric(five_user))[3]
-        o = fusion_oracle_at(state, 5, Fraction(23, 4))
+        o = fusion_oracle_at(state, Fraction(23, 4))
         assert len(o.non_anchor_blocks) == 3
         assert minimize_mnp(o, iteration_cap=2) == minimize_brute(o)
         with pytest.raises(SolverError):
@@ -241,10 +241,16 @@ def test_backends_agree_through_minimize(five_user):
 
 def test_fusion_oracle_helper_matches_manual(five_user):
     states = list(iter_parametric(five_user))
-    o = fusion_oracle_at(states[3], 5, Fraction(23, 4))
+    o = fusion_oracle_at(states[3], Fraction(23, 4))
     assert o.blocks == (frozenset({1, 2}), frozenset({3}), frozenset({4}), frozenset({5}))
     assert o.f_tilde(frozenset({5})) == 5
     assert o.f_tilde(frozenset({1, 2, 5})) == Fraction(21, 4)
+
+
+def test_fusion_oracle_helper_needs_a_next_user(five_user):
+    final = list(iter_parametric(five_user))[-1]
+    with pytest.raises(DomainError, match="whole ground set"):
+        fusion_oracle_at(final, Fraction(23, 4))
 
 
 def enumerated_extremes(oracle):
@@ -313,20 +319,20 @@ def test_gray_walk_queries_each_union_once(monkeypatch):
     walk = []
     walking = [True]
     real_entropy = model.entropy_of_mask
-    real_offset = sfm._offset
+    real_min_value = sfm._min_value
 
     def counted(mask):
         if walking[0]:
             walk.append(mask)
         return real_entropy(mask)
 
-    def offset(oracle):
-        # The walk is over once the constant part of f~ (it reads H(V)) is read.
+    def min_value(oracle, num, den):
+        # The walk is over once the minimum is built (it reads H(V)).
         walking[0] = False
-        return real_offset(oracle)
+        return real_min_value(oracle, num, den)
 
     monkeypatch.setattr(model, "entropy_of_mask", counted)
-    monkeypatch.setattr(sfm, "_offset", offset)
+    monkeypatch.setattr(sfm, "_min_value", min_value)
     res = minimize_brute(o)
     unions = {subset_mask({7}.union(*combo))
               for r in range(5) for combo in combinations(map(set, blocks[1:]), r)}

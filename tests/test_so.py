@@ -9,7 +9,8 @@ from omnirate import (BitPoolSource, DecompositionError, DomainError,
                       par, plan_from_state, run_parametric,
                       verify_complimentary)
 
-from conftest import rank_sum_table, random_bitpool, twin_bitpool
+from conftest import (corpus_models, planted_pair_bitpool, rank_sum_table,
+                      random_bitpool, twin_bitpool)
 
 F = Fraction
 
@@ -139,6 +140,25 @@ class TestTruncatedSearch:
         # user 2 only: one probe at the bound, whose minimizer {1, 2} leads
         # to one chain probe below it
         assert alphas == [F(23, 4), F(4)]
+
+
+class TestSingletonTops:
+    """The default search reads no plan off a state whose chain top at the
+    bound is the new user alone; it still returns the first plan that any
+    state of its cut sweep shows."""
+
+    def check_first_plans(self, models):
+        for model in models:
+            bound = lower_bound_alpha(model)
+            plans = (plan_from_state(s, bound) for s in iter_parametric(model, bound))
+            assert find_complimentary(model) == next(filter(None, plans), None)
+
+    def test_corpus(self):
+        self.check_first_plans(corpus_models())
+
+    def test_planted_pairs(self):
+        rng = random.Random(6163)
+        self.check_first_plans([planted_pair_bitpool(rng, n) for n in range(10, 17)])
 
 
 class TestVerifyComplimentary:
