@@ -29,7 +29,7 @@ from typing import Iterable
 from .errors import DomainError
 from .model import SourceModel, as_rational
 from .partition import Partition, singleton
-from .sfm import FusionOracle, minimize
+from .sfm import minimize, saturation_oracle
 
 
 @dataclass(frozen=True)
@@ -87,19 +87,17 @@ def coordinate_saturation(model: SourceModel, alpha, carrier=None) -> DilworthRe
     """
     alpha = check_alpha(model, alpha)
     users = check_carrier(model, carrier)
-    f_alpha = AlphaFunction(model, alpha)
     base = alpha - model.total_entropy
 
-    rates = [f_alpha(users[:1])]
+    rates = [base + model.entropy(users[:1])]
     partition = Partition.singletons(users[:1])
     for user in users[1:]:
         # Each block C of the partition has r(C) = f_alpha(C): the raise below
         # gives a fused block M the sum r(M - {user}) + base + f~(M) = f_alpha(M).
-        blocks = partition.blocks + (singleton(user),)
-        values = (*map(f_alpha, partition.blocks), base)
-        result = minimize(FusionOracle.from_fractions(model, alpha, blocks, values))
+        new = (singleton(user),)
+        result = minimize(saturation_oracle(model, alpha, partition.blocks, new))
         rates.append(base + result.min_value)
-        partition = Partition(blocks).merge_blocks(result.minimal)
+        partition = Partition(partition.blocks + new).merge_blocks(result.minimal)
 
     return DilworthResult(users, tuple(rates), partition, sum(rates, Fraction(0)))
 

@@ -44,6 +44,14 @@ to its outer set exactly at the probe's alpha: the inner set's critical
 point whenever inner != outer.  `solve_chain_breakpoints` orders them and
 checks each exactly: r_alpha(S_{j-1} \\ S_j) = H(S_{j-1}) - H(S_j).
 
+Every stored block B is tight: on each segment its users' rates sum to
+f_alpha(B) = alpha - H(V) + H(B), as in coordinate saturation.  So a probe's
+oracle takes its rates from block entropies (`sfm.saturation_oracle`, shared
+with `dilworth`), and on a segment with chain set S_j the update gives the
+new user H(S_j) - sum H(B) + (k - 1) H(V) + (1 - k) alpha over the k stored
+blocks B inside S_j - {i}.  The tests' `TestTightBlocks` gates this; at run
+time `solve_chain_breakpoints` checks it against the per-user rates.
+
 The sweep can also run on a truncated axis [0, top], top < H(V): successive
 omniscience reads the state at one lower bound only (`so`).  The state at
 alpha depends only on the state at alpha, so the state on [0, top] after
@@ -73,14 +81,13 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 from typing import Iterator
 
 from .dilworth import coordinate_saturation
 from .errors import DomainError, InternalError
 from .model import SourceModel, as_rational, partition_entropy
 from .partition import AffineValue, Partition, Segmented, singleton
-from .sfm import FusionOracle, minimize
+from .sfm import FusionOracle, minimize, saturation_oracle
 
 
 @dataclass(frozen=True)
@@ -214,10 +221,10 @@ def _oracle_at(model: SourceModel, slice_: StateSlice, alpha: Fraction,
     """Fusion oracle at `alpha` on the sublattice between `inner` and `outer`.
 
     The blocks of the slice's partition inside `outer` are kept (restriction)
-    and those meeting `inner` fuse into the anchor (contraction); each block
-    gets its users' rate sum.  `outer` must be a union of blocks holding
-    `inner`, which the bracket argument guarantees; a violation means the
-    search state is corrupt.
+    and those meeting `inner` fuse into the anchor (contraction); every block
+    is tight, so `saturation_oracle` gives each its rate from its entropy.
+    `outer` must be a union of blocks holding `inner`, which the bracket
+    argument guarantees; a violation means the search state is corrupt.
     """
     anchor_blocks, rest = [], []
     for b in slice_.partition.blocks:
@@ -225,44 +232,14 @@ def _oracle_at(model: SourceModel, slice_: StateSlice, alpha: Fraction,
             anchor_blocks.append(b)
         elif b <= outer:
             rest.append(b)
-    # A lone block is kept as is, so a shared singleton stays shared in the
-    # partitions the sweep stores.
-    anchor = (anchor_blocks[0] if len(anchor_blocks) == 1
-              else frozenset().union(*anchor_blocks))
-    if not anchor <= outer or len(anchor) + sum(map(len, rest)) != len(outer):
+    if (not all(b <= outer for b in anchor_blocks)
+            or sum(map(len, anchor_blocks + rest)) != len(outer)):
         raise InternalError(
             f"bracket {sorted(inner)} <= {sorted(outer)} is not a block union "
             f"at alpha {alpha}"
         )
-    # Anchor last: on the whole lattice that is where the new user's
-    # singleton sits, so `fusion_oracle_at` keeps the partition's order.
-    blocks = (*rest, anchor)
-    return FusionOracle(model, alpha, blocks, *_block_rates(slice_.rates, blocks, alpha))
-
-
-def _block_rates(rates: tuple[AffineValue, ...], blocks,
-                 alpha: Fraction) -> tuple[tuple[int, ...], int]:
-    """Each block's rate sum sum_{u in b} rates[u - 1].at(alpha), as ints
-    over one shared denominator, and that denominator.
-
-    The users' intercepts and slopes are scaled to ints over one common
-    denominator `scale`, the lcm of theirs (1 on bit pools), and summed per
-    block as ints; with alpha = p/q, a block's rate is then
-    (intercepts * q + slopes * p) / (scale * q).
-    """
-    used = [rates[u - 1] for b in blocks for u in b]
-    scale = lcm(*{r.intercept.denominator for r in used},
-                *{r.slope.denominator for r in used})
-    p, q = alpha.numerator, alpha.denominator
-    sums = []
-    for b in blocks:
-        intercepts = slopes = 0
-        for u in b:
-            r = rates[u - 1]
-            intercepts += r.intercept.numerator * (scale // r.intercept.denominator)
-            slopes += r.slope.numerator * (scale // r.slope.denominator)
-        sums.append(intercepts * q + slopes * p)
-    return tuple(sums), scale * q
+    # The new user's singleton, the slice's last block, is the last anchor part.
+    return saturation_oracle(model, alpha, rest, anchor_blocks)
 
 
 def fusion_oracle_at(state: ParState, alpha) -> FusionOracle:
@@ -276,9 +253,8 @@ def fusion_oracle_at(state: ParState, alpha) -> FusionOracle:
     if user > state.model.size:
         raise DomainError("state already covers the whole ground set")
     alpha = as_rational(alpha)
-    slice_ = _extended(state.table.value_at(alpha), user, _tight_rate(state.model))
-    return _oracle_at(state.model, slice_, alpha, singleton(user),
-                      frozenset(range(1, user + 1)))
+    return saturation_oracle(state.model, alpha, state.partition_at(alpha).blocks,
+                             (singleton(user),))
 
 
 def _chain_search(model, table, p_down, p_up, inner, outer, probes,
@@ -338,7 +314,7 @@ def parametric_iteration(state: ParState) -> ParState:
 
     Finds the minimizer chain and its critical points, adds those points to
     the segment ends, and applies the per-segment update: the new
-    user's rate gains f~(S_j) (an affine value) and the blocks of S_j fuse.
+    user's rate gains f~(S_j) (from block entropies) and the blocks of S_j fuse.
     Empty chain segments (equal adjacent critical points) are dropped.
 
     The chain's top set T is the set active at the axis top: V_i on the
@@ -382,17 +358,17 @@ def parametric_iteration(state: ParState) -> ParState:
     for upper in sorted(set(extended.uppers).union(chain.alphas)):
         slice_ = extended.value_at(upper)
         fused = chain.sets[bisect_left(chain.alphas, upper)]
-        try:
-            partition = slice_.partition.merge_blocks(fused)
-        except DomainError:
-            raise InternalError(
-                f"minimizer {sorted(fused)} is not a block union on the segment "
-                f"ending at {upper}"
-            ) from None
-        gain = AffineValue(model.entropy(fused), Fraction(0))
-        for u in sorted(fused - {user}):
-            gain = gain - slice_.rates[u - 1]
-        rates = slice_.rates[:-1] + (fresh + gain,)
+        # The k stored blocks B inside S_j - {i} are tight, so the new user
+        # gets H(S_j) - sum (alpha - H(V) + H(B)) - H(V) + alpha.
+        stored = [b for b in slice_.partition.blocks[:-1] if b <= fused]
+        if sum(map(len, stored)) + 1 != len(fused):
+            raise InternalError(f"minimizer {sorted(fused)} is not a block union "
+                                f"on the segment ending at {upper}")
+        partition = slice_.partition.merge_blocks(fused)
+        rate = AffineValue(model.entropy(fused) - partition_entropy(model, stored)
+                           + (len(stored) - 1) * model.total_entropy,
+                           Fraction(1 - len(stored)))
+        rates = slice_.rates[:-1] + (rate,)
         new_pieces.append((upper, StateSlice(partition, rates)))
 
     return ParState(

@@ -68,9 +68,11 @@ class FusionOracle:
 
     `blocks` is the carrier partition with the anchor, the block that every
     candidate must contain, last; `rates` is parallel to it, each block's
-    exact rate sum as an int over the shared denominator `scale`; `alpha`
-    is the sum-rate estimate.  Submodularity of the evaluator needs no
-    check: it holds for any rates.
+    exact rate sum as an int over the shared denominator `scale`, a
+    positive int; `alpha` is the sum-rate estimate.  Submodularity of the
+    evaluator needs no check: it holds for any rates.  `saturation_oracle`
+    builds every production oracle; `from_fractions` takes arbitrary
+    `Fraction` rates, which is how the tests build theirs.
     """
 
     model: SourceModel
@@ -105,6 +107,28 @@ class FusionOracle:
             raise DomainError("candidate must be a union of blocks containing the anchor")
         return (self.alpha - self.model.total_entropy + self.model.entropy(fused)
                 - Fraction(rate, self.scale))
+
+
+def saturation_oracle(model: SourceModel, alpha: Fraction, blocks,
+                      anchor_parts) -> FusionOracle:
+    """The oracle of adding one user at `alpha` to a partition of tight blocks.
+
+    Each block B of `blocks` and of `anchor_parts` but the last, the new
+    user's singleton, has rate f_alpha(B) = alpha - H(V) + H(B); the
+    singleton enters at alpha - H(V) and the anchor, the parts' union, at
+    their sum.  With alpha = p/q and d the lcm of the entropies'
+    denominators (1 on bit pools), every rate is an int over d * q.
+    """
+    total, k = model.total_entropy, len(blocks)
+    entropies = [model.entropy_of_mask(subset_mask(b)) for b in (*blocks, *anchor_parts[:-1])]
+    d = lcm(total.denominator, *(h.denominator for h in entropies))
+    q = alpha.denominator
+    base = alpha.numerator * d - q * total.numerator * (d // total.denominator)
+    rates = [base + q * h.numerator * (d // h.denominator) for h in entropies]
+    # A lone part is kept as is, so a shared singleton stays shared.
+    anchor = anchor_parts[0] if len(anchor_parts) == 1 else frozenset().union(*anchor_parts)
+    return FusionOracle(model, alpha, (*blocks, anchor),
+                        (*rates[:k], base + sum(rates[k:])), d * q)
 
 
 @dataclass(frozen=True)

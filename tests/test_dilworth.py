@@ -44,14 +44,19 @@ class TestCoordinateSaturation:
 
     def test_rank_sum_tables_with_mixed_denominators(self, monkeypatch):
         # Each step scales its blocks' f_alpha values to ints over one
-        # denominator.  At R_CO the rates and partition equal those of
-        # mda_reference and of the parametric sweep, which builds its block
-        # rates on another path; many steps mix block denominators.
+        # denominator, through the oracle builder the sweep's probes share;
+        # every rate is checked against f_alpha in Fractions.  At R_CO the
+        # rates and partition equal those of mda_reference and of the
+        # parametric sweep; many steps mix block denominators.
         real_minimize = dilworth.minimize
         mixed = []
 
         def recorded(oracle):
-            denominators = {Fraction(r, oracle.scale).denominator for r in oracle.rates}
+            rates = [Fraction(r, oracle.scale) for r in oracle.rates]
+            f_alpha = AlphaFunction(model, alpha)
+            assert rates[:-1] == [f_alpha(b) for b in oracle.non_anchor_blocks]
+            assert rates[-1] == alpha - model.total_entropy
+            denominators = {r.denominator for r in rates}
             mixed.append(len(denominators) > 1)
             return real_minimize(oracle)
 

@@ -513,6 +513,11 @@ class TestBracketedProbes:
         oracle = par._oracle_at(model, slice_, alpha, frozenset({3, 5}),
                                 frozenset({1, 2, 3, 5}))
         assert oracle.anchor == frozenset({3, 5}) and oracle.blocks[0] == frozenset({1, 2})
+        # the whole bracket is the lattice `fusion_oracle_at` builds directly
+        whole = par._oracle_at(model, slice_, alpha, frozenset({5}), frozenset(range(1, 6)))
+        reference = fusion_oracle_at(golden_states[4], alpha)
+        assert (whole.blocks, whole.rates, whole.scale) == (
+            reference.blocks, reference.rates, reference.scale)
         with pytest.raises(InternalError):   # the upper end splits {1,2}
             par._oracle_at(model, slice_, alpha, frozenset({5}), frozenset({1, 5}))
         with pytest.raises(InternalError):   # the lower end leaves the upper
