@@ -22,10 +22,12 @@ FIVE_USERS = ["abcdfgij", "abcfij", "efhi", "bcej", "bcdhi"]
 def show_state(state, minimizations):
     print(f"\n--- after user {state.carrier_size} "
           f"(submodular minimizations so far: {minimizations}) ---")
-    for k, (lower, upper, slice_) in enumerate(state.table):
+    # every end of the partition table and of each user's rate function
+    uppers = sorted(set(state.table.uppers).union(*(r.uppers for r in state.rates)))
+    for k, (lower, upper) in enumerate(zip([Fraction(0), *uppers], uppers)):
         span = f"{'(' if k else '['}{lower}, {upper}]"
-        rates = ", ".join(str(r) for r in slice_.rates)
-        print(f"  {span:12s} {str(slice_.partition):28s} ({rates})")
+        rates = ", ".join(str(r.value_at(upper)) for r in state.rates)
+        print(f"  {span:12s} {str(state.partition_at(upper)):28s} ({rates})")
     if state.last_chain is not None:
         sets = "  ".join("{" + ",".join(map(str, sorted(s))) + "}"
                          for s in state.last_chain.sets)

@@ -24,7 +24,7 @@ def main():
         print(f"\ntruncation over users 1..{i}")
         print(f"  {'segment':14s} {'slope':>5s} {'intercept':>9s}   value at ends")
         previous_end = None
-        for k, (lower, upper, part) in enumerate(state.partition_view):
+        for k, (lower, upper, part) in enumerate(state.table):
             slope = len(part)
             intercept = partition_entropy(model, part) - slope * total
             lo_val = slope * lower + intercept

@@ -111,7 +111,7 @@ def cmd_truncation_csv(args) -> int:
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["alpha_lo", "alpha_hi", "slope", "intercept", "partition"])
     d = args.decimal
-    for lower, upper, part in state.partition_view:
+    for lower, upper, part in state.table:
         slope = Fraction(len(part))
         intercept = partition_entropy(model, part) - len(part) * model.total_entropy
         writer.writerow([

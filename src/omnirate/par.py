@@ -1,11 +1,13 @@
 """Parametric sweep: the whole alpha axis in one pass per user.
 
 Instead of running coordinate saturation at a single alpha, the sweep keeps
-the partition and the rate vector as segmented functions of alpha on
+the partition and each user's rate as segmented functions of alpha on
 [0, H(V)] and extends them one user at a time.  The state after user i is
 exact for every alpha simultaneously: its partition at alpha equals the
 finest Dilworth minimizer over the first i users and its rate vector lies
-in the corresponding base polyhedron.
+in the corresponding base polyhedron.  User i's rate is fixed by iteration
+i: later iterations only add users and fuse blocks, so each rate function
+is written once and the partition table is all that changes.
 
 Per added user i the minimal minimizer of the fusion function is itself a
 segmented quantity: a nested chain of user sets
@@ -50,7 +52,9 @@ oracle takes its rates from block entropies (`sfm.saturation_oracle`, shared
 with `dilworth`), and on a segment with chain set S_j the update gives the
 new user H(S_j) - sum H(B) + (k - 1) H(V) + (1 - k) alpha over the k stored
 blocks B inside S_j - {i}.  The tests' `TestTightBlocks` gates this; at run
-time `solve_chain_breakpoints` checks it against the per-user rates.
+time `solve_chain_breakpoints` checks it against the per-user rates.  The
+probes therefore read only the partition table, never a rate, and the new
+user's rate is the one value each iteration writes besides it.
 
 The sweep can also run on a truncated axis [0, top], top < H(V): successive
 omniscience reads the state at one lower bound only (`so`).  The state at
@@ -65,8 +69,8 @@ partition is optimal at top and has fewer blocks (a flatter line), and
 every child's probe lies between its parent's, so no probe leaves the
 axis.  With top = H(V) that child is the whole-axis top call; with
 S_0 = {i} monotonicity leaves no chain below it, so such an iteration
-costs one probe and one table map that appends {i} at its tight rate
-alpha - H(V) + H({i}).  The initial rate
+costs one probe, one table map that appends the block {i}, and the
+constant rate function alpha - H(V) + H({i}).  The initial rate
 r_1 = alpha - H(V) + H({1}) refers to H(V) whatever the top: the axis is
 cut, not shifted.  The principal sequence needs the whole axis, so
 `extract_psp` and `prefix_psp` reject a truncated state.
@@ -88,14 +92,6 @@ from .errors import DomainError, InternalError
 from .model import SourceModel, as_rational, partition_entropy
 from .partition import AffineValue, Partition, Segmented, singleton
 from .sfm import FusionOracle, minimize, saturation_oracle
-
-
-@dataclass(frozen=True)
-class StateSlice:
-    """Partition plus affine rate vector valid on one alpha segment."""
-
-    partition: Partition
-    rates: tuple[AffineValue, ...]
 
 
 @dataclass(frozen=True)
@@ -130,17 +126,20 @@ class MinimizerChain:
 class ParState:
     """Segmented sweep state for the prefix carrier 1..carrier_size.
 
-    `table` maps the alpha segments of the axis [0, table.top] to StateSlice
-    values; the top is H(V) unless the sweep was started truncated (see
-    `initial_state`).  `last_chain` and
-    `last_probes` document the iteration that produced this state (None and
-    () for the base state).  Each probe issued exactly one submodular
-    minimization, so the sweep's SFM count is the sum of len(last_probes).
+    `table` maps the alpha segments of the axis [0, table.top] to the
+    partition there; the top is H(V) unless the sweep was started truncated
+    (see `initial_state`).  `rates[u - 1]` is user u's rate as a segmented
+    `AffineValue` on the same axis, written by iteration u and shared by
+    every later state.  `last_chain` and `last_probes` document the
+    iteration that produced this state (None and () for the base state).
+    Each probe issued exactly one submodular minimization, so the sweep's
+    SFM count is the sum of len(last_probes).
     """
 
     model: SourceModel
     carrier_size: int
     table: Segmented
+    rates: tuple[Segmented, ...]
     last_chain: MinimizerChain | None = field(default=None, compare=False)
     last_probes: tuple[Probe, ...] = field(default=(), compare=False)
 
@@ -149,21 +148,17 @@ class ParState:
         return tuple(range(1, self.carrier_size + 1))
 
     def partition_at(self, alpha) -> Partition:
-        return self.table.value_at(alpha).partition
+        return self.table.value_at(alpha)
 
     def rates_at(self, alpha) -> tuple[Fraction, ...]:
         alpha = as_rational(alpha)
-        return tuple(r.at(alpha) for r in self.table.value_at(alpha).rates)
-
-    @property
-    def partition_view(self) -> Segmented:
-        """Segmented partition only; adjacent equal partitions merged."""
-        return self.table.map(lambda s: s.partition)
+        return tuple(r.value_at(alpha).at(alpha) for r in self.rates)
 
     @property
     def rate_view(self) -> Segmented:
-        """Segmented affine rate vector only; adjacent equal vectors merged."""
-        return self.table.map(lambda s: s.rates)
+        """Segmented affine rate vector, on the union of the users' segment ends."""
+        uppers = sorted(set().union(*(r.uppers for r in self.rates)))
+        return Segmented((u, tuple(r.value_at(u) for r in self.rates)) for u in uppers)
 
 
 @dataclass(frozen=True)
@@ -197,37 +192,33 @@ def initial_state(model: SourceModel, top=None) -> ParState:
     top = total if top is None else as_rational(top)
     if not 0 <= top <= total:
         raise DomainError(f"axis top {top} outside [0, {total}]")
-    slice_ = StateSlice(Partition([singleton(1)]), (_tight_rate(model, model.entropy({1})),))
-    return ParState(model, 1, Segmented.constant(top, slice_))
+    return ParState(model, 1, Segmented.constant(top, Partition([singleton(1)])),
+                    (Segmented.constant(top, _tight_rate(model, singleton(1))),))
 
 
-def _tight_rate(model: SourceModel, entropy: Fraction = Fraction(0)) -> AffineValue:
-    """alpha - H(V) + entropy: the rate sum of every stored block B at H(B);
-    at 0, the rate a new user enters the update with."""
-    return AffineValue(entropy - model.total_entropy, Fraction(1))
+def _tight_rate(model: SourceModel, block: frozenset[int]) -> AffineValue:
+    """alpha - H(V) + H(block): the rate sum of every stored block."""
+    return AffineValue(model.entropy(block) - model.total_entropy, Fraction(1))
 
 
-def _extended(slice_: StateSlice, user: int, rate: AffineValue) -> StateSlice:
-    """`slice_` with the block {user} appended at rate `rate`."""
+def _extended(partition: Partition, user: int) -> Partition:
+    """`partition` with the block {user} appended."""
     # user is the largest id, so appending its block keeps the order
-    return StateSlice(
-        Partition._from_canonical(slice_.partition.blocks + (singleton(user),)),
-        slice_.rates + (rate,),
-    )
+    return Partition._from_canonical(partition.blocks + (singleton(user),))
 
 
-def _oracle_at(model: SourceModel, slice_: StateSlice, alpha: Fraction,
+def _oracle_at(model: SourceModel, partition: Partition, alpha: Fraction,
                inner: frozenset[int], outer: frozenset[int]) -> FusionOracle:
     """Fusion oracle at `alpha` on the sublattice between `inner` and `outer`.
 
-    The blocks of the slice's partition inside `outer` are kept (restriction)
+    The blocks of `partition` inside `outer` are kept (restriction)
     and those meeting `inner` fuse into the anchor (contraction); every block
     is tight, so `saturation_oracle` gives each its rate from its entropy.
     `outer` must be a union of blocks holding `inner`, which the bracket
     argument guarantees; a violation means the search state is corrupt.
     """
     anchor_blocks, rest = [], []
-    for b in slice_.partition.blocks:
+    for b in partition.blocks:
         if not b.isdisjoint(inner):
             anchor_blocks.append(b)
         elif b <= outer:
@@ -238,7 +229,7 @@ def _oracle_at(model: SourceModel, slice_: StateSlice, alpha: Fraction,
             f"bracket {sorted(inner)} <= {sorted(outer)} is not a block union "
             f"at alpha {alpha}"
         )
-    # The new user's singleton, the slice's last block, is the last anchor part.
+    # The new user's singleton, the partition's last block, is the last anchor part.
     return saturation_oracle(model, alpha, rest, anchor_blocks)
 
 
@@ -279,11 +270,11 @@ def _chain_search(model, table, p_down, p_up, inner, outer, probes,
                   crossings)
 
 
-def _probe(model, slice_, alpha, inner, outer) -> tuple[frozenset[int], Partition]:
-    """Minimal minimizer at `alpha` on the bracket (inner, outer), and the
-    partition of `slice_`, the stored one at `alpha`, with it fused."""
-    found = minimize(_oracle_at(model, slice_, alpha, inner, outer)).minimal
-    return found, slice_.partition.merge_blocks(found)
+def _probe(model, partition, alpha, inner, outer) -> tuple[frozenset[int], Partition]:
+    """Minimal minimizer at `alpha` on the bracket (inner, outer), and
+    `partition`, the extended one stored at `alpha`, with it fused."""
+    found = minimize(_oracle_at(model, partition, alpha, inner, outer)).minimal
+    return found, partition.merge_blocks(found)
 
 
 def solve_chain_breakpoints(state: ParState, crossings) -> MinimizerChain:
@@ -301,8 +292,8 @@ def solve_chain_breakpoints(state: ParState, crossings) -> MinimizerChain:
         raise InternalError(f"critical points out of order: {alphas}")
     entropy = state.model.entropy
     for small, big, alpha in zip(chain, chain[1:], alphas):
-        rates = state.table.value_at(alpha).rates
-        sent = sum((rates[u - 1].at(alpha) for u in big - small), Fraction(0))
+        sent = sum((state.rates[u - 1].value_at(alpha).at(alpha) for u in big - small),
+                   Fraction(0))
         if sent != entropy(big) - entropy(small):
             raise InternalError(f"critical point {alpha} of {sorted(small)} < "
                                 f"{sorted(big)} misses its rate equation")
@@ -313,23 +304,23 @@ def parametric_iteration(state: ParState) -> ParState:
     """Extend the sweep state from carrier 1..i-1 to 1..i.
 
     Finds the minimizer chain and its critical points, adds those points to
-    the segment ends, and applies the per-segment update: the new
-    user's rate gains f~(S_j) (from block entropies) and the blocks of S_j fuse.
-    Empty chain segments (equal adjacent critical points) are dropped.
+    the segment ends, and applies the per-segment update: the blocks of S_j
+    fuse and the new user's rate is written from block entropies; the
+    earlier users' rates are kept as they are.  Empty chain segments (equal
+    adjacent critical points) are dropped.
 
     The chain's top set T is the set active at the axis top: V_i on the
     whole axis, else m(top), found by one probe at top over the whole
     lattice.  The chain below T is the lower child of a probe at top.  A
     top of T = {i} ends the iteration there: m is monotone, so {i} is the
-    minimizer on all of [0, top], and the new user joins every slice as a
-    block at its singleton's tight rate, in one table map.
+    minimizer on all of [0, top]: the new user joins every partition as a
+    block, in one table map, at its singleton's tight rate.
     """
     model = state.model
     user = state.carrier_size + 1
     if user > model.size:
         raise DomainError("state already covers the whole ground set")
     top = state.table.top
-    fresh = _tight_rate(model)
     inner = singleton(user)
     carrier = frozenset(range(1, user + 1))
     singletons = Partition._from_canonical(tuple(map(singleton, range(1, user + 1))))
@@ -339,14 +330,14 @@ def parametric_iteration(state: ParState) -> ParState:
         top_set, top_partition = carrier, whole
     else:
         probes.append(Probe(top, singletons, whole))
-        top_slice = _extended(state.table.value_at(top), user, fresh)
-        top_set, top_partition = _probe(model, top_slice, top, inner, carrier)
+        top_set, top_partition = _probe(model, _extended(state.table.value_at(top), user),
+                                        top, inner, carrier)
         if top_set == inner:
-            tight = _tight_rate(model, model.entropy(inner))
-            return ParState(model, user, state.table.map(lambda s: _extended(s, user, tight)),
+            return ParState(model, user, state.table.map(lambda p: _extended(p, user)),
+                            state.rates + (Segmented.constant(top, _tight_rate(model, inner)),),
                             last_chain=MinimizerChain((inner,), (top,)),
                             last_probes=tuple(probes))
-    extended = state.table.map(lambda s: _extended(s, user, fresh))
+    extended = state.table.map(lambda p: _extended(p, user))
     crossings = {top_set: top}
     _chain_search(model, extended, singletons, top_partition, inner,
                   top_set, probes, crossings)
@@ -354,25 +345,23 @@ def parametric_iteration(state: ParState) -> ParState:
     if chain.sets[0] != inner:
         raise InternalError("minimizer chain must start at the new user's singleton")
 
-    new_pieces = []
+    partitions, rates = [], []
     for upper in sorted(set(extended.uppers).union(chain.alphas)):
-        slice_ = extended.value_at(upper)
+        partition = extended.value_at(upper)
         fused = chain.sets[bisect_left(chain.alphas, upper)]
         # The k stored blocks B inside S_j - {i} are tight, so the new user
         # gets H(S_j) - sum (alpha - H(V) + H(B)) - H(V) + alpha.
-        stored = [b for b in slice_.partition.blocks[:-1] if b <= fused]
+        stored = [b for b in partition.blocks[:-1] if b <= fused]
         if sum(map(len, stored)) + 1 != len(fused):
             raise InternalError(f"minimizer {sorted(fused)} is not a block union "
                                 f"on the segment ending at {upper}")
-        partition = slice_.partition.merge_blocks(fused)
-        rate = AffineValue(model.entropy(fused) - partition_entropy(model, stored)
-                           + (len(stored) - 1) * model.total_entropy,
-                           Fraction(1 - len(stored)))
-        rates = slice_.rates[:-1] + (rate,)
-        new_pieces.append((upper, StateSlice(partition, rates)))
+        partitions.append((upper, partition.merge_blocks(fused)))
+        rates.append((upper, AffineValue(model.entropy(fused) - partition_entropy(model, stored)
+                                         + (len(stored) - 1) * model.total_entropy,
+                                         Fraction(1 - len(stored)))))
 
     return ParState(
-        model, user, Segmented(new_pieces),
+        model, user, Segmented(partitions), state.rates + (Segmented(rates),),
         last_chain=chain,
         last_probes=tuple(probes),
     )
@@ -403,7 +392,7 @@ def run_parametric(model: SourceModel) -> tuple[ParState, PSPResult]:
 def extract_psp(state: ParState) -> PSPResult:
     """Read the principal sequence and sum-rate solution off a sweep state."""
     _require_whole_axis(state)
-    return _psp_from_views(state.users, state.partition_view, state.rate_view)
+    return _psp_from_views(state.users, state.table, state.rates_at)
 
 
 def _require_whole_axis(state: ParState) -> None:
@@ -415,9 +404,11 @@ def _require_whole_axis(state: ParState) -> None:
         )
 
 
-def _psp_from_views(users, partition_view: Segmented, rate_view: Segmented) -> PSPResult:
-    critical = partition_view.uppers
-    partitions = partition_view.values
+def _psp_from_views(users, table: Segmented, rates_at) -> PSPResult:
+    """The principal sequence of the partition `table`, with the rate vector
+    `rates_at(alpha)` read at its minimum sum-rate."""
+    critical = table.uppers
+    partitions = table.values
     whole = Partition.whole(users)
     if len(users) == 1:
         min_rate = Fraction(0)
@@ -432,10 +423,8 @@ def _psp_from_views(users, partition_view: Segmented, rate_view: Segmented) -> P
         # never reaches one block below the top, so the minimum sum-rate is
         # the whole entropy.
         min_rate = critical[-1]
-    finest_maximizer = partition_view.value_at(min_rate)
-    rates = tuple(r.at(min_rate) for r in rate_view.value_at(min_rate))
     return PSPResult(tuple(users), critical, partitions, min_rate,
-                     finest_maximizer, rates)
+                     table.value_at(min_rate), rates_at(min_rate))
 
 
 def prefix_psp(state: ParState) -> PSPResult:
@@ -450,20 +439,11 @@ def prefix_psp(state: ParState) -> PSPResult:
     model = state.model
     users = state.users
     shift = model.entropy(users) - model.total_entropy  # <= 0
-    new_top = model.entropy(users)
-    pieces = []
-    for _, upper, slice_ in state.table:
-        upper += shift
-        if upper >= 0:
-            shifted_rates = tuple(
-                AffineValue(r.intercept - r.slope * shift, r.slope) for r in slice_.rates
-            )
-            pieces.append((upper, StateSlice(slice_.partition, shifted_rates)))
-    table = Segmented(pieces)
-    if table.top != new_top:
+    table = Segmented((upper + shift, partition) for _, upper, partition in state.table
+                      if upper + shift >= 0)
+    if table.top != model.entropy(users):
         raise InternalError("prefix shift did not land on the prefix entropy")
-    shifted = ParState(model, state.carrier_size, table)
-    return _psp_from_views(users, shifted.partition_view, shifted.rate_view)
+    return _psp_from_views(users, table, lambda alpha: state.rates_at(alpha - shift))
 
 
 def mda_reference(model: SourceModel) -> tuple[Fraction, Partition, tuple[Fraction, ...]]:

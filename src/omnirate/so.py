@@ -69,25 +69,18 @@ def plan_from_state(state: ParState, alpha_bar: Fraction) -> SOPlan | None:
     The first nonsingleton block of the segmented partition at alpha_bar is
     the complimentary subset (when alpha_bar is at most the minimum
     sum-rate).  Its rate vector is the stored one at the alpha where its
-    sub-blocks finish merging.
+    sub-blocks finish merging: the lower end of the first segment of the
+    partition table that holds it.
     """
     partition = state.partition_at(alpha_bar)
     block = next((b for b in partition.blocks if len(b) > 1), None)
     if block is None:
         return None
-    merge_alpha = None
-    for lower, _, slice_ in state.table:
-        if block in slice_.partition.blocks:
-            merge_alpha = lower
-            break
+    merge_alpha = next((lower for lower, _, p in state.table if block in p.blocks), None)
     if merge_alpha is None:
         raise InternalError("block found at alpha_bar but absent from the table")
     users = tuple(sorted(block))
-    rates = tuple(
-        slice_rate.at(merge_alpha)
-        for u, slice_rate in zip(state.users, state.table.value_at(merge_alpha).rates)
-        if u in block
-    )
+    rates = tuple(state.rates[u - 1].value_at(merge_alpha).at(merge_alpha) for u in users)
     local_sum = sum(rates, Fraction(0))
     expected = state.model.total_entropy - state.model.entropy(block) + local_sum
     if merge_alpha != expected:

@@ -103,6 +103,16 @@ def rank_sum_table(rng, n):
     return EntropyTable(n, values)
 
 
+def state_segments(state):
+    """(lower, upper, partition, rates) per segment of the common refinement
+    of a sweep state's partition table and its users' rate functions;
+    `rates` holds each user's affine rate there."""
+    uppers = sorted(set(state.table.uppers).union(*(r.uppers for r in state.rates)))
+    for lower, upper in zip([Fraction(0), *uppers], uppers):
+        yield (lower, upper, state.table.value_at(upper),
+               tuple(r.value_at(upper) for r in state.rates))
+
+
 def random_alpha(rng: random.Random, model) -> Fraction:
     """A random exact alpha in [0, H(V)] on a 1/1000 grid (endpoints included)."""
     return model.total_entropy * Fraction(rng.randrange(0, 1001), 1000)

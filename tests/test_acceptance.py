@@ -49,7 +49,7 @@ def test_criterion_2_segmented_state_goldens(five_user):
     states = {st.carrier_size: st for st in iter_parametric(five_user)}
     for i in (2, 3, 4, 5):
         assert list(states[i].rate_view) == EXPECTED_RATES[i], f"rates after user {i}"
-        assert list(states[i].partition_view) == EXPECTED_PARTITIONS[i], \
+        assert list(states[i].table) == EXPECTED_PARTITIONS[i], \
             f"partitions after user {i}"
     special = states[5].rate_view.value_at(F(27, 4))  # inside (13/2, 7]
     assert str(special[4]) == "-2a + 14"

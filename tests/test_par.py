@@ -84,7 +84,7 @@ class TestIterationGoldens:
 
     @pytest.mark.parametrize("i", [2, 3, 4, 5])
     def test_partition_segments(self, golden_states, i):
-        assert list(golden_states[i].partition_view) == EXPECTED_PARTITIONS[i]
+        assert list(golden_states[i].table) == EXPECTED_PARTITIONS[i]
 
 
 class TestChainSearch:
@@ -124,7 +124,7 @@ class TestChainSearch:
         # the two-block set only ties at H(V): it is never selected below it
         assert chain.sets == (frozenset({2}), carrier)
         assert chain.alphas == (model.total_entropy, model.total_entropy)
-        assert list(final.partition_view) == [seg(0, 2, Partition([[1], [2]]))]
+        assert list(final.table) == [seg(0, 2, Partition([[1], [2]]))]
 
     def test_requires_strict_refinement(self, golden_states):
         carrier = frozenset({1, 2})
@@ -148,8 +148,8 @@ def solved_breakpoints(state: ParState, sets) -> tuple[Fraction, ...]:
     alphas = []
     for small, big in zip(sets, sets[1:]):
         target = model.entropy(big) - model.entropy(small)
-        for k, (lower, upper, slice_) in enumerate(state.table):
-            total = sum((slice_.rates[u - 1] for u in big - small), AF(0, 0))
+        for k, (lower, upper, rates) in enumerate(state.rate_view):
+            total = sum((rates[u - 1] for u in big - small), AF(0, 0))
             assert total.slope != 0 or total.intercept != target
             if total.slope == 0:
                 continue
@@ -484,20 +484,29 @@ class TestBracketedProbes:
 
     def test_block_rates_equal_per_user_sums(self, monkeypatch):
         # The int block sums of `_oracle_at` over its scale against one
-        # Fraction sum of the evaluated per-user rates per block, on every probe.
+        # Fraction sum of the evaluated per-user rates per block, on every
+        # probe: the extended state's rates, the new user's at alpha - H(V).
         real_oracle_at = par._oracle_at
+        real_iteration = par.parametric_iteration
+        extending = []
         probes = []
 
-        def checked(model, slice_, alpha, inner, outer):
-            oracle = real_oracle_at(model, slice_, alpha, inner, outer)
+        def checked(model, partition, alpha, inner, outer):
+            oracle = real_oracle_at(model, partition, alpha, inner, outer)
             rates = tuple(F(r, oracle.scale) for r in oracle.rates)
+            user_rates = (*extending[-1].rates_at(alpha), alpha - model.total_entropy)
             assert rates == tuple(
-                sum((slice_.rates[u - 1].at(alpha) for u in b), F(0))
+                sum((user_rates[u - 1] for u in b), F(0))
                 for b in oracle.blocks)
             probes.append(any(r.denominator > 1 for r in rates))
             return oracle
 
+        def iteration(state):
+            extending.append(state)
+            return real_iteration(state)
+
         monkeypatch.setattr(par, "_oracle_at", checked)
+        monkeypatch.setattr(par, "parametric_iteration", iteration)
         rng = random.Random(6131)
         for model in [*corpus_models(),
                       *(rank_sum_table(rng, rng.randint(2, 7)) for _ in range(20))]:
@@ -508,26 +517,31 @@ class TestBracketedProbes:
         # Before user 5 at alpha = 23/4 the blocks are {1,2}, {3}, {4}, {5}.
         alpha = F(23, 4)
         model = golden_states[4].model
-        slice_ = par._extended(golden_states[4].table.value_at(alpha), 5,
-                               par._tight_rate(model))
-        oracle = par._oracle_at(model, slice_, alpha, frozenset({3, 5}),
+        partition = par._extended(golden_states[4].table.value_at(alpha), 5)
+        oracle = par._oracle_at(model, partition, alpha, frozenset({3, 5}),
                                 frozenset({1, 2, 3, 5}))
         assert oracle.anchor == frozenset({3, 5}) and oracle.blocks[0] == frozenset({1, 2})
         # the whole bracket is the lattice `fusion_oracle_at` builds directly
-        whole = par._oracle_at(model, slice_, alpha, frozenset({5}), frozenset(range(1, 6)))
+        whole = par._oracle_at(model, partition, alpha, frozenset({5}), frozenset(range(1, 6)))
         reference = fusion_oracle_at(golden_states[4], alpha)
         assert (whole.blocks, whole.rates, whole.scale) == (
             reference.blocks, reference.rates, reference.scale)
         with pytest.raises(InternalError):   # the upper end splits {1,2}
-            par._oracle_at(model, slice_, alpha, frozenset({5}), frozenset({1, 5}))
+            par._oracle_at(model, partition, alpha, frozenset({5}), frozenset({1, 5}))
         with pytest.raises(InternalError):   # the lower end leaves the upper
-            par._oracle_at(model, slice_, alpha, frozenset({4, 5}), frozenset({3, 5}))
+            par._oracle_at(model, partition, alpha, frozenset({4, 5}), frozenset({3, 5}))
 
 
 def clipped(table: Segmented, cap) -> Segmented:
     """`table` cut at `cap`: the segments below it, then the one holding it."""
     below = [(u, v) for u, v in zip(table.uppers, table.values) if u < cap]
     return Segmented([*below, (cap, table.value_at(cap))])
+
+
+def clipped_state(state: ParState, cap) -> ParState:
+    """`state` cut at `cap`: its partition table and every user's rate."""
+    return ParState(state.model, state.carrier_size, clipped(state.table, cap),
+                    tuple(clipped(r, cap) for r in state.rates))
 
 
 class TestTruncatedAxis:
@@ -543,8 +557,7 @@ class TestTruncatedAxis:
                 cut = list(iter_parametric(model, top))
                 assert len(cut) == len(full)
                 for state, whole in zip(cut, full):
-                    assert state == ParState(model, whole.carrier_size,
-                                             clipped(whole.table, top))
+                    assert state == clipped_state(whole, top)
                     if top < model.total_entropy and state.carrier_size > 1:
                         singleton_tops += len(state.last_chain.sets[-1]) == 1
         return singleton_tops
@@ -575,7 +588,7 @@ class TestTruncatedAxis:
         # cut, not shifted: r_1 = alpha - H(V) + H({1}) whatever the top
         state = initial_state(five_user, F(23, 4))
         assert state.table.top == F(23, 4)
-        assert state.table.values[0].rates == (AF(8 - 10, 1),)
+        assert state.rate_view.values[0] == (AF(8 - 10, 1),)
 
     def test_top_outside_the_axis(self, five_user):
         for top in (F(-1), F(11)):
@@ -584,7 +597,7 @@ class TestTruncatedAxis:
 
     def test_psp_needs_the_whole_axis(self, golden_states):
         state = golden_states[5]
-        truncated = ParState(state.model, 5, clipped(state.table, F(13, 2)))
+        truncated = clipped_state(state, F(13, 2))
         for read in (extract_psp, prefix_psp):
             with pytest.raises(DomainError):
                 read(truncated)
@@ -596,7 +609,7 @@ class TestStateInvariants:
         for _ in range(15):
             model = random_bitpool(rng, max_users=6, max_bits=8)
             for state in iter_parametric(model):
-                parts = state.partition_view.values
+                parts = state.table.values
                 for finer, coarser in zip(parts, parts[1:]):
                     assert finer.refines(coarser) and finer != coarser
 
@@ -643,7 +656,7 @@ class TestStateInvariants:
                 if state.last_chain is None:
                     continue
                 spans = {part: (k, lo, hi)
-                         for k, (lo, hi, part) in enumerate(state.partition_view)}
+                         for k, (lo, hi, part) in enumerate(state.table)}
                 for probe in state.last_probes:
                     down = spans.get(probe.p_down)
                     up = spans.get(probe.p_up)

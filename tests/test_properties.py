@@ -18,7 +18,7 @@ from omnirate.partition import AffineValue, Segmented
 from omnirate.verify import fusion_gaps, verify_model
 
 from conftest import (axis_caps, corpus_models, planted_pair_bitpool, random_alpha,
-                      random_bitpool, rank_sum_table, twin_bitpool)
+                      random_bitpool, rank_sum_table, state_segments, twin_bitpool)
 
 F = Fraction
 
@@ -102,10 +102,10 @@ class TestTightBlocks:
         for model in models:
             for top in axis_caps(rng, model):  # H(V) among them
                 for state in iter_parametric(model, top):
-                    for slice_ in state.table.values:
-                        for b in slice_.partition.blocks:
-                            rates = (slice_.rates[u - 1] for u in b)
-                            assert sum(rates, AffineValue(F(0), F(0))) == AffineValue(
+                    for _, _, partition, rates in state_segments(state):
+                        for b in partition.blocks:
+                            block_rates = (rates[u - 1] for u in b)
+                            assert sum(block_rates, AffineValue(F(0), F(0))) == AffineValue(
                                 model.entropy(b) - model.total_entropy, F(1))
                             blocks += 1
         return blocks
@@ -127,6 +127,32 @@ class TestTightBlocks:
 
 
 class TestSweepAgreesWithSaturation:
+    def test_every_state_at_segment_ends_and_midpoints(self):
+        # Every state against saturation over its carrier at every end and
+        # midpoint of its partition table's and each user's rate segments;
+        # per-user ends fall between the table's.  Rates are written once:
+        # each state keeps the previous state's rate functions as they are.
+        rng = random.Random(6029)
+        models = [*corpus_models(), *(rank_sum_table(rng, rng.randint(2, 7))
+                                      for _ in range(40))]
+        checked = off_table = 0
+        for model in models:
+            for top in axis_caps(rng, model):  # H(V) among them
+                prev = None
+                for state in iter_parametric(model, top):
+                    if prev is not None:
+                        assert len(state.rates) == len(prev.rates) + 1
+                        assert all(a is b for a, b in zip(state.rates, prev.rates))
+                    for lower, upper, _, _ in state_segments(state):
+                        off_table += upper not in state.table.uppers
+                        for alpha in {upper, (lower + upper) / 2}:
+                            fixed = coordinate_saturation(model, alpha, state.users)
+                            assert state.partition_at(alpha) == fixed.partition
+                            assert state.rates_at(alpha) == fixed.rates
+                            checked += 1
+                    prev = state
+        assert checked > 9000 and off_table > 120
+
     def test_random_models_random_alphas(self):
         rng = random.Random(6024)
         for _ in range(10):
