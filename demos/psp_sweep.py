@@ -22,11 +22,10 @@ FIVE_USERS = ["abcdfgij", "abcfij", "efhi", "bcej", "bcdhi"]
 def show_state(state, minimizations):
     print(f"\n--- after user {state.carrier_size} "
           f"(submodular minimizations so far: {minimizations}) ---")
-    # every end of the partition table and of each user's rate function
-    uppers = sorted(set(state.table.uppers).union(*(r.uppers for r in state.rates)))
-    for k, (lower, upper) in enumerate(zip([Fraction(0), *uppers], uppers)):
+    # every end of a user's rate function; the partition table's are among them
+    for k, (lower, upper, rates) in enumerate(state.rate_view):
         span = f"{'(' if k else '['}{lower}, {upper}]"
-        rates = ", ".join(str(r.value_at(upper)) for r in state.rates)
+        rates = ", ".join(map(str, rates))
         print(f"  {span:12s} {str(state.partition_at(upper)):28s} ({rates})")
     if state.last_chain is not None:
         sets = "  ".join("{" + ",".join(map(str, sorted(s))) + "}"

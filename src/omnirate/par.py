@@ -150,9 +150,12 @@ class ParState:
     def partition_at(self, alpha) -> Partition:
         return self.table.value_at(alpha)
 
+    def rate_of(self, user: int, alpha: Fraction) -> Fraction:
+        return self.rates[user - 1].value_at(alpha).at(alpha)
+
     def rates_at(self, alpha) -> tuple[Fraction, ...]:
         alpha = as_rational(alpha)
-        return tuple(r.value_at(alpha).at(alpha) for r in self.rates)
+        return tuple(self.rate_of(u, alpha) for u in self.users)
 
     @property
     def rate_view(self) -> Segmented:
@@ -292,8 +295,7 @@ def solve_chain_breakpoints(state: ParState, crossings) -> MinimizerChain:
         raise InternalError(f"critical points out of order: {alphas}")
     entropy = state.model.entropy
     for small, big, alpha in zip(chain, chain[1:], alphas):
-        sent = sum((state.rates[u - 1].value_at(alpha).at(alpha) for u in big - small),
-                   Fraction(0))
+        sent = sum((state.rate_of(u, alpha) for u in big - small), Fraction(0))
         if sent != entropy(big) - entropy(small):
             raise InternalError(f"critical point {alpha} of {sorted(small)} < "
                                 f"{sorted(big)} misses its rate equation")

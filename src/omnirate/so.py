@@ -80,7 +80,7 @@ def plan_from_state(state: ParState, alpha_bar: Fraction) -> SOPlan | None:
     if merge_alpha is None:
         raise InternalError("block found at alpha_bar but absent from the table")
     users = tuple(sorted(block))
-    rates = tuple(state.rates[u - 1].value_at(merge_alpha).at(merge_alpha) for u in users)
+    rates = tuple(state.rate_of(u, merge_alpha) for u in users)
     local_sum = sum(rates, Fraction(0))
     expected = state.model.total_entropy - state.model.entropy(block) + local_sum
     if merge_alpha != expected:

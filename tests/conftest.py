@@ -106,11 +106,11 @@ def rank_sum_table(rng, n):
 def state_segments(state):
     """(lower, upper, partition, rates) per segment of the common refinement
     of a sweep state's partition table and its users' rate functions;
-    `rates` holds each user's affine rate there."""
-    uppers = sorted(set(state.table.uppers).union(*(r.uppers for r in state.rates)))
-    for lower, upper in zip([Fraction(0), *uppers], uppers):
-        yield (lower, upper, state.table.value_at(upper),
-               tuple(r.value_at(upper) for r in state.rates))
+    `rates` holds each user's affine rate there.  The table's ends lie among
+    the rates' ends (`TestStateInvariants.test_segment_tiling_is_exact`), so
+    the refinement is `rate_view`."""
+    for lower, upper, rates in state.rate_view:
+        yield lower, upper, state.partition_at(upper), rates
 
 
 def random_alpha(rng: random.Random, model) -> Fraction:

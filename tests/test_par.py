@@ -622,15 +622,21 @@ class TestStateInvariants:
                 assert uppers[0] >= 0 and uppers[-1] == model.total_entropy
                 assert all(a < b for a, b in zip(uppers, uppers[1:]))
                 assert [lo for lo, _, _ in state.table] == [0, *uppers[:-1]]
+                assert len(state.rates) == state.carrier_size
+                assert all(r.top == state.table.top for r in state.rates)
+                # blocks are tight, so a merge at alpha changes the slope sum
+                # of the merged users: every table end is some rate's end
+                assert set(uppers) <= set(state.rate_view.uppers)
 
     def test_segment_count_stays_linear(self):
-        # merging equal adjacent slices keeps the table at most 2x the
-        # carrier size (observed worst ratio is around 1.5)
+        # the common refinement of the partition table and the rate
+        # functions (rate_view, which holds the table's ends) stays at most
+        # 2x the carrier size (observed worst ratio is around 1.5)
         rng = random.Random(781)
         for _ in range(15):
             model = random_bitpool(rng, max_users=6, max_bits=10)
             for state in iter_parametric(model):
-                assert len(state.table) <= 2 * state.carrier_size
+                assert len(state.rate_view) <= 2 * state.carrier_size
 
     def test_chain_length_bound(self):
         rng = random.Random(779)

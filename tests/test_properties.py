@@ -143,6 +143,8 @@ class TestSweepAgreesWithSaturation:
                     if prev is not None:
                         assert len(state.rates) == len(prev.rates) + 1
                         assert all(a is b for a, b in zip(state.rates, prev.rates))
+                    # the walk below covers the table's ends as well
+                    assert set(state.table.uppers) <= set(state.rate_view.uppers)
                     for lower, upper, _, _ in state_segments(state):
                         off_table += upper not in state.table.uppers
                         for alpha in {upper, (lower + upper) / 2}:
