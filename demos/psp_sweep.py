@@ -13,8 +13,7 @@ Run:  python3 demos/psp_sweep.py
 from fractions import Fraction
 
 from omnirate import (BitPoolSource, brute_min_sum_rate,
-                      coordinate_saturation, extract_psp, iter_parametric,
-                      prefix_psp)
+                      coordinate_saturation, extract_psp, iter_parametric)
 
 FIVE_USERS = ["abcdfgij", "abcfij", "efhi", "bcej", "bcdhi"]
 
@@ -46,7 +45,7 @@ def main():
         minimizations += len(state.last_probes)  # one minimization per probe
         show_state(state, minimizations)
         if state.carrier_size >= 2:
-            local = prefix_psp(state)
+            local = extract_psp(state)
             print(f"  prefix solution: R_CO(V_{state.carrier_size}) = "
                   f"{local.min_sum_rate}, rates {tuple(map(str, local.rates))}")
         final = state

@@ -18,8 +18,8 @@ from .oracle import (brute_dilworth, brute_min_sum_rate, check_achievable,
                      partitions_of)
 from .par import (MinimizerChain, ParState, PSPResult, extract_psp,
                   fusion_oracle_at, initial_state, iter_parametric,
-                  mda_reference, parametric_iteration, prefix_psp,
-                  run_parametric, solve_chain_breakpoints)
+                  mda_reference, parametric_iteration, run_parametric,
+                  solve_chain_breakpoints)
 from .partition import (AffineValue, Partition, Segmented)
 from .sfm import (FusionOracle, SfmResult, minimize, minimize_brute,
                   minimize_cut, minimize_mnp)

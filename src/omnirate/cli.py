@@ -8,9 +8,13 @@ Commands (model files per `omnirate.modelfile`; pass '-' to read stdin):
 
     omnirate truncation-csv MODEL [--prefix I] [--decimal]
         CSV (alpha_lo, alpha_hi, slope, intercept, partition) with one row
-        per principal-sequence segment of the first I users, on stdout.
-        Evaluating slope*alpha + intercept at the segment ends traces the
-        piecewise-linear truncation exactly.
+        per segment of the sweep state after the first I users, on stdout.
+        The rows lie on the global axis [0, H(V)] and the intercept refers
+        to H(V): evaluating slope*alpha + intercept at the segment ends
+        traces the piecewise-linear truncation exactly.  For I < n the
+        breakpoints are the prefix's own principal-sequence breakpoints
+        shifted up by H(V) - H(V_I); `omnirate.par.extract_psp` gives them
+        on the prefix's own axis.
 
     omnirate so MODEL [--alpha-bar R] [--decimal]
         Complimentary subset selection with the local rate vector.  The

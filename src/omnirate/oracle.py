@@ -19,7 +19,7 @@ from .partition import Partition
 MAX_ENUM_USERS = 8
 
 
-def partitions_of(items: Iterable[int], max_size: int = MAX_ENUM_USERS) -> Iterator[Partition]:
+def partitions_of(items: Iterable[int]) -> Iterator[Partition]:
     """All partitions of `items`, each exactly once, via restricted growth strings.
 
     A restricted growth string assigns item k the label of its block, where
@@ -28,9 +28,9 @@ def partitions_of(items: Iterable[int], max_size: int = MAX_ENUM_USERS) -> Itera
     """
     items = tuple(sorted(set(items)))
     n = len(items)
-    if n > max_size:
+    if n > MAX_ENUM_USERS:
         raise CapacityError(
-            f"partition enumeration capped at {max_size} items, got {n}"
+            f"partition enumeration capped at {MAX_ENUM_USERS} items, got {n}"
         )
     if n == 0:
         raise CapacityError("cannot enumerate partitions of the empty set")

@@ -73,11 +73,12 @@ costs one probe, one table map that appends the block {i}, and the
 constant rate function alpha - H(V) + H({i}).  The initial rate
 r_1 = alpha - H(V) + H({1}) refers to H(V) whatever the top: the axis is
 cut, not shifted.  The principal sequence needs the whole axis, so
-`extract_psp` and `prefix_psp` reject a truncated state.
+`extract_psp` rejects a truncated state.
 
-The final segmented partition is the principal sequence of partitions of
-the ground set; its second-from-top breakpoint is the minimum sum-rate and
-the rate vector evaluated there is an optimal rate vector.
+The segmented partition after user i, shifted down by H(V) - H(V_i), is
+the principal sequence of partitions of V_i; its second-from-top
+breakpoint is the minimum sum-rate and the rate vector evaluated there is
+an optimal rate vector (`extract_psp`).
 """
 
 from __future__ import annotations
@@ -392,60 +393,41 @@ def run_parametric(model: SourceModel) -> tuple[ParState, PSPResult]:
 
 
 def extract_psp(state: ParState) -> PSPResult:
-    """Read the principal sequence and sum-rate solution off a sweep state."""
-    _require_whole_axis(state)
-    return _psp_from_views(state.users, state.table, state.rates_at)
+    """The principal sequence of the state's carrier 1..i and its sum-rate solution.
 
-
-def _require_whole_axis(state: ParState) -> None:
-    """The principal sequence needs the state on all of [0, H(V)]."""
-    if state.table.top != state.model.total_entropy:
+    The state lives on the global axis [0, H(V)]; shifting alpha by
+    H(V_i) - H(V), which is 0 once every user is in, and clipping to
+    [0, H(V_i)] gives the principal sequence of V_i, from which its minimum
+    sum-rate and an optimal rate vector read off.  The shift needs the
+    state on the whole axis, so a truncated state raises DomainError.
+    """
+    model = state.model
+    if state.table.top != model.total_entropy:
         raise DomainError(
-            f"state axis stops at {state.table.top}, below H(V) = "
-            f"{state.model.total_entropy}"
+            f"state axis stops at {state.table.top}, below H(V) = {model.total_entropy}"
         )
-
-
-def _psp_from_views(users, table: Segmented, rates_at) -> PSPResult:
-    """The principal sequence of the partition `table`, with the rate vector
-    `rates_at(alpha)` read at its minimum sum-rate."""
-    critical = table.uppers
-    partitions = table.values
+    users = state.users
+    carrier_entropy = model.entropy(users)
+    shift = carrier_entropy - model.total_entropy  # <= 0
+    table = Segmented((upper + shift, partition) for _, upper, partition in state.table
+                      if upper + shift >= 0)
+    if table.top != carrier_entropy:
+        raise InternalError("carrier shift did not land on the carrier entropy")
+    critical, partitions = table.uppers, table.values
     whole = Partition.whole(users)
     if len(users) == 1:
-        min_rate = Fraction(0)
-        rates = (Fraction(0),)
-        return PSPResult(tuple(users), critical, partitions, min_rate, whole, rates)
+        return PSPResult(users, critical, partitions, Fraction(0), whole, (Fraction(0),))
     if partitions[-1] == whole:
         # Standard shape: the one-block partition occupies the top segment
         # and the minimum sum-rate is where it begins.
         min_rate = critical[-2]
     else:
-        # The source splits into independent groups: the finest minimizer
+        # The carrier splits into independent groups: the finest minimizer
         # never reaches one block below the top, so the minimum sum-rate is
         # the whole entropy.
         min_rate = critical[-1]
-    return PSPResult(tuple(users), critical, partitions, min_rate,
-                     table.value_at(min_rate), rates_at(min_rate))
-
-
-def prefix_psp(state: ParState) -> PSPResult:
-    """Solution for the prefix carrier of a mid-sweep state.
-
-    The stored state lives on the global axis [0, H(V)]; shifting alpha by
-    H(V) - H(prefix) and clipping to [0, H(prefix)] turns it into the
-    principal sequence of the prefix, from which the prefix's minimum
-    sum-rate and optimal rate vector read off as usual.
-    """
-    _require_whole_axis(state)
-    model = state.model
-    users = state.users
-    shift = model.entropy(users) - model.total_entropy  # <= 0
-    table = Segmented((upper + shift, partition) for _, upper, partition in state.table
-                      if upper + shift >= 0)
-    if table.top != model.entropy(users):
-        raise InternalError("prefix shift did not land on the prefix entropy")
-    return _psp_from_views(users, table, lambda alpha: state.rates_at(alpha - shift))
+    return PSPResult(users, critical, partitions, min_rate,
+                     table.value_at(min_rate), state.rates_at(min_rate - shift))
 
 
 def mda_reference(model: SourceModel) -> tuple[Fraction, Partition, tuple[Fraction, ...]]:

@@ -7,8 +7,8 @@ The inner problem solved here, many times per sweep, is
 over all X~ that are unions of blocks of a carrier partition Q and contain
 a designated anchor block.  f~ is submodular on that block lattice because
 it is an entropy-derived submodular function minus a modular rate term, so
-the minimizers form a lattice and the componentwise-minimal and -maximal
-minimizers both exist.
+the minimizers are closed under intersection and the minimal minimizer
+exists.
 
 `minimize` is the one entry point, with one exact backend per lattice (k
 non-anchor blocks):
@@ -16,7 +16,7 @@ non-anchor blocks):
 * `minimize_cut` on a `BitPoolSource` with k > CUT_CROSSOVER: f~ is then a
   maximum-weight closure, solved by one int max-flow on the bipartite
   network source -> blocks -> shared bit groups -> sink, whose residual
-  network gives both extreme minimizers.  It has no size cap.
+  network gives the minimal minimizer.  It has no size cap.
 * `minimize_brute` on every other lattice: all 2^k anchored block unions in
   Gray-code order, refusing k > BRUTE_LIMIT with a CapacityError that no
   explicit table (at most MAX_TABLE_USERS users) reaches.
@@ -34,9 +34,8 @@ blocks in its network as one bitmask.  Nothing is rounded: values are
 compared by cross-multiplication, the min-norm-point's linear algebra is
 fraction-free and the flow is over ints, so the answers are the exact ones.
 
-Every solver returns the same canonical answer: the minimum value, the
-minimal minimizer (intersection of all minimizers) and the maximal
-minimizer (union), each expressed as a set of users.
+Every solver returns the same canonical answer: the minimum value and the
+minimal minimizer (the intersection of all minimizers) as a set of users.
 """
 
 from __future__ import annotations
@@ -133,7 +132,7 @@ def saturation_oracle(model: SourceModel, alpha: Fraction, blocks,
 
 @dataclass(frozen=True)
 class SfmResult:
-    """The minimum of f~ and its extreme minimizers.
+    """The minimum of f~ and its minimal minimizer.
 
     `evaluations` is the backend's work count: f~ values read by brute and
     min-norm-point, augmenting paths by the cut (0 when the greedy pour
@@ -142,7 +141,6 @@ class SfmResult:
 
     min_value: Fraction
     minimal: frozenset[int]
-    maximal: frozenset[int]
     evaluations: int = field(compare=False, default=0)
 
 
@@ -181,9 +179,8 @@ def minimize_brute(oracle: FusionOracle) -> SfmResult:
     that constant plus the best value over `scale`.
 
     The minimal minimizer is accumulated as the intersection of all
-    minimizers seen and the maximal one as their union, both as bitmasks of
-    block choices; the minimizer lattice guarantees both are themselves
-    minimizers.
+    minimizers seen, a bitmask of block choices; the minimizers are closed
+    under intersection, so it is itself a minimizer.
     """
     k = len(oracle.non_anchor_blocks)
     if k > BRUTE_LIMIT:
@@ -195,7 +192,7 @@ def minimize_brute(oracle: FusionOracle) -> SfmResult:
     entropy = oracle.model.entropy_of_mask
     h = entropy(users)
     best_num, best_den = h.numerator * scale, h.denominator
-    choice = minimal = maximal = rate = 0
+    choice = minimal = rate = 0
     for step in range(1, 1 << k):
         j = (step & -step).bit_length() - 1
         users ^= masks[j]
@@ -211,12 +208,10 @@ def minimize_brute(oracle: FusionOracle) -> SfmResult:
         rhs = best_num * den
         if lhs < rhs:
             best_num, best_den = num, den
-            minimal = maximal = choice
+            minimal = choice
         elif lhs == rhs:
             minimal &= choice
-            maximal |= choice
-    return SfmResult(_min_value(oracle, best_num, best_den),
-                     _fused(oracle, minimal), _fused(oracle, maximal), 1 << k)
+    return SfmResult(_min_value(oracle, best_num, best_den), _fused(oracle, minimal), 1 << k)
 
 
 def minimize_mnp(oracle: FusionOracle, iteration_cap: int = _MNP_ITERATION_CAP) -> SfmResult:
@@ -230,12 +225,12 @@ def minimize_mnp(oracle: FusionOracle, iteration_cap: int = _MNP_ITERATION_CAP) 
     arithmetic the optimality test <x, x> <= min_v <x, v> is decided
     exactly, so the extreme minimizers are read directly off the sign
     pattern of the norm point x: strictly negative coordinates give the
-    minimal minimizer, nonpositive ones the maximal.  Raises SolverError if
-    the iteration cap is hit.
+    minimal minimizer, nonpositive ones the maximal, and the two must reach
+    the same value.  Raises SolverError if the iteration cap is hit.
     """
     k = len(oracle.non_anchor_blocks)
     if k == 0:
-        return SfmResult(oracle.f_tilde(oracle.anchor), oracle.anchor, oracle.anchor, 1)
+        return SfmResult(oracle.f_tilde(oracle.anchor), oracle.anchor, 1)
 
     anchor_mask, masks = _block_masks(oracle)
     entropy = oracle.model.entropy_of_mask
@@ -295,7 +290,7 @@ def minimize_mnp(oracle: FusionOracle, iteration_cap: int = _MNP_ITERATION_CAP) 
     value = oracle.f_tilde(minimal)
     if value != oracle.f_tilde(maximal):
         raise InternalError("extreme minimizers disagree on the minimum value")
-    return SfmResult(value, minimal, maximal, len(cache))
+    return SfmResult(value, minimal, len(cache))
 
 
 def _affine_minimizer(vertices: list[tuple[Fraction, ...]]):
@@ -379,17 +374,16 @@ def minimize_cut(oracle: FusionOracle) -> SfmResult:
     bipartite: source -> block with capacity its weight when that is
     positive, block -> group uncuttable, group -> sink with capacity
     scale * (group size), its room.  A block of weight <= 0 gets no source
-    arc and so carries no flow; one of negative weight would have an arc to
-    the sink, so it reaches the sink in every residual network.  The source
-    side of a minimum cut is a minimizer and the cut value is
-    P + scale * (f~ - constant), with P the sum of the positive weights.
+    arc and so carries no flow.  The source side of a minimum cut is a
+    minimizer and the cut value is P + scale * (f~ - constant), with P the
+    sum of the positive weights.
 
     The flow (`_max_flow`) pours the blocks' weight greedily into the
     groups, then places the rest on shortest augmenting paths.  Once no
     path is left, the blocks reachable from the source in the residual
-    network form the minimal minimizer and the blocks that cannot reach
-    the sink the maximal one.  The minimum is the constant less the weight
-    left over `scale`.  `evaluations` is the number of augmenting paths.
+    network form the minimal minimizer.  The minimum is the constant less
+    the weight left over `scale`.  `evaluations` is the number of
+    augmenting paths.
     """
     model = oracle.model
     if not isinstance(model, BitPoolSource):
@@ -397,27 +391,10 @@ def minimize_cut(oracle: FusionOracle) -> SfmResult:
     anchor_mask, masks = _block_masks(oracle)
     anchor_bits = model.bits_of_mask(anchor_mask)
     weights, groups = _closure_network(model, anchor_mask, masks, oracle.rates, oracle.scale)
-    covers, room = list(groups), list(groups.values())
-    left, carrying, reached, paths = _max_flow(weights, covers, room)
-
-    # The blocks reaching the sink: those of negative weight, the blocks of
-    # a group's cover with room left, and, through the reverse arcs, the
-    # cover of a group that a reaching block sends flow to.
-    to_sink = sum(rep for rep, w in weights.items() if w < 0)
-    for cover, r in zip(covers, room):
-        if r:
-            to_sink |= cover
-    grown = True
-    while grown:
-        grown = False
-        for cover, carried in zip(covers, carrying):
-            if carried & to_sink and cover & ~to_sink:
-                to_sink |= cover
-                grown = True
+    left, reached, paths = _max_flow(weights, list(groups), list(groups.values()))
     minimal = sum(1 << j for j, mask in enumerate(masks) if mask & reached)
-    maximal = sum(1 << j for j, mask in enumerate(masks) if not mask & to_sink)
     value = _min_value(oracle, anchor_bits.bit_count() * oracle.scale - sum(left.values()), 1)
-    return SfmResult(value, _fused(oracle, minimal), _fused(oracle, maximal), paths)
+    return SfmResult(value, _fused(oracle, minimal), paths)
 
 
 def _closure_network(model: BitPoolSource, anchor_mask: int, masks: list[int],
@@ -469,7 +446,7 @@ def _max_flow(weights: dict[int, int], covers: list[int], room: list[int]):
 
     Block rep j's source arc has capacity max(weights[j], 0), each arc from
     a block to a group whose cover holds it is uncuttable, and group g's
-    arc to the sink has capacity room[g], which is left as the residual.
+    arc to the sink has capacity room[g], a list that the flow consumes.
     The greedy pour fills each group in turn from `cover & holding`, the
     blocks of its cover that still hold weight, lowest rep first; what is
     left then goes along shortest augmenting paths block -> group
@@ -477,9 +454,8 @@ def _max_flow(weights: dict[int, int], covers: list[int], room: list[int]):
     undoing flow already placed.  The search grows one level at a time: a
     group joins when its cover meets the blocks reached last, and the
     blocks it carries flow from join the next level.  Returns the weight
-    each block has left, per group the reps carrying flow into it, the
-    blocks that the source reaches in the final residual network and the
-    number of augmenting paths.
+    each block has left, the blocks that the source reaches in the final
+    residual network and the number of augmenting paths.
     """
     left = {rep: w for rep, w in weights.items() if w > 0}
     holding = sum(left)
@@ -525,7 +501,7 @@ def _max_flow(weights: dict[int, int], covers: list[int], room: list[int]):
                     fresh ^= j
             frontier = nxt
         if end < 0:
-            return left, carrying, reached, paths
+            return left, reached, paths
         paths += 1
         # Walk the path back from `end`: each (g, j) of `forward` is an arc
         # block -> group that gains flow, each of `backward` one whose flow
@@ -553,7 +529,7 @@ def _max_flow(weights: dict[int, int], covers: list[int], room: list[int]):
 
 
 def minimize(oracle: FusionOracle) -> SfmResult:
-    """Canonical extreme minimizers of f~, from one of two exact backends.
+    """The minimum of f~ and its minimal minimizer, from one of two exact backends.
 
     A bit-pool lattice of more than CUT_CROSSOVER non-anchor blocks goes to
     the min cut, whatever its size; every other lattice goes to brute

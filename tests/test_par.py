@@ -9,8 +9,8 @@ from omnirate import (AffineValue, BitPoolSource, DomainError, EntropyTable,
                       par, sfm)
 from omnirate.par import (MinimizerChain, ParState, extract_psp,
                           fusion_oracle_at, initial_state, iter_parametric,
-                          mda_reference, parametric_iteration, prefix_psp,
-                          run_parametric, solve_chain_breakpoints)
+                          mda_reference, parametric_iteration, run_parametric,
+                          solve_chain_breakpoints)
 from omnirate.partition import Segmented
 
 from conftest import (axis_caps, corpus_models, planted_pair_bitpool, random_alpha,
@@ -251,17 +251,21 @@ class TestRunParametric:
 
 class TestPrefixExtraction:
     def test_two_user_prefix(self, golden_states):
-        psp = prefix_psp(golden_states[2])
+        psp = extract_psp(golden_states[2])
         assert psp.min_sum_rate == 2
         assert psp.rates == (F(2), F(0))
         assert psp.critical_points == (F(2), F(8))
         assert psp.finest_maximizer == Partition([[1], [2]])
 
     def test_full_prefix_is_plain_extraction(self, five_user, golden_states):
-        assert prefix_psp(golden_states[5]) == extract_psp(golden_states[5])
+        # once every user is in, the shift is 0: the reading is the table as stored
+        final = golden_states[5]
+        psp = extract_psp(final)
+        assert psp.critical_points == final.table.uppers
+        assert psp.partitions == final.table.values
 
     def test_three_user_prefix_matches_oracle(self, five_user, golden_states):
-        psp = prefix_psp(golden_states[3])
+        psp = extract_psp(golden_states[3])
         value, finest = brute_min_sum_rate(five_user, [1, 2, 3])
         assert psp.min_sum_rate == value
         assert psp.finest_maximizer == finest
@@ -269,7 +273,7 @@ class TestPrefixExtraction:
         assert sum(psp.rates) == value
 
     def test_single_user_prefix(self, golden_states):
-        psp = prefix_psp(golden_states[1])
+        psp = extract_psp(golden_states[1])
         assert psp.min_sum_rate == 0
         assert psp.rates == (F(0),)
 
@@ -278,7 +282,7 @@ class TestPrefixExtraction:
         # singleton segment exactly on the point [0, 0].
         model = BitPoolSource(["w", "w", "xy"])
         states = {s.carrier_size: s for s in iter_parametric(model)}
-        psp = prefix_psp(states[2])
+        psp = extract_psp(states[2])
         assert psp.min_sum_rate == 0
         assert psp.critical_points == (F(0), F(1))
         assert psp.rates == (F(0), F(0))
@@ -292,7 +296,7 @@ class TestPrefixExtraction:
                 i = state.carrier_size
                 if i < 2:
                     continue
-                psp = prefix_psp(state)
+                psp = extract_psp(state)
                 value, finest = brute_min_sum_rate(model, range(1, i + 1))
                 assert psp.min_sum_rate == value
                 assert psp.finest_maximizer == finest
@@ -598,9 +602,8 @@ class TestTruncatedAxis:
     def test_psp_needs_the_whole_axis(self, golden_states):
         state = golden_states[5]
         truncated = clipped_state(state, F(13, 2))
-        for read in (extract_psp, prefix_psp):
-            with pytest.raises(DomainError):
-                read(truncated)
+        with pytest.raises(DomainError):
+            extract_psp(truncated)
 
 
 class TestStateInvariants:
@@ -711,6 +714,5 @@ class TestStateInvariants:
                     assert calls[start:] == [p.alpha for p in state.last_probes]
                     assert all(p.alpha <= top for p in state.last_probes)
                 if top < model.total_entropy:
-                    for read in (extract_psp, prefix_psp):
-                        with pytest.raises(DomainError):
-                            read(state)
+                    with pytest.raises(DomainError):
+                        extract_psp(state)
