@@ -17,7 +17,7 @@ segmented quantity: a nested chain of user sets
 switching at critical points a_q < ... < a_1 < a_0 = H(V) (the axis top),
 with S_q active on [0, a_q] and S_j on (a_{j+1}, a_j].  The chain sets are
 found by a divide-and-conquer search (`_chain_search`) that probes the
-crossing alpha of two partition cost lines and recurses on both sides;
+crossing alpha of two partition cost lines and searches both sides;
 each probe issues one plain submodular minimization.
 
 Each probe's minimization runs on a bracketed sublattice, not on the whole
@@ -43,8 +43,9 @@ The critical points come from the same search.  At a terminal probe
 p_up are adjacent pieces of the lower envelope over the probe's bracket
 (the Eisner-Severance argument), so m switches from the bracket's inner set
 to its outer set exactly at the probe's alpha: the inner set's critical
-point whenever inner != outer.  `solve_chain_breakpoints` orders them and
-checks each exactly: r_alpha(S_{j-1} \\ S_j) = H(S_{j-1}) - H(S_j).
+point whenever inner != outer.  The walk emits them in order (lower child
+before upper), and `solve_chain_breakpoints` checks that order rather than
+sorting, and each point exactly: r_alpha(S_{j-1} \\ S_j) = H(S_{j-1}) - H(S_j).
 
 Every stored block B is tight: on each segment its users' rates sum to
 f_alpha(B) = alpha - H(V) + H(B), as in coordinate saturation.  So a probe's
@@ -240,9 +241,9 @@ def _oracle_at(model: SourceModel, partition: Partition, alpha: Fraction,
 def fusion_oracle_at(state: ParState, alpha) -> FusionOracle:
     """The fusion problem the next user would solve at `alpha` on top of `state`.
 
-    Exposed for checks: the returned oracle evaluates f~ on the whole
-    pre-update lattice of the next iteration, not on the bracketed
-    sublattice a chain-search probe at `alpha` minimizes over.
+    It evaluates f~ on the whole pre-update lattice of the next iteration:
+    a cut axis's top probe minimizes it and the checks read it, while the
+    other probes minimize over bracketed sublattices (`_oracle_at`).
     """
     user = state.carrier_size + 1
     if user > state.model.size:
@@ -252,46 +253,44 @@ def fusion_oracle_at(state: ParState, alpha) -> FusionOracle:
                              (singleton(user),))
 
 
-def _chain_search(model, table, p_down, p_up, inner, outer, probes,
-                  crossings) -> None:
+def _chain_search(model, table, p_down, p_up, inner, outer, probes) -> dict:
     """Probe where the lines of `p_down` (strictly finer) and `p_up` cross, on
-    the bracket (inner, outer); recurse on both sides unless fusing gives p_down."""
+    the bracket (inner, outer), and walk both sides, lower first, unless fusing
+    gives p_down; return {inner set: alpha} of the terminal probes, in order."""
     if p_down == p_up or not p_down.refines(p_up):
         raise DomainError("need p_down strictly finer than p_up")
-    h_down = partition_entropy(model, p_down)
-    h_up = partition_entropy(model, p_up)
-    alpha = model.total_entropy - (h_down - h_up) / (len(p_down) - len(p_up))
-    probes.append(Probe(alpha, p_down, p_up))
-    found, fused_partition = _probe(model, table.value_at(alpha), alpha, inner, outer)
-    if fused_partition == p_down:
-        # terminal: m switches from inner to outer at alpha
-        if inner != outer:
-            crossings[inner] = alpha
-        return
-    _chain_search(model, table, p_down, fused_partition, inner, found, probes,
-                  crossings)
-    _chain_search(model, table, fused_partition, p_up, found, outer, probes,
-                  crossings)
-
-
-def _probe(model, partition, alpha, inner, outer) -> tuple[frozenset[int], Partition]:
-    """Minimal minimizer at `alpha` on the bracket (inner, outer), and
-    `partition`, the extended one stored at `alpha`, with it fused."""
-    found = minimize(_oracle_at(model, partition, alpha, inner, outer)).minimal
-    return found, partition.merge_blocks(found)
+    crossings = {}
+    pending = [(p_down, p_up, inner, outer)]
+    while pending:
+        p_down, p_up, inner, outer = pending.pop()
+        h_down = partition_entropy(model, p_down)
+        h_up = partition_entropy(model, p_up)
+        alpha = model.total_entropy - (h_down - h_up) / (len(p_down) - len(p_up))
+        probes.append(Probe(alpha, p_down, p_up))
+        partition = table.value_at(alpha)
+        found = minimize(_oracle_at(model, partition, alpha, inner, outer)).minimal
+        fused = partition.merge_blocks(found)
+        if fused == p_down:
+            # terminal: m switches from inner to outer at alpha
+            if inner != outer:
+                crossings[inner] = alpha
+        else:
+            # the lower side is pushed last, so the whole of it is walked first
+            pending += [(fused, p_up, found, outer), (p_down, fused, inner, found)]
+    return crossings
 
 
 def solve_chain_breakpoints(state: ParState, crossings) -> MinimizerChain:
-    """The minimizer chain from each set's critical point (the top set's is
-    the axis top), checked: the sets nest, the points are in order, and at
-    the point a of each pair S_small < S_big the segmented rates satisfy
-    r_a(S_big \\ S_small) = H(S_big) - H(S_small) exactly.
+    """The minimizer chain from each set's critical point, in the order given
+    (the top set last, at the axis top), checked: the sets nest, the points
+    are in order, and at the point a of each pair S_small < S_big the
+    segmented rates satisfy r_a(S_big \\ S_small) = H(S_big) - H(S_small) exactly.
     """
-    chain = sorted(crossings, key=len)
+    chain = list(crossings)
     for small, big in zip(chain, chain[1:]):
         if not small < big:
             raise InternalError(f"chain sets not nested: {sorted(small)} vs {sorted(big)}")
-    alphas = [crossings[s] for s in chain]
+    alphas = list(crossings.values())
     if alphas != sorted(alphas) or alphas[-1] != state.table.top:
         raise InternalError(f"critical points out of order: {alphas}")
     entropy = state.model.entropy
@@ -328,22 +327,22 @@ def parametric_iteration(state: ParState) -> ParState:
     carrier = frozenset(range(1, user + 1))
     singletons = Partition._from_canonical(tuple(map(singleton, range(1, user + 1))))
     whole = Partition._from_canonical((carrier,))
+    extended = state.table.map(lambda p: _extended(p, user))
     probes: list[Probe] = []
     if top == model.total_entropy:
         top_set, top_partition = carrier, whole
     else:
         probes.append(Probe(top, singletons, whole))
-        top_set, top_partition = _probe(model, _extended(state.table.value_at(top), user),
-                                        top, inner, carrier)
+        top_set = minimize(fusion_oracle_at(state, top)).minimal
         if top_set == inner:
-            return ParState(model, user, state.table.map(lambda p: _extended(p, user)),
+            return ParState(model, user, extended,
                             state.rates + (Segmented.constant(top, _tight_rate(model, inner)),),
                             last_chain=MinimizerChain((inner,), (top,)),
                             last_probes=tuple(probes))
-    extended = state.table.map(lambda p: _extended(p, user))
-    crossings = {top_set: top}
-    _chain_search(model, extended, singletons, top_partition, inner,
-                  top_set, probes, crossings)
+        top_partition = extended.value_at(top).merge_blocks(top_set)
+    crossings = _chain_search(model, extended, singletons, top_partition, inner,
+                              top_set, probes)
+    crossings[top_set] = top
     chain = solve_chain_breakpoints(state, crossings)
     if chain.sets[0] != inner:
         raise InternalError("minimizer chain must start at the new user's singleton")

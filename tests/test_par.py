@@ -131,7 +131,7 @@ class TestChainSearch:
         p = Partition.singletons(carrier)
         with pytest.raises(DomainError):
             par._chain_search(golden_states[1].model, golden_states[1].table, p, p,
-                              frozenset({2}), carrier, [], {})
+                              frozenset({2}), carrier, [])
 
 
 def solved_breakpoints(state: ParState, sets) -> tuple[Fraction, ...]:
@@ -208,6 +208,15 @@ class TestCriticalPointsFromProbes:
         with pytest.raises(InternalError, match="not nested"):
             solve_chain_breakpoints(state, {frozenset({3, 5}): F(6),
                                             frozenset({1, 2, 5}): F(13, 2), v: F(10)})
+
+    def test_crossings_out_of_walk_order_raise(self, golden_states):
+        # User 5's true chain and points, handed over top set first: the
+        # chain is read in the order given, not sorted into shape.
+        chain = golden_states[5].last_chain
+        assert solve_chain_breakpoints(golden_states[4], dict(zip(chain.sets, chain.alphas))) == chain
+        crossings = dict(zip(chain.sets[::-1], chain.alphas[::-1]))
+        with pytest.raises(InternalError, match="not nested"):
+            solve_chain_breakpoints(golden_states[4], crossings)
 
 
 class TestRunParametric:
