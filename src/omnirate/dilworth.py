@@ -28,7 +28,7 @@ from typing import Iterable
 
 from .errors import DomainError
 from .model import SourceModel, as_rational
-from .partition import Partition, singleton
+from .partition import Partition
 from .sfm import minimize, saturation_oracle
 
 
@@ -94,10 +94,9 @@ def coordinate_saturation(model: SourceModel, alpha, carrier=None) -> DilworthRe
     for user in users[1:]:
         # Each block C of the partition has r(C) = f_alpha(C): the raise below
         # gives a fused block M the sum r(M - {user}) + base + f~(M) = f_alpha(M).
-        new = (singleton(user),)
-        result = minimize(saturation_oracle(model, alpha, partition.blocks, new))
+        result = minimize(saturation_oracle(model, alpha, partition.masks, (1 << (user - 1),)))
         rates.append(base + result.min_value)
-        partition = Partition(partition.blocks + new).merge_blocks(result.minimal)
+        partition = partition.with_user(user).merge_mask(result.mask)
 
     return DilworthResult(users, tuple(rates), partition, sum(rates, Fraction(0)))
 

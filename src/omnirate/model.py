@@ -4,9 +4,10 @@ Users are labelled 1..n (n >= 2).  Subsets of users are passed around as
 plain iterables and handled internally as bitmasks (user u <-> bit u-1),
 which keeps entropy lookups cheap during exhaustive enumeration.
 
-All entropies are `fractions.Fraction`.  Exactness matters: every
-breakpoint comparison downstream is an exact set-membership decision on a
-half-open interval, so no tolerances appear anywhere in the package.
+Each model owns an int scale d and serves H(X) * d as an int
+(`entropy_int`) and H(X) as a `fractions.Fraction`.  Exactness matters:
+every breakpoint comparison downstream is an exact set-membership decision
+on a half-open interval, so no tolerances appear anywhere in the package.
 
 Two oracle flavours are provided:
 
@@ -23,6 +24,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import compress
 from math import lcm
 from operator import gt, sub
@@ -38,11 +40,10 @@ from .errors import CapacityError, DomainError
 # parser at the first id past the cap.
 MAX_TABLE_USERS = 20
 
-# `validate` scales all 2^n values of a table to ints by the lcm of their
-# denominators.  Distinct coprime denominators make that lcm grow with their
-# product, so the lcm may have at most MAX_SCALED_BITS >> n bits (256 at 20
-# users, 4096 at 16, 65536 at 12), and the scaled values about this many bits
-# in all.
+# A table's entropy scale is the lcm of the denominators of its 2^n values.
+# Distinct coprime denominators make that lcm grow with their product, so
+# the lcm may have at most MAX_SCALED_BITS >> n bits (256 at 20 users, 4096
+# at 16, 65536 at 12), and the scaled values about this many bits in all.
 MAX_SCALED_BITS = 1 << 28
 
 _ZERO = Fraction(0)
@@ -65,30 +66,33 @@ def as_rational(value) -> Fraction:
 def subset_mask(users: Iterable[int]) -> int:
     mask = 0
     for u in users:
+        if u < 1:
+            raise DomainError(f"user ids start at 1, got {u}")
         mask |= 1 << (u - 1)
     return mask
 
 
 def mask_users(mask: int) -> frozenset[int]:
-    users = set()
-    u = 1
+    users = []
     while mask:
-        if mask & 1:
-            users.add(u)
-        mask >>= 1
-        u += 1
+        low = mask & -mask
+        users.append(low.bit_length())
+        mask ^= low
     return frozenset(users)
 
 
 class SourceModel(ABC):
-    """A ground set 1..size plus an exact entropy oracle H: 2^V -> Q."""
+    """A ground set 1..size plus an exact entropy oracle H: 2^V -> Q, served
+    as ints over one positive int scale per model (`scale`, `entropy_int`)."""
+
+    scale: int
 
     def __init__(self, size: int):
         if size < 2:
             raise DomainError(f"a source needs at least 2 users, got {size}")
         self._size = size
         self._full_mask = (1 << size) - 1
-        self._cache: dict[int, Fraction] = {0: Fraction(0)}
+        self._cache: dict[int, int] = {0: 0}
 
     @property
     def size(self) -> int:
@@ -111,12 +115,20 @@ class SourceModel(ABC):
         """H(X) for X given as an iterable of user labels; H(empty) = 0."""
         return self.entropy_of_mask(self._checked_mask(subset))
 
+    @property
+    def total_int(self) -> int:
+        """H(V) * scale."""
+        return self.entropy_int(self._full_mask)
+
     def entropy_of_mask(self, mask: int) -> Fraction:
         """H(X) with X encoded as a bitmask (low-level fast path, no domain check)."""
+        return Fraction(self.entropy_int(mask), self.scale)
+
+    def entropy_int(self, mask: int) -> int:
+        """H(X) * scale, an int, with X a bitmask; cached per mask, no domain check."""
         value = self._cache.get(mask)
         if value is None:
-            value = self._entropy_of_mask(mask)
-            self._cache[mask] = value
+            value = self._cache[mask] = self._entropy_of_mask(mask)
         return value
 
     def conditional_entropy(self, subset: Iterable[int], given: Iterable[int]) -> Fraction:
@@ -140,12 +152,14 @@ class SourceModel(ABC):
         return mask
 
     @abstractmethod
-    def _entropy_of_mask(self, mask: int) -> Fraction:
-        ...
+    def _entropy_of_mask(self, mask: int) -> int:
+        """H(X) * scale for a nonempty X, uncached."""
 
 
 class BitPoolSource(SourceModel):
-    """Each user holds a nonempty set of named independent uniform bits."""
+    """Each user holds a nonempty set of named independent uniform bits (scale 1)."""
+
+    scale = 1
 
     def __init__(self, bits_per_user: Sequence[Iterable[str]]):
         super().__init__(len(bits_per_user))
@@ -184,8 +198,11 @@ class BitPoolSource(SourceModel):
             mask ^= low
         return pooled
 
-    def _entropy_of_mask(self, mask: int) -> Fraction:
-        return _BIT_COUNTS[self.bits_of_mask(mask).bit_count()]
+    def entropy_of_mask(self, mask: int) -> Fraction:
+        return _BIT_COUNTS[self.entropy_int(mask)]
+
+    def _entropy_of_mask(self, mask: int) -> int:
+        return self.bits_of_mask(mask).bit_count()
 
     def __repr__(self):
         return f"BitPoolSource({len(self.bits_per_user)} users, {len(self.bit_names)} bits)"
@@ -233,13 +250,32 @@ class EntropyTable(SourceModel):
             )
         self._table = table
 
+    @cached_property
+    def scale(self) -> int:
+        """The lcm of the denominators of the values; CapacityError past the budget."""
+        n, budget = self._size, MAX_SCALED_BITS >> self._size
+        scale = 1
+        for d in {v.denominator for v in self._table.values()}:
+            scale = lcm(scale, d)
+            if scale.bit_length() > budget:
+                raise CapacityError(
+                    f"validate: the lcm of the denominators of the {n}-user table "
+                    f"exceeds {budget} bits ({MAX_SCALED_BITS} bits over 2^{n} values)"
+                )
+        return scale
+
     def entropy_of_mask(self, mask: int) -> Fraction:
         """H(X) read straight from the table, which is keyed by mask already,
         so no entry is also held in the entropy cache."""
         return self._table[mask] if mask else _ZERO
 
-    def _entropy_of_mask(self, mask: int) -> Fraction:
-        return self._table[mask]
+    def entropy_int(self, mask: int) -> int:
+        """H(X) * scale, scaled from the table on each read, so not cached."""
+        return self._entropy_of_mask(mask) if mask else 0
+
+    def _entropy_of_mask(self, mask: int) -> int:
+        value = self._table[mask]
+        return value.numerator * (self.scale // value.denominator)
 
     def __repr__(self):
         return f"EntropyTable({self._size} users)"
@@ -278,10 +314,10 @@ def validate(model: SourceModel) -> list[Violation]:
     g_i(X+j) <= g_i(X) for every j > i is submodularity
     (H(X+i) + H(X+j) >= H(X) + H(X+i+j)).
 
-    H is read once per mask through the model's uncached oracle, so the
-    entropy cache is left as it was, and scaled to ints by the lcm of its
-    denominators, so every comparison is an exact int comparison.  An lcm
-    past the MAX_SCALED_BITS budget raises CapacityError.  Each g_i and each
+    H is read once per mask through the model's uncached int oracle, so the
+    entropy cache is left as it was and every comparison is an exact int
+    comparison; a scale past the MAX_SCALED_BITS budget raises
+    CapacityError.  Each g_i and each
     of its pairings along a bit j is built and compared slice by slice
     (`_bit_pairs`); only a slice that holds a violation is walked mask by
     mask.  Violations are listed by mask, then i, then j, monotonicity
@@ -290,18 +326,7 @@ def validate(model: SourceModel) -> list[Violation]:
     if isinstance(model, BitPoolSource):
         return []
     n = model.size
-    values = [Fraction(0), *map(model._entropy_of_mask, range(1, 1 << n))]
-    denominators = {v.denominator for v in values}
-    budget = MAX_SCALED_BITS >> n
-    scale = 1
-    for d in denominators:
-        scale = lcm(scale, d)
-        if scale.bit_length() > budget:
-            raise CapacityError(
-                f"validate: the lcm of the denominators of the {n}-user table "
-                f"exceeds {budget} bits ({MAX_SCALED_BITS} bits over 2^{n} values)"
-            )
-    h = [v.numerator * (scale // v.denominator) for v in values]
+    h = [0, *map(model._entropy_of_mask, range(1, 1 << n))]
     size = len(h)
     half = size >> 1
     found = []  # (X, i, j), j = -1 for monotonicity
@@ -360,8 +385,8 @@ def _bit_pairs(length: int, bit: int):
 
 
 def partition_entropy(model: SourceModel, blocks: Iterable[Iterable[int]]) -> Fraction:
-    """Sum of H(C) over the blocks of a partition."""
-    return sum((model.entropy(block) for block in blocks), Fraction(0))
+    """Sum of H(C) over the blocks of a partition: the int entropies, over the scale."""
+    return Fraction(sum(map(model.entropy_int, map(model._checked_mask, blocks))), model.scale)
 
 
 def _set_str(mask: int) -> str:

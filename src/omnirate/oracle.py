@@ -110,13 +110,7 @@ def brute_dilworth(model: SourceModel, alpha, carrier=None) -> tuple[Fraction, P
 
 
 def _meet(p: Partition, q: Partition) -> Partition:
-    blocks = []
-    for b in p.blocks:
-        for c in q.blocks:
-            inter = b & c
-            if inter:
-                blocks.append(inter)
-    return Partition(blocks)
+    return Partition([b & c for b in p.blocks for c in q.blocks if b & c])
 
 
 def check_achievable(model: SourceModel, rates, carrier=None) -> bool:

@@ -57,6 +57,11 @@ time `solve_chain_breakpoints` checks it against the per-user rates.  The
 probes therefore read only the partition table, never a rate, and the new
 user's rate is the one value each iteration writes besides it.
 
+Probes run on block bitmasks and ints over the model's entropy scale d: a
+pending bracket carries its two partitions' entropies, so a probe sums one
+new partition, and its crossing H(V) - (h_down - h_up) / k is one
+`Fraction` over d * k.
+
 The sweep can also run on a truncated axis [0, top], top < H(V): successive
 omniscience reads the state at one lower bound only (`so`).  The state at
 alpha depends only on the state at alpha, so the state on [0, top] after
@@ -91,8 +96,8 @@ from typing import Iterator
 
 from .dilworth import coordinate_saturation
 from .errors import DomainError, InternalError
-from .model import SourceModel, as_rational, partition_entropy
-from .partition import AffineValue, Partition, Segmented, singleton
+from .model import SourceModel, as_rational, mask_users, partition_entropy
+from .partition import AffineValue, Partition, Segmented
 from .sfm import FusionOracle, minimize, saturation_oracle
 
 
@@ -197,24 +202,19 @@ def initial_state(model: SourceModel, top=None) -> ParState:
     top = total if top is None else as_rational(top)
     if not 0 <= top <= total:
         raise DomainError(f"axis top {top} outside [0, {total}]")
-    return ParState(model, 1, Segmented.constant(top, Partition([singleton(1)])),
-                    (Segmented.constant(top, _tight_rate(model, singleton(1))),))
+    return ParState(model, 1, Segmented.constant(top, Partition([(1,)])),
+                    (Segmented.constant(top, _tight_rate(model, 1)),))
 
 
-def _tight_rate(model: SourceModel, block: frozenset[int]) -> AffineValue:
-    """alpha - H(V) + H(block): the rate sum of every stored block."""
-    return AffineValue(model.entropy(block) - model.total_entropy, Fraction(1))
-
-
-def _extended(partition: Partition, user: int) -> Partition:
-    """`partition` with the block {user} appended."""
-    # user is the largest id, so appending its block keeps the order
-    return Partition._from_canonical(partition.blocks + (singleton(user),))
+def _tight_rate(model: SourceModel, block: int) -> AffineValue:
+    """alpha - H(V) + H(block), a bitmask: the rate sum of every stored block."""
+    return AffineValue(model.entropy_of_mask(block) - model.total_entropy, Fraction(1))
 
 
 def _oracle_at(model: SourceModel, partition: Partition, alpha: Fraction,
-               inner: frozenset[int], outer: frozenset[int]) -> FusionOracle:
-    """Fusion oracle at `alpha` on the sublattice between `inner` and `outer`.
+               inner: int, outer: int) -> FusionOracle:
+    """Fusion oracle at `alpha` on the sublattice between the user bitmasks
+    `inner` and `outer`.
 
     The blocks of `partition` inside `outer` are kept (restriction)
     and those meeting `inner` fuse into the anchor (contraction); every block
@@ -223,16 +223,15 @@ def _oracle_at(model: SourceModel, partition: Partition, alpha: Fraction,
     argument guarantees; a violation means the search state is corrupt.
     """
     anchor_blocks, rest = [], []
-    for b in partition.blocks:
-        if not b.isdisjoint(inner):
+    for b in partition.masks:
+        if b & inner:
             anchor_blocks.append(b)
-        elif b <= outer:
+        elif not b & ~outer:
             rest.append(b)
-    if (not all(b <= outer for b in anchor_blocks)
-            or sum(map(len, anchor_blocks + rest)) != len(outer)):
+    if sum(anchor_blocks) + sum(rest) != outer:  # disjoint masks: their sum is their union
         raise InternalError(
-            f"bracket {sorted(inner)} <= {sorted(outer)} is not a block union "
-            f"at alpha {alpha}"
+            f"bracket {sorted(mask_users(inner))} <= {sorted(mask_users(outer))} "
+            f"is not a block union at alpha {alpha}"
         )
     # The new user's singleton, the partition's last block, is the last anchor part.
     return saturation_oracle(model, alpha, rest, anchor_blocks)
@@ -249,34 +248,38 @@ def fusion_oracle_at(state: ParState, alpha) -> FusionOracle:
     if user > state.model.size:
         raise DomainError("state already covers the whole ground set")
     alpha = as_rational(alpha)
-    return saturation_oracle(state.model, alpha, state.partition_at(alpha).blocks,
-                             (singleton(user),))
+    return saturation_oracle(state.model, alpha, state.partition_at(alpha).masks,
+                             (1 << (user - 1),))
 
 
 def _chain_search(model, table, p_down, p_up, inner, outer, probes) -> dict:
     """Probe where the lines of `p_down` (strictly finer) and `p_up` cross, on
-    the bracket (inner, outer), and walk both sides, lower first, unless fusing
-    gives p_down; return {inner set: alpha} of the terminal probes, in order."""
+    the bracket (inner, outer) of user bitmasks, and walk both sides, lower
+    first, unless fusing gives p_down; return {inner mask: alpha} of the
+    terminal probes, in order."""
     if p_down == p_up or not p_down.refines(p_up):
         raise DomainError("need p_down strictly finer than p_up")
+    total, d, entropy = model.total_int, model.scale, model.entropy_int
     crossings = {}
-    pending = [(p_down, p_up, inner, outer)]
+    pending = [(p_down, p_up, inner, outer, sum(map(entropy, p_down.masks)),
+                sum(map(entropy, p_up.masks)))]
     while pending:
-        p_down, p_up, inner, outer = pending.pop()
-        h_down = partition_entropy(model, p_down)
-        h_up = partition_entropy(model, p_up)
-        alpha = model.total_entropy - (h_down - h_up) / (len(p_down) - len(p_up))
+        p_down, p_up, inner, outer, h_down, h_up = pending.pop()
+        k = len(p_down) - len(p_up)
+        alpha = Fraction(total * k - h_down + h_up, d * k)
         probes.append(Probe(alpha, p_down, p_up))
         partition = table.value_at(alpha)
-        found = minimize(_oracle_at(model, partition, alpha, inner, outer)).minimal
-        fused = partition.merge_blocks(found)
+        found = minimize(_oracle_at(model, partition, alpha, inner, outer)).mask
+        fused = partition.merge_mask(found)
         if fused == p_down:
             # terminal: m switches from inner to outer at alpha
             if inner != outer:
                 crossings[inner] = alpha
         else:
             # the lower side is pushed last, so the whole of it is walked first
-            pending += [(fused, p_up, found, outer), (p_down, fused, inner, found)]
+            h_fused = sum(map(entropy, fused.masks))
+            pending += [(fused, p_up, found, outer, h_fused, h_up),
+                        (p_down, fused, inner, found, h_down, h_fused)]
     return crossings
 
 
@@ -323,44 +326,45 @@ def parametric_iteration(state: ParState) -> ParState:
     if user > model.size:
         raise DomainError("state already covers the whole ground set")
     top = state.table.top
-    inner = singleton(user)
-    carrier = frozenset(range(1, user + 1))
-    singletons = Partition._from_canonical(tuple(map(singleton, range(1, user + 1))))
-    whole = Partition._from_canonical((carrier,))
-    extended = state.table.map(lambda p: _extended(p, user))
+    inner = 1 << (user - 1)
+    carrier = range(1, user + 1)
+    singletons, whole = Partition.singletons(carrier), Partition.whole(carrier)
+    extended = state.table.map(lambda p: p.with_user(user))
     probes: list[Probe] = []
     if top == model.total_entropy:
-        top_set, top_partition = carrier, whole
+        top_set, top_partition = 2 * inner - 1, whole
     else:
         probes.append(Probe(top, singletons, whole))
-        top_set = minimize(fusion_oracle_at(state, top)).minimal
+        top_set = minimize(fusion_oracle_at(state, top)).mask
         if top_set == inner:
             return ParState(model, user, extended,
                             state.rates + (Segmented.constant(top, _tight_rate(model, inner)),),
-                            last_chain=MinimizerChain((inner,), (top,)),
+                            last_chain=MinimizerChain((mask_users(inner),), (top,)),
                             last_probes=tuple(probes))
-        top_partition = extended.value_at(top).merge_blocks(top_set)
+        top_partition = extended.value_at(top).merge_mask(top_set)
     crossings = _chain_search(model, extended, singletons, top_partition, inner,
                               top_set, probes)
     crossings[top_set] = top
-    chain = solve_chain_breakpoints(state, crossings)
-    if chain.sets[0] != inner:
+    sets = list(crossings)
+    if sets[0] != inner:
         raise InternalError("minimizer chain must start at the new user's singleton")
+    chain = solve_chain_breakpoints(state, dict(zip(map(mask_users, sets), crossings.values())))
 
+    total, d = model.total_int, model.scale
     partitions, rates = [], []
     for upper in sorted(set(extended.uppers).union(chain.alphas)):
         partition = extended.value_at(upper)
-        fused = chain.sets[bisect_left(chain.alphas, upper)]
+        fused = sets[bisect_left(chain.alphas, upper)]
         # The k stored blocks B inside S_j - {i} are tight, so the new user
         # gets H(S_j) - sum (alpha - H(V) + H(B)) - H(V) + alpha.
-        stored = [b for b in partition.blocks[:-1] if b <= fused]
-        if sum(map(len, stored)) + 1 != len(fused):
-            raise InternalError(f"minimizer {sorted(fused)} is not a block union "
-                                f"on the segment ending at {upper}")
-        partitions.append((upper, partition.merge_blocks(fused)))
-        rates.append((upper, AffineValue(model.entropy(fused) - partition_entropy(model, stored)
-                                         + (len(stored) - 1) * model.total_entropy,
-                                         Fraction(1 - len(stored)))))
+        stored = [b for b in partition.masks[:-1] if not b & ~fused]
+        if inner + sum(stored) != fused:
+            raise InternalError(f"minimizer {sorted(mask_users(fused))} is not a block "
+                                f"union on the segment ending at {upper}")
+        partitions.append((upper, partition.merge_mask(fused)))
+        intercept = (model.entropy_int(fused) - sum(map(model.entropy_int, stored))
+                     + (len(stored) - 1) * total)
+        rates.append((upper, AffineValue(Fraction(intercept, d), Fraction(1 - len(stored)))))
 
     return ParState(
         model, user, Segmented(partitions), state.rates + (Segmented(rates),),

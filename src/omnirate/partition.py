@@ -11,6 +11,10 @@ represents a value valid only at alpha = 0.
 
 `Segmented` keeps adjacent segments with equal values merged, so its ends
 are meaningful breakpoints.
+
+A `Partition` keeps each block as a user bitmask, the form in which probes,
+fusion oracles and entropy ints read it; sets of users are views built on
+demand, so a kept result (a whole principal sequence, say) holds only ints.
 """
 
 from __future__ import annotations
@@ -18,53 +22,40 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import reduce
+from operator import or_
 from typing import Any, Callable, Iterable, Iterator
 
 from .errors import DomainError
-from .model import as_rational
-
-
-@cache
-def singleton(user: int) -> frozenset[int]:
-    """The block {user}, one shared frozenset per user.
-
-    Singleton blocks recur in every partition of a sweep and in every
-    result a caller keeps, so sharing them keeps retained results small.
-    """
-    return frozenset((user,))
+from .model import as_rational, mask_users, subset_mask
 
 
 class Partition:
-    """A partition of a finite carrier set into disjoint nonempty blocks.
+    """A partition of a finite carrier set of users into disjoint nonempty blocks.
 
-    Blocks are kept in canonical order (sorted by smallest element), which
-    makes equality, hashing and printing deterministic.
+    Each block is a user bitmask (user u <-> bit u-1) in `masks`, in
+    canonical order (lowest bit first), which makes equality, hashing and
+    printing deterministic.  `blocks`, `carrier` and `block_of` are
+    frozenset views built on demand, not kept.
     """
 
-    __slots__ = ("blocks",)
+    __slots__ = ("masks",)
 
     def __init__(self, blocks: Iterable[Iterable[int]]):
-        frozen = [frozenset(b) for b in blocks]
-        if not frozen:
+        masks = [subset_mask(b) for b in blocks]
+        if not masks:
             raise DomainError("a partition needs at least one block")
-        if any(not b for b in frozen):
+        if not all(masks):
             raise DomainError("partition blocks must be nonempty")
-        carrier: set[int] = set()
-        total = 0
-        for b in frozen:
-            carrier |= b
-            total += len(b)
-        if total != len(carrier):
+        if sum(m.bit_count() for m in masks) != reduce(or_, masks).bit_count():
             raise DomainError("partition blocks must be pairwise disjoint")
-        object.__setattr__(self, "blocks", tuple(sorted(frozen, key=min)))
+        object.__setattr__(self, "masks", tuple(sorted(masks, key=lambda m: m & -m)))
 
     @classmethod
-    def _from_canonical(cls, blocks: tuple[frozenset[int], ...]) -> "Partition":
-        """Wrap blocks already known to be nonempty, disjoint and in canonical
-        order, skipping the constructor's checks."""
+    def _of(cls, masks: tuple[int, ...]) -> "Partition":
+        """Wrap masks that the calling method has already checked."""
         partition = object.__new__(cls)
-        object.__setattr__(partition, "blocks", blocks)
+        object.__setattr__(partition, "masks", masks)
         return partition
 
     def __setattr__(self, name, value):
@@ -72,60 +63,73 @@ class Partition:
 
     @classmethod
     def singletons(cls, carrier: Iterable[int]) -> "Partition":
-        return cls([singleton(u) for u in carrier])
+        return cls([(u,) for u in carrier])
 
     @classmethod
     def whole(cls, carrier: Iterable[int]) -> "Partition":
-        return cls([set(carrier)])
+        return cls([carrier])
+
+    @property
+    def blocks(self) -> tuple[frozenset[int], ...]:
+        """The blocks as sets of users, in canonical order (built on demand)."""
+        return tuple(map(mask_users, self.masks))
 
     @property
     def carrier(self) -> frozenset[int]:
         """The union of the blocks (computed on demand, not stored)."""
-        return frozenset().union(*self.blocks)
+        return mask_users(reduce(or_, self.masks))
 
     def __len__(self) -> int:
-        return len(self.blocks)
+        return len(self.masks)
 
     def __iter__(self) -> Iterator[frozenset[int]]:
         return iter(self.blocks)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Partition) and self.blocks == other.blocks
+        return isinstance(other, Partition) and self.masks == other.masks
 
     def __hash__(self) -> int:
-        return hash(self.blocks)
+        return hash(self.masks)
 
     def block_of(self, user: int) -> frozenset[int]:
-        for b in self.blocks:
-            if user in b:
-                return b
+        for b in self.masks if user > 0 else ():
+            if b >> (user - 1) & 1:
+                return mask_users(b)
         raise DomainError(f"user {user} is not in the carrier {sorted(self.carrier)}")
 
     def refines(self, other: "Partition") -> bool:
         """True iff every block of self is contained in some block of other."""
-        if self.carrier != other.carrier:
+        if reduce(or_, self.masks) != reduce(or_, other.masks):
             raise DomainError("cannot compare partitions of different carriers")
-        return all(any(b <= c for c in other.blocks) for b in self.blocks)
+        return all(not b & ~c for b in self.masks for c in other.masks if b & c)
+
+    def with_user(self, user: int) -> "Partition":
+        """This partition plus the block {user}, for a user above the carrier."""
+        bit = 1 << (user - 1)
+        if bit <= max(self.masks):
+            raise DomainError(f"user {user} does not exceed the carrier {sorted(self.carrier)}")
+        return Partition._of(self.masks + (bit,))
 
     def merge_blocks(self, fused: Iterable[int]) -> "Partition":
-        """Replace the blocks whose union is `fused` by the single block `fused`.
+        """Replace the blocks whose union is `fused` by the single block `fused`."""
+        return self.merge_mask(subset_mask(fused))
 
-        `fused` must be a union of whole blocks; anything that would split a
-        block is a domain error.  Once that holds the result is a partition,
-        so it is built without the constructor's checks; when `fused` is
-        already a block, the result is this partition itself.
-        """
-        fused = frozenset(fused)
-        if fused in self.blocks:
-            return self
-        inside = [b for b in self.blocks if b <= fused]
-        covered: frozenset[int] = frozenset().union(*inside) if inside else frozenset()
+    def merge_mask(self, fused: int) -> "Partition":
+        """`merge_blocks` with `fused` a user bitmask: it must be a union of whole
+        blocks, or DomainError.  It takes the place of its lowest block, which
+        keeps the order canonical; if it is one block already, this is returned."""
+        merged, covered = [], 0
+        for b in self.masks:
+            if not b & fused:
+                merged.append(b)
+            elif not b & ~fused:
+                if not covered:
+                    merged.append(fused)
+                covered |= b
         if covered != fused:
-            raise DomainError(
-                f"{sorted(fused)} is not a union of whole blocks of {self}"
-            )
-        rest = [b for b in self.blocks if not b <= fused]
-        return Partition._from_canonical(tuple(sorted(rest + [fused], key=min)))
+            raise DomainError(f"{sorted(mask_users(fused))} is not a union of "
+                              f"whole blocks of {self}")
+        return self if len(merged) == len(self.masks) else Partition._of(tuple(merged))
 
     def __str__(self) -> str:
         return "{" + ",".join(

@@ -25,17 +25,17 @@ non-anchor blocks):
 base polytope of f~ contracted onto the anchor, is the reference that tests
 check both backends against.
 
-All solvers work on user bitmasks and ints.  The oracle carries its block
-rate sums as ints over one shared denominator, so a call only computes the
-anchor's mask and one mask per non-anchor block; brute and min-norm-point
-read entropies from `SourceModel.entropy_of_mask`, and the cut reads each
-bit's holders from `BitPoolSource.bit_holders` and keeps every set of
-blocks in its network as one bitmask.  Nothing is rounded: values are
+All solvers work on user bitmasks and ints.  The oracle holds its blocks
+as user bitmasks and their rate sums as ints over one shared denominator,
+so a call converts nothing; brute and min-norm-point read entropies from
+`SourceModel.entropy_of_mask`, and the cut reads each bit's holders from
+`BitPoolSource.bit_holders` and keeps every set of blocks in its network
+as one bitmask.  Nothing is rounded: values are
 compared by cross-multiplication, the min-norm-point's linear algebra is
 fraction-free and the flow is over ints, so the answers are the exact ones.
 
 Every solver returns the same canonical answer: the minimum value and the
-minimal minimizer (the intersection of all minimizers) as a set of users.
+minimal minimizer (the intersection of all minimizers) as a user bitmask.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from math import lcm
 from typing import Sequence
 
 from .errors import CapacityError, DomainError, InternalError, SolverError
-from .model import BitPoolSource, SourceModel, subset_mask
+from .model import BitPoolSource, SourceModel, mask_users, subset_mask
 
 # Bit-pool lattices with more non-anchor blocks than this go to the min cut:
 # per call on fresh bench models, the bipartite-flow cut ties brute
@@ -65,46 +65,47 @@ _MNP_ITERATION_CAP = 10_000
 class FusionOracle:
     """Evaluator for f~ on the anchored block lattice of one saturation step.
 
-    `blocks` is the carrier partition with the anchor, the block that every
-    candidate must contain, last; `rates` is parallel to it, each block's
-    exact rate sum as an int over the shared denominator `scale`, a
-    positive int; `alpha` is the sum-rate estimate.  Submodularity of the
-    evaluator needs no check: it holds for any rates.  `saturation_oracle`
-    builds every production oracle; `from_fractions` takes arbitrary
-    `Fraction` rates, which is how the tests build theirs.
+    `blocks` is the carrier partition as user bitmasks with the anchor, the
+    block that every candidate must contain, last; `rates` is parallel to
+    it, each block's exact rate sum as an int over the shared denominator
+    `scale`, a positive int; `alpha` is the sum-rate estimate.
+    Submodularity of the evaluator needs no check: it holds for any rates.
+    `saturation_oracle` builds every production oracle; `from_fractions`
+    takes user sets and `Fraction` rates, which is how the tests build theirs.
     """
 
     model: SourceModel
     alpha: Fraction
-    blocks: tuple[frozenset[int], ...]
+    blocks: tuple[int, ...]
     rates: tuple[int, ...]
     scale: int
 
     @classmethod
     def from_fractions(cls, model, alpha, blocks, rates: Sequence[Fraction]) -> FusionOracle:
-        """The oracle with `Fraction` block `rates`, scaled to ints over their lcm."""
+        """The oracle on user-set `blocks` with `Fraction` `rates`, scaled over their lcm."""
         scale = lcm(*(r.denominator for r in rates))
         ints = tuple(r.numerator * (scale // r.denominator) for r in rates)
-        return cls(model, alpha, tuple(blocks), ints, scale)
+        return cls(model, alpha, tuple(map(subset_mask, blocks)), ints, scale)
 
     @property
-    def anchor(self) -> frozenset[int]:
+    def anchor(self) -> int:
         return self.blocks[-1]
 
     @property
-    def non_anchor_blocks(self) -> tuple[frozenset[int], ...]:
+    def non_anchor_blocks(self) -> tuple[int, ...]:
         return self.blocks[:-1]
 
-    def f_tilde(self, fused: frozenset[int]) -> Fraction:
+    def f_tilde(self, fused) -> Fraction:
         """f~(X~) = alpha - H(V) + H(X~) - r(X~) for a block union X~ holding the anchor."""
-        rate = size = 0
+        fused = self.model._checked_mask(fused)
+        rate = covered = 0
         for block, block_rate in zip(self.blocks, self.rates):
-            if block <= fused:
+            if not block & ~fused:
                 rate += block_rate
-                size += len(block)
-        if size != len(fused) or not self.anchor <= fused:
+                covered |= block
+        if covered != fused or self.anchor & ~fused:
             raise DomainError("candidate must be a union of blocks containing the anchor")
-        return (self.alpha - self.model.total_entropy + self.model.entropy(fused)
+        return (self.alpha - self.model.total_entropy + self.model.entropy_of_mask(fused)
                 - Fraction(rate, self.scale))
 
 
@@ -113,26 +114,21 @@ def saturation_oracle(model: SourceModel, alpha: Fraction, blocks,
     """The oracle of adding one user at `alpha` to a partition of tight blocks.
 
     Each block B of `blocks` and of `anchor_parts` but the last, the new
-    user's singleton, has rate f_alpha(B) = alpha - H(V) + H(B); the
-    singleton enters at alpha - H(V) and the anchor, the parts' union, at
-    their sum.  With alpha = p/q and d the lcm of the entropies'
-    denominators (1 on bit pools), every rate is an int over d * q.
+    user's singleton, all user bitmasks, has rate f_alpha(B) = alpha - H(V)
+    + H(B); the singleton enters at alpha - H(V), and the anchor (the parts'
+    mask sum: they are disjoint) at the sum of their rates.  With alpha = p/q
+    and d the model's entropy scale, every rate is an int over d * q.
     """
-    total, k = model.total_entropy, len(blocks)
-    entropies = [model.entropy_of_mask(subset_mask(b)) for b in (*blocks, *anchor_parts[:-1])]
-    d = lcm(total.denominator, *(h.denominator for h in entropies))
-    q = alpha.denominator
-    base = alpha.numerator * d - q * total.numerator * (d // total.denominator)
-    rates = [base + q * h.numerator * (d // h.denominator) for h in entropies]
-    # A lone part is kept as is, so a shared singleton stays shared.
-    anchor = anchor_parts[0] if len(anchor_parts) == 1 else frozenset().union(*anchor_parts)
-    return FusionOracle(model, alpha, (*blocks, anchor),
+    d, q, k, entropy = model.scale, alpha.denominator, len(blocks), model.entropy_int
+    base = alpha.numerator * d - q * model.total_int
+    rates = [base + q * entropy(b) for b in (*blocks, *anchor_parts[:-1])]
+    return FusionOracle(model, alpha, (*blocks, sum(anchor_parts)),
                         (*rates[:k], base + sum(rates[k:])), d * q)
 
 
 @dataclass(frozen=True)
 class SfmResult:
-    """The minimum of f~ and its minimal minimizer.
+    """The minimum of f~ and its minimal minimizer, the user bitmask `mask`.
 
     `evaluations` is the backend's work count: f~ values read by brute and
     min-norm-point, augmenting paths by the cut (0 when the greedy pour
@@ -140,13 +136,12 @@ class SfmResult:
     """
 
     min_value: Fraction
-    minimal: frozenset[int]
+    mask: int
     evaluations: int = field(compare=False, default=0)
 
-
-def _block_masks(oracle: FusionOracle) -> tuple[int, list[int]]:
-    """The anchor's user mask and one user mask per non-anchor block."""
-    return subset_mask(oracle.anchor), [subset_mask(b) for b in oracle.non_anchor_blocks]
+    @property
+    def minimal(self) -> frozenset[int]:
+        return mask_users(self.mask)
 
 
 def _min_value(oracle: FusionOracle, num: int, den: int) -> Fraction:
@@ -158,11 +153,10 @@ def _min_value(oracle: FusionOracle, num: int, den: int) -> Fraction:
                     + (num - oracle.rates[-1] * den) * ad * td, ad * td * den * scale)
 
 
-def _fused(oracle: FusionOracle, choice: int) -> frozenset[int]:
-    """The anchor plus the non-anchor blocks whose bits are set in `choice`."""
-    rest = oracle.non_anchor_blocks
-    chosen = [rest[j] for j in range(len(rest)) if choice >> j & 1]
-    return oracle.anchor.union(*chosen) if chosen else oracle.anchor
+def _fused(oracle: FusionOracle, choice: int) -> int:
+    """The anchor's mask plus the non-anchor blocks whose bits are set in `choice`."""
+    return oracle.anchor + sum(b for j, b in enumerate(oracle.non_anchor_blocks)
+                               if choice >> j & 1)
 
 
 def minimize_brute(oracle: FusionOracle) -> SfmResult:
@@ -187,7 +181,7 @@ def minimize_brute(oracle: FusionOracle) -> SfmResult:
         raise CapacityError(
             f"brute enumeration capped at {BRUTE_LIMIT} non-anchor blocks, got {k}"
         )
-    users, masks = _block_masks(oracle)
+    users, masks = oracle.anchor, oracle.non_anchor_blocks
     rates, scale = oracle.rates, oracle.scale
     entropy = oracle.model.entropy_of_mask
     h = entropy(users)
@@ -230,9 +224,9 @@ def minimize_mnp(oracle: FusionOracle, iteration_cap: int = _MNP_ITERATION_CAP) 
     """
     k = len(oracle.non_anchor_blocks)
     if k == 0:
-        return SfmResult(oracle.f_tilde(oracle.anchor), oracle.anchor, 1)
+        return SfmResult(oracle.f_tilde(mask_users(oracle.anchor)), oracle.anchor, 1)
 
-    anchor_mask, masks = _block_masks(oracle)
+    anchor_mask, masks = oracle.anchor, oracle.non_anchor_blocks
     entropy = oracle.model.entropy_of_mask
     anchor_h = entropy(anchor_mask)
     cache: dict[int, Fraction] = {0: Fraction(0)}
@@ -287,8 +281,8 @@ def minimize_mnp(oracle: FusionOracle, iteration_cap: int = _MNP_ITERATION_CAP) 
 
     minimal = _fused(oracle, sum(1 << j for j in range(k) if x[j] < 0))
     maximal = _fused(oracle, sum(1 << j for j in range(k) if x[j] <= 0))
-    value = oracle.f_tilde(minimal)
-    if value != oracle.f_tilde(maximal):
+    value = oracle.f_tilde(mask_users(minimal))
+    if value != oracle.f_tilde(mask_users(maximal)):
         raise InternalError("extreme minimizers disagree on the minimum value")
     return SfmResult(value, minimal, len(cache))
 
@@ -388,7 +382,7 @@ def minimize_cut(oracle: FusionOracle) -> SfmResult:
     model = oracle.model
     if not isinstance(model, BitPoolSource):
         raise DomainError("the min-cut solver needs a bit-pool source")
-    anchor_mask, masks = _block_masks(oracle)
+    anchor_mask, masks = oracle.anchor, oracle.non_anchor_blocks
     anchor_bits = model.bits_of_mask(anchor_mask)
     weights, groups = _closure_network(model, anchor_mask, masks, oracle.rates, oracle.scale)
     left, reached, paths = _max_flow(weights, list(groups), list(groups.values()))
@@ -397,7 +391,7 @@ def minimize_cut(oracle: FusionOracle) -> SfmResult:
     return SfmResult(value, _fused(oracle, minimal), paths)
 
 
-def _closure_network(model: BitPoolSource, anchor_mask: int, masks: list[int],
+def _closure_network(model: BitPoolSource, anchor_mask: int, masks: Sequence[int],
                      rates: Sequence[int], scale: int):
     """The blocks' weights and the shared bit groups of `minimize_cut`.
 

@@ -29,7 +29,7 @@ from fractions import Fraction
 
 from .dilworth import AlphaFunction, dilworth_truncation
 from .errors import DecompositionError, DomainError, InternalError
-from .model import SourceModel, as_rational
+from .model import SourceModel, as_rational, mask_users
 from .par import ParState, iter_parametric
 
 
@@ -73,21 +73,21 @@ def plan_from_state(state: ParState, alpha_bar: Fraction) -> SOPlan | None:
     partition table that holds it.
     """
     partition = state.partition_at(alpha_bar)
-    block = next((b for b in partition.blocks if len(b) > 1), None)
+    block = next((b for b in partition.masks if b & (b - 1)), None)
     if block is None:
         return None
-    merge_alpha = next((lower for lower, _, p in state.table if block in p.blocks), None)
+    merge_alpha = next((lower for lower, _, p in state.table if block in p.masks), None)
     if merge_alpha is None:
         raise InternalError("block found at alpha_bar but absent from the table")
-    users = tuple(sorted(block))
+    users = tuple(sorted(mask_users(block)))
     rates = tuple(state.rate_of(u, merge_alpha) for u in users)
     local_sum = sum(rates, Fraction(0))
-    expected = state.model.total_entropy - state.model.entropy(block) + local_sum
+    expected = state.model.total_entropy - state.model.entropy_of_mask(block) + local_sum
     if merge_alpha != expected:
         raise InternalError(
             f"merge point {merge_alpha} disagrees with H(V) - H(C) + R(C) = {expected}"
         )
-    return SOPlan(block, merge_alpha, users, rates, local_sum,
+    return SOPlan(frozenset(users), merge_alpha, users, rates, local_sum,
                   state.carrier_size, state.model.size)
 
 

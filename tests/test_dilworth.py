@@ -8,6 +8,7 @@ from omnirate import (DomainError, Partition, brute_dilworth,
                       coordinate_saturation, dilworth, dilworth_truncation,
                       mda_reference, partition_value, run_parametric)
 from omnirate.dilworth import AlphaFunction
+from omnirate.model import mask_users
 
 from conftest import random_alpha, random_bitpool, rank_sum_table
 
@@ -54,7 +55,7 @@ class TestCoordinateSaturation:
         def recorded(oracle):
             rates = [Fraction(r, oracle.scale) for r in oracle.rates]
             f_alpha = AlphaFunction(model, alpha)
-            assert rates[:-1] == [f_alpha(b) for b in oracle.non_anchor_blocks]
+            assert rates[:-1] == [f_alpha(mask_users(b)) for b in oracle.non_anchor_blocks]
             assert rates[-1] == alpha - model.total_entropy
             denominators = {r.denominator for r in rates}
             mixed.append(len(denominators) > 1)

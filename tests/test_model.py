@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from omnirate import (BitPoolSource, CapacityError, DomainError, EntropyTable,
-                      Violation, partition_entropy, validate)
+                      Partition, Violation, brute_min_sum_rate, mda_reference,
+                      partition_entropy, run_parametric, validate)
 from omnirate.model import MAX_TABLE_USERS, mask_users, subset_mask
 
 from conftest import FIVE_USER_BITS, random_bitpool, rank_sum_table
@@ -339,3 +340,50 @@ def test_bitpool_submodular_on_random_subsets(seed):
 
 def test_partition_entropy(five_user):
     assert partition_entropy(five_user, [[1, 2, 5], [3], [4]]) == 9 + 4 + 4
+
+
+def coprime_rank_sum_table():
+    """Six users, H(X) = sum_k w_k min(|X & S_k|, r_k) with w = 1/3, 2/7, 5/2
+    plus private parts 1/5 and 3/4: the values mix coprime denominators, so
+    the table's scale is their lcm, 420."""
+    terms = [({1, 2, 3, 4}, 2, Fraction(1, 3)), ({3, 4, 5, 6}, 3, Fraction(2, 7)),
+             ({1, 5, 6}, 1, Fraction(5, 2))]
+    private = {2: Fraction(1, 5), 6: Fraction(3, 4)}
+    values = {}
+    for mask in range(1, 1 << 6):
+        x = mask_users(mask)
+        values[tuple(sorted(x))] = (sum(w * min(len(x & s), k) for s, k, w in terms)
+                                    + sum(private.get(u, 0) for u in x))
+    return EntropyTable(6, values)
+
+
+class TestIntEntropyScale:
+    def test_bit_pool_scale_is_one_and_ints_are_bit_counts(self, five_user):
+        assert five_user.scale == 1
+        for mask in range(1 << five_user.size):
+            assert five_user.entropy_int(mask) == five_user.bits_of_mask(mask).bit_count()
+            assert five_user.entropy_of_mask(mask) == five_user.entropy_int(mask)
+
+    def test_mixed_denominators_scale_to_exact_ints(self):
+        table = coprime_rank_sum_table()
+        assert validate(table) == []
+        assert table.scale == 420
+        assert len({table.entropy_of_mask(m).denominator for m in range(64)}) >= 6
+        for mask in range(1 << 6):
+            assert Fraction(table.entropy_int(mask), table.scale) == table.entropy_of_mask(mask)
+        blocks = [[1, 2], [3], [4, 5, 6]]
+        assert partition_entropy(table, blocks) == sum(
+            (table.entropy(b) for b in blocks), Fraction(0))
+
+    def test_sweep_on_mixed_denominators_matches_the_references(self):
+        # Summing numerators without the common scale gives wrong sums here.
+        table = coprime_rank_sum_table()
+        _, psp = run_parametric(table)
+        rate, finest, rates = mda_reference(table)
+        brute_rate, brute_finest = brute_min_sum_rate(table)
+        assert psp.min_sum_rate == rate == brute_rate
+        assert psp.finest_maximizer == finest == brute_finest
+        assert psp.rates == rates
+        assert len(psp.partitions) > 2 and psp.finest_maximizer != Partition.whole(range(1, 7))
+        # int reads scale the table's values; none is copied into the cache
+        assert table._cache == {0: 0}

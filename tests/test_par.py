@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from omnirate.par import (MinimizerChain, ParState, extract_psp,
                           fusion_oracle_at, initial_state, iter_parametric,
                           mda_reference, parametric_iteration, run_parametric,
                           solve_chain_breakpoints)
+from omnirate.model import mask_users, subset_mask
 from omnirate.partition import Segmented
 
 from conftest import (axis_caps, corpus_models, planted_pair_bitpool, random_alpha,
@@ -247,6 +249,21 @@ class TestRunParametric:
         assert sum(psp.rates) == 1
         assert psp.critical_points == (F(1), F(2))
         assert psp.partitions == (Partition([[1], [2]]), Partition([[1, 2]]))
+
+    def test_kept_result_holds_no_frozenset(self):
+        # A kept PSPResult should hold only ints, Fractions, tuples and
+        # partitions of masks: every object reachable from it, classes aside.
+        _, psp = run_parametric(spread_bitpool(random.Random(1), 16))
+        seen, stack, kinds = set(), [psp], set()
+        while stack:
+            obj = stack.pop()
+            if id(obj) in seen or isinstance(obj, type):
+                continue
+            seen.add(id(obj))
+            kinds.add(type(obj))
+            stack.extend(gc.get_referents(obj))
+        assert Partition in kinds and len(psp.partitions) == 16
+        assert not {frozenset, set, dict, list} & kinds
 
     def test_sweep_matches_fixed_alpha_everywhere(self, five_user, golden_states):
         rng = random.Random(1234)
@@ -509,7 +526,7 @@ class TestBracketedProbes:
             rates = tuple(F(r, oracle.scale) for r in oracle.rates)
             user_rates = (*extending[-1].rates_at(alpha), alpha - model.total_entropy)
             assert rates == tuple(
-                sum((user_rates[u - 1] for u in b), F(0))
+                sum((user_rates[u - 1] for u in mask_users(b)), F(0))
                 for b in oracle.blocks)
             probes.append(any(r.denominator > 1 for r in rates))
             return oracle
@@ -530,19 +547,20 @@ class TestBracketedProbes:
         # Before user 5 at alpha = 23/4 the blocks are {1,2}, {3}, {4}, {5}.
         alpha = F(23, 4)
         model = golden_states[4].model
-        partition = par._extended(golden_states[4].table.value_at(alpha), 5)
-        oracle = par._oracle_at(model, partition, alpha, frozenset({3, 5}),
-                                frozenset({1, 2, 3, 5}))
-        assert oracle.anchor == frozenset({3, 5}) and oracle.blocks[0] == frozenset({1, 2})
+        partition = golden_states[4].table.value_at(alpha).with_user(5)
+        oracle = par._oracle_at(model, partition, alpha, subset_mask({3, 5}),
+                                subset_mask({1, 2, 3, 5}))
+        assert (mask_users(oracle.anchor) == frozenset({3, 5})
+                and mask_users(oracle.blocks[0]) == frozenset({1, 2}))
         # the whole bracket is the lattice `fusion_oracle_at` builds directly
-        whole = par._oracle_at(model, partition, alpha, frozenset({5}), frozenset(range(1, 6)))
+        whole = par._oracle_at(model, partition, alpha, subset_mask({5}), subset_mask(range(1, 6)))
         reference = fusion_oracle_at(golden_states[4], alpha)
         assert (whole.blocks, whole.rates, whole.scale) == (
             reference.blocks, reference.rates, reference.scale)
         with pytest.raises(InternalError):   # the upper end splits {1,2}
-            par._oracle_at(model, partition, alpha, frozenset({5}), frozenset({1, 5}))
+            par._oracle_at(model, partition, alpha, subset_mask({5}), subset_mask({1, 5}))
         with pytest.raises(InternalError):   # the lower end leaves the upper
-            par._oracle_at(model, partition, alpha, frozenset({4, 5}), frozenset({3, 5}))
+            par._oracle_at(model, partition, alpha, subset_mask({4, 5}), subset_mask({3, 5}))
 
 
 def clipped(table: Segmented, cap) -> Segmented:

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from omnirate import AffineValue, DomainError, Partition, Segmented
 
@@ -53,6 +54,89 @@ class TestPartition:
         assert p.block_of(2) == frozenset({1, 2})
         with pytest.raises(DomainError):
             p.block_of(9)
+
+
+@st.composite
+def block_lists(draw, n):
+    """A random partition of 1..n as a list of user lists, in random order."""
+    labels = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    blocks: dict[int, list[int]] = {}
+    for u in draw(st.permutations(range(1, n + 1))):
+        blocks.setdefault(labels[u - 1], []).append(u)
+    return draw(st.permutations(list(blocks.values())))
+
+
+def canonical(blocks):
+    """The frozenset reference: blocks as sets, sorted by their smallest user."""
+    return tuple(sorted(map(frozenset, blocks), key=min))
+
+
+@st.composite
+def partition_pairs(draw):
+    n = draw(st.integers(1, 10))
+    return n, draw(block_lists(n)), draw(block_lists(n))
+
+
+class TestPartitionAgainstFrozensets:
+    """The bitmask-backed Partition against plain frozenset reasoning."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(partition_pairs())
+    def test_views_equality_and_hash(self, pair):
+        n, first, second = pair
+        p, q = Partition(first), Partition(second)
+        expected = canonical(first)
+        assert p.blocks == tuple(p) == expected and len(p) == len(expected)
+        assert p.masks == tuple(sum(1 << (u - 1) for u in b) for b in expected)
+        assert p.carrier == frozenset(range(1, n + 1))
+        assert str(p) == "{" + ",".join(
+            "{" + ",".join(map(str, sorted(b))) + "}" for b in expected) + "}"
+        for u in range(1, n + 1):
+            assert p.block_of(u) == next(b for b in expected if u in b)
+        for u in (0, n + 1):
+            with pytest.raises(DomainError):
+                p.block_of(u)
+        assert (p == q) == (expected == canonical(second))
+        assert p == Partition([reversed(b) for b in reversed(first)])
+        assert hash(p) == hash(Partition(list(reversed(first))))
+
+    @settings(max_examples=200, deadline=None)
+    @given(partition_pairs())
+    def test_refines(self, pair):
+        n, first, second = pair
+        p, q = Partition(first), Partition(second)
+        assert p.refines(q) == all(any(b <= c for c in canonical(second))
+                                   for b in canonical(first))
+        assert p.refines(Partition.whole(range(1, n + 1)))
+        assert Partition.singletons(range(1, n + 1)).refines(p)
+        # the same number of users on another carrier
+        moved = [[n + 1 if u == 1 else u for u in b] for b in second]
+        with pytest.raises(DomainError, match="different carriers"):
+            p.refines(Partition(moved))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 10).flatmap(
+        lambda n: st.tuples(st.just(n), block_lists(n), st.sets(st.integers(0, 4), min_size=2),
+                            st.just(set()) | st.sets(st.integers(1, n + 1), max_size=2))))
+    def test_merge_blocks(self, case):
+        n, blocks, picked, toggled = case
+        p, expected = Partition(blocks), canonical(blocks)
+        # a union of some blocks, with up to two users toggled in or out
+        fused = frozenset().union(*(b for k, b in enumerate(expected) if k in picked))
+        fused = (fused ^ frozenset(toggled)) or expected[0]
+        inside = [b for b in expected if b <= fused]
+        if frozenset().union(*inside) != fused:
+            with pytest.raises(DomainError, match="not a union of whole blocks"):
+                p.merge_blocks(fused)
+            return
+        merged = p.merge_blocks(fused)
+        assert merged.blocks == canonical([b for b in expected if not b <= fused] + [fused])
+        assert merged.refines(p) == (len(inside) == 1) and p.refines(merged)
+        if fused in expected:
+            assert merged is p
+        assert p.with_user(n + 1) == Partition([*blocks, [n + 1]])
+        with pytest.raises(DomainError):
+            p.with_user(n)
 
 
 class TestAffineValue:

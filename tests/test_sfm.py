@@ -9,7 +9,7 @@ from omnirate import (BitPoolSource, CapacityError, DomainError, FusionOracle,
                       InternalError, find_complimentary, lower_bound_alpha,
                       minimize, minimize_brute, minimize_cut, minimize_mnp, par,
                       sfm)
-from omnirate.model import MAX_TABLE_USERS, subset_mask
+from omnirate.model import MAX_TABLE_USERS, mask_users, subset_mask
 from omnirate.par import fusion_oracle_at, initial_state, iter_parametric
 
 from conftest import (planted_pair_bitpool, random_bitpool, rank_sum_table,
@@ -73,7 +73,7 @@ class TestBruteOnGoldenSource:
     def test_capacity_cap(self, five_user):
         blocks = [[1], [2]]
         o = oracle_for(five_user, 3, blocks, 2, {1: 1, 2: -7})
-        object.__setattr__(o, "blocks", tuple(frozenset({k}) for k in range(1, 27)))
+        object.__setattr__(o, "blocks", tuple(1 << k for k in range(26)))
         with pytest.raises(CapacityError):
             minimize_brute(o)
 
@@ -147,7 +147,7 @@ class TestMinimizerLattice:
             rates = {u: Fraction(rng.randrange(-8, 5)) for u in model.users}
             o = oracle_for(model, alpha, blocks, anchor, rates)
             candidates = []
-            rest = o.non_anchor_blocks
+            rest = tuple(map(mask_users, o.non_anchor_blocks))
             for r in range(len(rest) + 1):
                 for combo in combinations(rest, r):
                     fused = frozenset({anchor}).union(*combo) if combo else frozenset({anchor})
@@ -242,7 +242,8 @@ def test_backends_agree_through_minimize(five_user):
 def test_fusion_oracle_helper_matches_manual(five_user):
     states = list(iter_parametric(five_user))
     o = fusion_oracle_at(states[3], Fraction(23, 4))
-    assert o.blocks == (frozenset({1, 2}), frozenset({3}), frozenset({4}), frozenset({5}))
+    assert tuple(map(mask_users, o.blocks)) == (
+        frozenset({1, 2}), frozenset({3}), frozenset({4}), frozenset({5}))
     assert o.f_tilde(frozenset({5})) == 5
     assert o.f_tilde(frozenset({1, 2, 5})) == Fraction(21, 4)
 
@@ -255,11 +256,12 @@ def test_fusion_oracle_helper_needs_a_next_user(five_user):
 
 def enumerated_extremes(oracle):
     """Minimum and extreme minimizers by plain enumeration over f_tilde."""
-    rest = oracle.non_anchor_blocks
+    rest = tuple(map(mask_users, oracle.non_anchor_blocks))
+    anchor = mask_users(oracle.anchor)
     values = {}
     for r in range(len(rest) + 1):
         for combo in combinations(rest, r):
-            fused = oracle.anchor.union(*combo)
+            fused = anchor.union(*combo)
             values[fused] = oracle.f_tilde(fused)
     best = min(values.values())
     minimizers = [x for x, v in values.items() if v == best]
@@ -507,9 +509,9 @@ class TestMinCut:
         @given(shared_group_oracles())
         def run(oracle):
             paths.append(minimize_cut(oracle).evaluations > 0)
-            multi.append(paths[-1] and any(len(b) > 1 for b in oracle.blocks))
-            anchor = subset_mask(oracle.anchor)
-            masks = [subset_mask(b) for b in oracle.non_anchor_blocks]
+            multi.append(paths[-1] and any(len(mask_users(b)) > 1 for b in oracle.blocks))
+            anchor = oracle.anchor
+            masks = oracle.non_anchor_blocks
             wide.append(paths[-1] and any(
                 sum(1 for m in masks if m & held) >= 4
                 for held in oracle.model.bit_holders if not held & anchor))
@@ -563,7 +565,7 @@ class TestMinCut:
             tops = []
 
             def recorded(oracle):
-                carrier = oracle.anchor.union(*oracle.non_anchor_blocks)
+                carrier = mask_users(oracle.anchor).union(*map(mask_users, oracle.non_anchor_blocks))
                 if oracle.alpha == bound and carrier == set(range(1, max(carrier) + 1)):
                     tops.append(oracle)
                 return real_minimize(oracle)
