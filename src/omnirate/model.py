@@ -5,16 +5,19 @@ plain iterables and handled internally as bitmasks (user u <-> bit u-1),
 which keeps entropy lookups cheap during exhaustive enumeration.
 
 Each model owns an int scale d and serves H(X) * d as an int
-(`entropy_int`) and H(X) as a `fractions.Fraction`.  Exactness matters:
-every breakpoint comparison downstream is an exact set-membership decision
-on a half-open interval, so no tolerances appear anywhere in the package.
+(`entropy_int`), which the sweep and its solvers read; H(X) as a
+`fractions.Fraction` (`entropy`, `entropy_of_mask`) is that int over d,
+built on each read.  Exactness matters: every breakpoint comparison
+downstream is an exact set-membership decision on a half-open interval, so
+no tolerances appear anywhere in the package.
 
 Two oracle flavours are provided:
 
 * `BitPoolSource` -- every user holds a set of named independent uniform
   bits; H(X) is the size of the union of the members' bit sets.  Such
   functions are always entropic (monotone, submodular).
-* `EntropyTable` -- an explicit table of H(X) for *every* nonempty subset.
+* `EntropyTable` -- an explicit table of H(X) for *every* nonempty subset,
+  held as one flat list of ints over the lcm of the values' denominators.
   Tables are accepted as data even when inconsistent; `validate` reports
   monotonicity/submodularity violations instead of raising.
 """
@@ -24,7 +27,6 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import compress
 from math import lcm
 from operator import gt, sub
@@ -34,10 +36,11 @@ from .errors import CapacityError, DomainError
 
 # Full explicit tables need 2^n - 1 entries, and parse and `validate` cost
 # grows about 4x per two users.  `omnirate psp` on a 20-user rational
-# rank-sum table (a 40 MB file) takes 13-15 s and 256 MiB on a 2-vCPU host,
-# against 3-4 s and 82 MiB at 18 users; at about 3x memory per two users,
-# 24 users would need some 2.5 GiB.  Larger tables are rejected, by the file
-# parser at the first id past the cap.
+# rank-sum table (a 40 MB file) takes 9-10 s and 217 MiB on a 2-vCPU host,
+# against about 2 s and 78 MiB at 18 users; the parser's dict of `Fraction`
+# values sets that peak.  At about 3x memory per two users, 24 users would
+# need some 2 GiB.  Larger tables are rejected, by the file parser at the
+# first id past the cap.
 MAX_TABLE_USERS = 20
 
 # A table's entropy scale is the lcm of the denominators of its 2^n values.
@@ -45,11 +48,6 @@ MAX_TABLE_USERS = 20
 # the lcm may have at most MAX_SCALED_BITS >> n bits (256 at 20 users, 4096
 # at 16, 65536 at 12), and the scaled values about this many bits in all.
 MAX_SCALED_BITS = 1 << 28
-
-_ZERO = Fraction(0)
-# Fraction(k) at index k: every bit-pool entropy is a bit count, so one table,
-# grown to the largest pool built so far, serves every model.
-_BIT_COUNTS: list[Fraction] = []
 
 
 def as_rational(value) -> Fraction:
@@ -121,7 +119,7 @@ class SourceModel(ABC):
         return self.entropy_int(self._full_mask)
 
     def entropy_of_mask(self, mask: int) -> Fraction:
-        """H(X) with X encoded as a bitmask (low-level fast path, no domain check)."""
+        """H(X) as a `Fraction`, X a bitmask: `entropy_int` over the scale, no domain check."""
         return Fraction(self.entropy_int(mask), self.scale)
 
     def entropy_int(self, mask: int) -> int:
@@ -130,12 +128,6 @@ class SourceModel(ABC):
         if value is None:
             value = self._cache[mask] = self._entropy_of_mask(mask)
         return value
-
-    def conditional_entropy(self, subset: Iterable[int], given: Iterable[int]) -> Fraction:
-        """H(X|Y) = H(X u Y) - H(Y)."""
-        x = self._checked_mask(subset)
-        y = self._checked_mask(given)
-        return self.entropy_of_mask(x | y) - self.entropy_of_mask(y)
 
     def _checked_mask(self, users: Iterable[int]) -> int:
         """`subset_mask(users)`, checking each id against 1..size before its shift.
@@ -182,8 +174,6 @@ class BitPoolSource(SourceModel):
             masks[u] = mask
         self._bit_masks = tuple(masks)
         self.bit_holders = tuple(holders)
-        have, need = len(_BIT_COUNTS), len(names) + 1
-        _BIT_COUNTS[have:need] = map(Fraction, range(have, need))  # only sets k to Fraction(k)
 
     def bits_of_mask(self, mask: int) -> int:
         """The union of the bit sets of the users in `mask`, as a mask over `bit_names`.
@@ -198,9 +188,6 @@ class BitPoolSource(SourceModel):
             mask ^= low
         return pooled
 
-    def entropy_of_mask(self, mask: int) -> Fraction:
-        return _BIT_COUNTS[self.entropy_int(mask)]
-
     def _entropy_of_mask(self, mask: int) -> int:
         return self.bits_of_mask(mask).bit_count()
 
@@ -211,8 +198,10 @@ class BitPoolSource(SourceModel):
 class EntropyTable(SourceModel):
     """Explicit H(X) for every nonempty X; H(empty)=0 is implicit.
 
-    The constructor only checks shape (full coverage, size cap); use
-    `validate` to test monotonicity and submodularity.
+    The values are held as one int per mask, H(X) * scale, in a flat list
+    with H(empty) = 0 at index 0.  The constructor only checks shape (full
+    coverage, size cap) and the scale's budget; use `validate` to test
+    monotonicity and submodularity.
     """
 
     def __init__(self, size: int, values: Mapping[frozenset[int] | tuple[int, ...], object]):
@@ -235,47 +224,43 @@ class EntropyTable(SourceModel):
         The keys must be nonempty, distinct and within 1..size (as
         `add_table_entry` fills them), and size at most MAX_TABLE_USERS:
         `modelfile` checks each id against the cap at its line, before it
-        shifts.  Only coverage is checked here.  The dict is kept, not copied.
+        shifts.  Only coverage and the scale's budget are checked here.
         """
         model = cls.__new__(cls)
         model._adopt(size, table)
         return model
 
     def _adopt(self, size: int, table: dict[int, Fraction]) -> None:
+        """Scale the values by the lcm of their denominators into the flat list.
+
+        CapacityError when that lcm has more than MAX_SCALED_BITS >> size bits.
+        """
         super().__init__(size)
         if len(table) != self._full_mask:
             raise DomainError(
                 f"entropy table covers {len(table)} subsets but needs all "
                 f"{self._full_mask} nonempty subsets of 1..{size}"
             )
-        self._table = table
-
-    @cached_property
-    def scale(self) -> int:
-        """The lcm of the denominators of the values; CapacityError past the budget."""
-        n, budget = self._size, MAX_SCALED_BITS >> self._size
+        budget = MAX_SCALED_BITS >> size
         scale = 1
-        for d in {v.denominator for v in self._table.values()}:
+        for d in {v.denominator for v in table.values()}:
             scale = lcm(scale, d)
             if scale.bit_length() > budget:
                 raise CapacityError(
-                    f"validate: the lcm of the denominators of the {n}-user table "
-                    f"exceeds {budget} bits ({MAX_SCALED_BITS} bits over 2^{n} values)"
+                    f"the lcm of the denominators of the {size}-user table "
+                    f"exceeds {budget} bits ({MAX_SCALED_BITS} bits over 2^{size} values)"
                 )
-        return scale
-
-    def entropy_of_mask(self, mask: int) -> Fraction:
-        """H(X) read straight from the table, which is keyed by mask already,
-        so no entry is also held in the entropy cache."""
-        return self._table[mask] if mask else _ZERO
+        values = [0] * (self._full_mask + 1)
+        for mask, value in table.items():
+            values[mask] = value.numerator * (scale // value.denominator)
+        self.scale = scale
+        self._values = values
 
     def entropy_int(self, mask: int) -> int:
-        """H(X) * scale, scaled from the table on each read, so not cached."""
-        return self._entropy_of_mask(mask) if mask else 0
+        """H(X) * scale, read straight from the flat list, so not cached."""
+        return self._values[mask]
 
-    def _entropy_of_mask(self, mask: int) -> int:
-        value = self._table[mask]
-        return value.numerator * (self.scale // value.denominator)
+    _entropy_of_mask = entropy_int
 
     def __repr__(self):
         return f"EntropyTable({self._size} users)"
@@ -314,19 +299,17 @@ def validate(model: SourceModel) -> list[Violation]:
     g_i(X+j) <= g_i(X) for every j > i is submodularity
     (H(X+i) + H(X+j) >= H(X) + H(X+i+j)).
 
-    H is read once per mask through the model's uncached int oracle, so the
-    entropy cache is left as it was and every comparison is an exact int
-    comparison; a scale past the MAX_SCALED_BITS budget raises
-    CapacityError.  Each g_i and each
-    of its pairings along a bit j is built and compared slice by slice
-    (`_bit_pairs`); only a slice that holds a violation is walked mask by
-    mask.  Violations are listed by mask, then i, then j, monotonicity
-    first.
+    H is the table's flat list of scaled ints, read with no oracle call, so
+    the entropy cache is left as it was and every comparison is an exact
+    int comparison.  Each g_i and each of its pairings along a bit j is
+    built and compared slice by slice (`_bit_pairs`); only a slice that
+    holds a violation is walked mask by mask.  Violations are listed by
+    mask, then i, then j, monotonicity first.
     """
     if isinstance(model, BitPoolSource):
         return []
     n = model.size
-    h = [0, *map(model._entropy_of_mask, range(1, 1 << n))]
+    h = model._values
     size = len(h)
     half = size >> 1
     found = []  # (X, i, j), j = -1 for monotonicity

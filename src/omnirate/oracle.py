@@ -118,12 +118,13 @@ def check_achievable(model: SourceModel, rates, carrier=None) -> bool:
 
     True iff r(X) >= H(X | carrier \\ X) for every nonempty X strictly
     inside the carrier (2^n - 2 constraints).  Rates must be exact
-    (`as_rational`); a float or Decimal raises DomainError.
+    (`as_rational`), one per carrier user; a float or Decimal, or a vector
+    of another length, raises DomainError.
     """
     users = check_carrier(model, carrier)
     rates = tuple(as_rational(r) for r in rates)
     if len(rates) != len(users):
-        raise InternalError(
+        raise DomainError(
             f"rate vector length {len(rates)} does not match carrier size {len(users)}"
         )
     h_total = model.entropy(users)

@@ -208,7 +208,8 @@ def initial_state(model: SourceModel, top=None) -> ParState:
 
 def _tight_rate(model: SourceModel, block: int) -> AffineValue:
     """alpha - H(V) + H(block), a bitmask: the rate sum of every stored block."""
-    return AffineValue(model.entropy_of_mask(block) - model.total_entropy, Fraction(1))
+    return AffineValue(Fraction(model.entropy_int(block) - model.total_int, model.scale),
+                       Fraction(1))
 
 
 def _oracle_at(model: SourceModel, partition: Partition, alpha: Fraction,

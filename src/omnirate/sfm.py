@@ -26,13 +26,15 @@ base polytope of f~ contracted onto the anchor, is the reference that tests
 check both backends against.
 
 All solvers work on user bitmasks and ints.  The oracle holds its blocks
-as user bitmasks and their rate sums as ints over one shared denominator,
-so a call converts nothing; brute and min-norm-point read entropies from
-`SourceModel.entropy_of_mask`, and the cut reads each bit's holders from
+as user bitmasks and their rate sums as ints over one shared denominator
+`scale`, a multiple of the model's entropy scale, so a call converts
+nothing: brute reads entropies from `SourceModel.entropy_int` and compares
+plain ints, the cut reads each bit's holders from
 `BitPoolSource.bit_holders` and keeps every set of blocks in its network
-as one bitmask.  Nothing is rounded: values are
-compared by cross-multiplication, the min-norm-point's linear algebra is
-fraction-free and the flow is over ints, so the answers are the exact ones.
+as one bitmask, and min-norm-point, the independent reference, reads
+`Fraction`s from `SourceModel.entropy_of_mask`.  Nothing is rounded: the
+min-norm-point's linear algebra is fraction-free and the flow is over
+ints, so the answers are the exact ones.
 
 Every solver returns the same canonical answer: the minimum value and the
 minimal minimizer (the intersection of all minimizers) as a user bitmask.
@@ -68,7 +70,8 @@ class FusionOracle:
     `blocks` is the carrier partition as user bitmasks with the anchor, the
     block that every candidate must contain, last; `rates` is parallel to
     it, each block's exact rate sum as an int over the shared denominator
-    `scale`, a positive int; `alpha` is the sum-rate estimate.
+    `scale`, a positive multiple of the model's entropy scale; `alpha` is
+    the sum-rate estimate.
     Submodularity of the evaluator needs no check: it holds for any rates.
     `saturation_oracle` builds every production oracle; `from_fractions`
     takes user sets and `Fraction` rates, which is how the tests build theirs.
@@ -82,8 +85,9 @@ class FusionOracle:
 
     @classmethod
     def from_fractions(cls, model, alpha, blocks, rates: Sequence[Fraction]) -> FusionOracle:
-        """The oracle on user-set `blocks` with `Fraction` `rates`, scaled over their lcm."""
-        scale = lcm(*(r.denominator for r in rates))
+        """The oracle on user-set `blocks` with `Fraction` `rates`, scaled over the
+        lcm of the model's entropy scale and the rates' denominators."""
+        scale = lcm(model.scale, *(r.denominator for r in rates))
         ints = tuple(r.numerator * (scale // r.denominator) for r in rates)
         return cls(model, alpha, tuple(map(subset_mask, blocks)), ints, scale)
 
@@ -144,13 +148,13 @@ class SfmResult:
         return mask_users(self.mask)
 
 
-def _min_value(oracle: FusionOracle, num: int, den: int) -> Fraction:
-    """alpha - H(V) - r(anchor) + num / (den * scale), built as one Fraction:
-    f~ at a union whose H(X~) - r(X~ minus the anchor) is num / (den * scale)."""
-    a, t, scale = oracle.alpha, oracle.model.total_entropy, oracle.scale
-    ad, td = a.denominator, t.denominator
-    return Fraction((a.numerator * td - t.numerator * ad) * den * scale
-                    + (num - oracle.rates[-1] * den) * ad * td, ad * td * den * scale)
+def _min_value(oracle: FusionOracle, num: int) -> Fraction:
+    """alpha - H(V) - r(anchor) + num / scale, built as one Fraction: f~ at a
+    union whose H(X~) - r(X~ minus the anchor) is num / scale.  The oracle's
+    scale must be a multiple of the model's."""
+    a, scale, model = oracle.alpha, oracle.scale, oracle.model
+    rest = model.total_int * (scale // model.scale) + oracle.rates[-1] - num
+    return Fraction(a.numerator * scale - a.denominator * rest, a.denominator * scale)
 
 
 def _fused(oracle: FusionOracle, choice: int) -> int:
@@ -165,12 +169,12 @@ def minimize_brute(oracle: FusionOracle) -> SfmResult:
     The 2^k unions are visited in Gray-code order, so each step toggles one
     block: its user mask is xor-ed into the union and its int rate added or
     subtracted, and the entropy is read straight from
-    `SourceModel.entropy_of_mask`.  Up to the constant alpha - H(V) - r(anchor),
-    a union's value times `scale` is (h.numerator*scale - rate*h.denominator)
-    / h.denominator, and two such values are compared by cross-multiplying,
-    so the walk stays on ints (bit-pool entropies have denominator 1) and
-    rational tables stay exact without a model-wide lcm.  The minimum is
-    that constant plus the best value over `scale`.
+    `SourceModel.entropy_int`.  Up to the constant alpha - H(V) - r(anchor),
+    a union's value times `scale` is the int
+    entropy_int * (scale // model.scale) - rate, so the walk compares plain
+    ints.  The minimum is that constant plus the best value over `scale`.
+    An oracle whose scale is not a multiple of the model's raises
+    DomainError.
 
     The minimal minimizer is accumulated as the intersection of all
     minimizers seen, a bitmask of block choices; the minimizers are closed
@@ -181,11 +185,14 @@ def minimize_brute(oracle: FusionOracle) -> SfmResult:
         raise CapacityError(
             f"brute enumeration capped at {BRUTE_LIMIT} non-anchor blocks, got {k}"
         )
-    users, masks = oracle.anchor, oracle.non_anchor_blocks
-    rates, scale = oracle.rates, oracle.scale
-    entropy = oracle.model.entropy_of_mask
-    h = entropy(users)
-    best_num, best_den = h.numerator * scale, h.denominator
+    model, scale = oracle.model, oracle.scale
+    if scale % model.scale:
+        raise DomainError(f"the oracle's scale {scale} is not a multiple of "
+                          f"the model's entropy scale {model.scale}")
+    factor = scale // model.scale
+    users, masks, rates = oracle.anchor, oracle.non_anchor_blocks, oracle.rates
+    entropy = model.entropy_int
+    best = entropy(users) * factor
     choice = minimal = rate = 0
     for step in range(1, 1 << k):
         j = (step & -step).bit_length() - 1
@@ -195,17 +202,13 @@ def minimize_brute(oracle: FusionOracle) -> SfmResult:
         else:
             rate += rates[j]
         choice ^= 1 << j
-        h = entropy(users)
-        den = h.denominator
-        num = h.numerator * scale - rate * den
-        lhs = num * best_den
-        rhs = best_num * den
-        if lhs < rhs:
-            best_num, best_den = num, den
+        value = entropy(users) * factor - rate
+        if value < best:
+            best = value
             minimal = choice
-        elif lhs == rhs:
+        elif value == best:
             minimal &= choice
-    return SfmResult(_min_value(oracle, best_num, best_den), _fused(oracle, minimal), 1 << k)
+    return SfmResult(_min_value(oracle, best), _fused(oracle, minimal), 1 << k)
 
 
 def minimize_mnp(oracle: FusionOracle, iteration_cap: int = _MNP_ITERATION_CAP) -> SfmResult:
@@ -387,7 +390,7 @@ def minimize_cut(oracle: FusionOracle) -> SfmResult:
     weights, groups = _closure_network(model, anchor_mask, masks, oracle.rates, oracle.scale)
     left, reached, paths = _max_flow(weights, list(groups), list(groups.values()))
     minimal = sum(1 << j for j, mask in enumerate(masks) if mask & reached)
-    value = _min_value(oracle, anchor_bits.bit_count() * oracle.scale - sum(left.values()), 1)
+    value = _min_value(oracle, anchor_bits.bit_count() * oracle.scale - sum(left.values()))
     return SfmResult(value, _fused(oracle, minimal), paths)
 
 

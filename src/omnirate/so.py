@@ -58,9 +58,9 @@ def lower_bound_alpha(model: SourceModel) -> Fraction:
     minimum sum-rate problem, hence never exceeds the maximum; it is tight
     for |V| = 2 where no other multi-block partition exists.
     """
-    n, entropy = model.size, model.entropy_of_mask
-    singles = sum((entropy(1 << k) for k in range(n)), Fraction(0))
-    return (n * model.total_entropy - singles) / (n - 1)
+    n = model.size
+    singles = sum(map(model.entropy_int, (1 << k for k in range(n))))
+    return Fraction(n * model.total_int - singles, (n - 1) * model.scale)
 
 
 def plan_from_state(state: ParState, alpha_bar: Fraction) -> SOPlan | None:

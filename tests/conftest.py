@@ -103,6 +103,22 @@ def rank_sum_table(rng, n):
     return EntropyTable(n, values)
 
 
+def coprime_rank_sum_table():
+    """Six users, H(X) = sum_k w_k min(|X & S_k|, r_k) with w = 1/3, 2/7, 5/2
+    plus private parts 1/5 and 3/4: the values mix coprime denominators, so
+    the table's scale is their lcm, 420."""
+    terms = [({1, 2, 3, 4}, 2, Fraction(1, 3)), ({3, 4, 5, 6}, 3, Fraction(2, 7)),
+             ({1, 5, 6}, 1, Fraction(5, 2))]
+    private = {2: Fraction(1, 5), 6: Fraction(3, 4)}
+    values = {}
+    for r in range(1, 7):
+        for combo in combinations(range(1, 7), r):
+            x = frozenset(combo)
+            values[x] = (sum(w * min(len(x & s), k) for s, k, w in terms)
+                         + sum(private.get(u, 0) for u in x))
+    return EntropyTable(6, values)
+
+
 def state_segments(state):
     """(lower, upper, partition, rates) per segment of the common refinement
     of a sweep state's partition table and its users' rate functions;

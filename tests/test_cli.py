@@ -102,6 +102,18 @@ class TestPsp:
         assert code == 4
         assert "line 2" in err
 
+    def test_table_scale_past_the_budget_is_a_capacity_error(self, capsys, tmp_path,
+                                                             monkeypatch):
+        # 40 bits over 2^2 values: the lcm 2^10 of this table has 11 bits, one
+        # past the budget, and loading the table refuses it.
+        monkeypatch.setattr("omnirate.model.MAX_SCALED_BITS", 40)
+        path = tmp_path / "fine.table"
+        path.write_text("type=table\nH 1 = 1/1024\nH 2 = 1/1024\nH 1,2 = 1/512\n")
+        code, out, err = run_cli(capsys, "psp", str(path))
+        assert code == 4
+        assert out == ""
+        assert "exceeds 10 bits" in err
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "psp", str(tmp_path / "nope.bitpool"))
         assert code == 2

@@ -10,7 +10,7 @@ from omnirate import (BitPoolSource, CapacityError, DomainError, EntropyTable,
                       partition_entropy, run_parametric, validate)
 from omnirate.model import MAX_TABLE_USERS, mask_users, subset_mask
 
-from conftest import FIVE_USER_BITS, random_bitpool, rank_sum_table
+from conftest import coprime_rank_sum_table, random_bitpool, rank_sum_table
 
 
 def full_table(size, entries):
@@ -42,20 +42,14 @@ class TestEntropy:
         started = time.perf_counter()
         with pytest.raises(DomainError, match=f"user {user} is not in the ground set 1..5"):
             five_user.entropy([1, user])
-        with pytest.raises(DomainError, match=f"user {user} is not in"):
-            five_user.conditional_entropy([1], [2, user])
-        with pytest.raises(DomainError, match=f"user {user} is not in"):
-            five_user.conditional_entropy([user], [2])
         assert time.perf_counter() - started < 0.1
 
     def test_bit_counts_shared_across_models(self):
-        # one count table serves every bit pool; a pool with more bits than
-        # any built before grows it, and both pools stay exact
-        from omnirate import model as model_module
+        # a small pool and one with more bits, built after it, both stay
+        # exact and serve Fractions
         small = BitPoolSource(["a", "ab"])
-        bits = len(model_module._BIT_COUNTS) + 3
+        bits = 12
         big = BitPoolSource([[f"b{k}" for k in range(bits)], ["b0"], ["extra"]])
-        assert model_module._BIT_COUNTS == [Fraction(k) for k in range(bits + 2)]
         assert [big.entropy(s) for s in ([1], [2], [3], [2, 3], [1, 3], [1, 2, 3])] == \
             [bits, 1, 1, 2, bits + 1, bits + 1]
         assert big.total_entropy == bits + 1
@@ -67,25 +61,6 @@ class TestEntropy:
         assert straight == five_user.entropy([5, 3, 1])
         assert straight == five_user.entropy([1, 3, 5])
         assert isinstance(straight, Fraction)
-
-
-class TestConditionalEntropy:
-    def test_single_user_given_rest(self, five_user):
-        # Independent oracle: union sizes of the underlying bit pools.
-        pools = [set(b) for b in FIVE_USER_BITS]
-        expected = len(set().union(*pools)) - len(set().union(*pools[1:]))
-        assert expected == 1
-        assert five_user.conditional_entropy([1], [2, 3, 4, 5]) == expected
-
-    def test_contained_case(self, five_user):
-        assert five_user.conditional_entropy([2], [1, 2]) == 0
-
-    def test_given_nothing(self, five_user):
-        assert five_user.conditional_entropy(five_user.users, []) == 10
-
-    def test_domain_check(self, five_user):
-        with pytest.raises(DomainError):
-            five_user.conditional_entropy([9], [1])
 
 
 class TestValidate:
@@ -249,28 +224,30 @@ class TestValidateAgainstFractionReference:
         assert mono_ties > 100 and submod_ties > 100 and huge
 
     def test_reads_each_mask_once(self):
-        # validate reads each value once through the uncached oracle and
-        # leaves the model's entropy cache as it found it.
+        # validate reads the table's flat int list: it makes no oracle call
+        # and leaves the model's entropy cache as it found it.
         table = rank_sum_table(random.Random(5), 6)
         table.entropy_of_mask(0b101)
         cache = dict(table._cache)
         seen = []
-        original = table._entropy_of_mask
-        table._entropy_of_mask = lambda mask: seen.append(mask) or original(mask)
-        validate(table)
-        assert sorted(seen) == list(range(1, 1 << 6))
+        for name in ("entropy_int", "_entropy_of_mask", "entropy_of_mask"):
+            def spy(mask, original=getattr(table, name)):
+                seen.append(mask)
+                return original(mask)
+            setattr(table, name, spy)
+        assert validate(table) == []
+        assert seen == []
         assert table._cache == cache
 
     def test_lcm_past_the_budget_is_a_capacity_error(self):
         # 4095 distinct denominators near 2^40: their lcm is far past the
-        # MAX_SCALED_BITS >> 12 = 65536 bits a 12-user table may scale by.
-        table = EntropyTable(12, {
-            tuple(mask_users(mask)): Fraction(1, (1 << 40) + mask)
-            for mask in range(1, 1 << 12)
-        })
+        # MAX_SCALED_BITS >> 12 = 65536 bits a 12-user table may scale by,
+        # so building the table raises.
+        values = {tuple(mask_users(mask)): Fraction(1, (1 << 40) + mask)
+                  for mask in range(1, 1 << 12)}
         started = time.perf_counter()
         with pytest.raises(CapacityError, match="exceeds 65536 bits"):
-            validate(table)
+            EntropyTable(12, values)
         assert time.perf_counter() - started < 2
 
     def test_lcm_budget_boundary(self, monkeypatch):
@@ -340,21 +317,6 @@ def test_bitpool_submodular_on_random_subsets(seed):
 
 def test_partition_entropy(five_user):
     assert partition_entropy(five_user, [[1, 2, 5], [3], [4]]) == 9 + 4 + 4
-
-
-def coprime_rank_sum_table():
-    """Six users, H(X) = sum_k w_k min(|X & S_k|, r_k) with w = 1/3, 2/7, 5/2
-    plus private parts 1/5 and 3/4: the values mix coprime denominators, so
-    the table's scale is their lcm, 420."""
-    terms = [({1, 2, 3, 4}, 2, Fraction(1, 3)), ({3, 4, 5, 6}, 3, Fraction(2, 7)),
-             ({1, 5, 6}, 1, Fraction(5, 2))]
-    private = {2: Fraction(1, 5), 6: Fraction(3, 4)}
-    values = {}
-    for mask in range(1, 1 << 6):
-        x = mask_users(mask)
-        values[tuple(sorted(x))] = (sum(w * min(len(x & s), k) for s, k, w in terms)
-                                    + sum(private.get(u, 0) for u in x))
-    return EntropyTable(6, values)
 
 
 class TestIntEntropyScale:

@@ -105,6 +105,12 @@ class TestCheckAchievable:
             check_achievable(five_user, [inexact, 0, Fraction(1, 2), Fraction(1, 2), 1])
         assert check_achievable(five_user, ["9/2", 0, "1/2", Fraction(1, 2), 1])
 
+    def test_wrong_length_is_a_domain_error(self, five_user):
+        # a caller's mistake, as in `so.decompose_rates`, not an internal bug
+        for rates, carrier in (([1] * 4, None), ([1] * 6, None), ([1, 1], [1, 2, 3])):
+            with pytest.raises(DomainError, match=f"length {len(rates)} does not match"):
+                check_achievable(five_user, rates, carrier)
+
     def test_slack_added_stays_achievable(self, five_user):
         rates = [Fraction(9, 2) + 1, 0, Fraction(1, 2), Fraction(1, 2), 1]
         assert check_achievable(five_user, rates)

@@ -12,8 +12,8 @@ from omnirate import (BitPoolSource, CapacityError, DomainError, FusionOracle,
 from omnirate.model import MAX_TABLE_USERS, mask_users, subset_mask
 from omnirate.par import fusion_oracle_at, initial_state, iter_parametric
 
-from conftest import (planted_pair_bitpool, random_bitpool, rank_sum_table,
-                      spread_bitpool)
+from conftest import (coprime_rank_sum_table, planted_pair_bitpool, random_bitpool,
+                      rank_sum_table, spread_bitpool)
 
 
 def lattice_oracle(model, alpha, blocks, anchor, rates):
@@ -274,9 +274,15 @@ class TestRationalTablesAgainstEnumeration:
     def test_random_rank_sum_tables(self):
         rng = random.Random(20231)
         ties = 0
-        for trial in range(150):
-            n = rng.randint(2, 7)
-            model = rank_sum_table(rng, n)
+        for trial in range(170):
+            # The last 20 trials take a table over scale 420 and rates over
+            # 11 or 13, coprime to it.
+            if trial < 150:
+                n = rng.randint(2, 7)
+                model, wide, narrow = rank_sum_table(rng, n), range(1, 8), range(2, 6)
+            else:
+                n = 6
+                model, wide, narrow = coprime_rank_sum_table(), (11, 13), (11, 13)
             carrier = list(range(1, rng.randint(2, n) + 1))
             anchor = rng.choice(carrier)
             others = [u for u in carrier if u != anchor]
@@ -288,7 +294,7 @@ class TestRationalTablesAgainstEnumeration:
                 else:
                     blocks.append([u])
             if trial % 2:
-                rates = {u: Fraction(rng.randrange(-30, 20), rng.randint(1, 7))
+                rates = {u: Fraction(rng.randrange(-30, 20), rng.choice(wide))
                          for u in carrier}
             else:
                 # A greedy vertex with the anchor first and each block
@@ -301,7 +307,7 @@ class TestRationalTablesAgainstEnumeration:
                     rates[u] = h - prev
                     prev = h
                 for u in rng.sample(carrier, rng.randint(0, 2)):
-                    rates[u] += Fraction(rng.choice([-1, 1]), rng.randint(2, 5))
+                    rates[u] += Fraction(rng.choice([-1, 1]), rng.choice(narrow))
             alpha = model.total_entropy * Fraction(rng.randint(0, 12), 12)
             o = oracle_for(model, alpha, blocks, anchor, rates)
             best, minimal, maximal = enumerated_extremes(o)
@@ -309,6 +315,15 @@ class TestRationalTablesAgainstEnumeration:
             for res in (minimize_brute(o), minimize_mnp(o)):
                 assert (res.min_value, res.minimal) == (best, minimal), f"trial {trial}"
         assert ties >= 30
+
+    def test_brute_refuses_a_scale_off_the_models(self):
+        # Entropies over 420 cannot be read as ints over 11: a hand-built
+        # oracle like this one would get a wrong answer, not an error.
+        model = coprime_rank_sum_table()
+        o = FusionOracle(model, Fraction(1), (0b1, 0b10, 0b100), (3, -5, 2), 11)
+        for solve in (minimize_brute, minimize):
+            with pytest.raises(DomainError, match="model's entropy scale 420"):
+                solve(o)
 
 
 def test_gray_walk_queries_each_union_once(monkeypatch):
@@ -319,7 +334,7 @@ def test_gray_walk_queries_each_union_once(monkeypatch):
                    {u: Fraction(u, 3) for u in model.users})
     walk = []
     walking = [True]
-    real_entropy = model.entropy_of_mask
+    real_entropy = model.entropy_int
     real_min_value = sfm._min_value
 
     def counted(mask):
@@ -327,12 +342,12 @@ def test_gray_walk_queries_each_union_once(monkeypatch):
             walk.append(mask)
         return real_entropy(mask)
 
-    def min_value(oracle, num, den):
+    def min_value(oracle, num):
         # The walk is over once the minimum is built (it reads H(V)).
         walking[0] = False
-        return real_min_value(oracle, num, den)
+        return real_min_value(oracle, num)
 
-    monkeypatch.setattr(model, "entropy_of_mask", counted)
+    monkeypatch.setattr(model, "entropy_int", counted)
     monkeypatch.setattr(sfm, "_min_value", min_value)
     res = minimize_brute(o)
     unions = {subset_mask({7}.union(*combo))
