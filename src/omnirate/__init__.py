@@ -2,7 +2,8 @@
 omniscience: the parametric Dilworth-truncation sweep, the principal
 sequence of partitions, and successive-omniscience planning.
 
-All arithmetic is exact (`fractions.Fraction`); breakpoints, partitions
+All arithmetic is exact: the core runs on ints over each model's entropy
+scale, and the API returns `fractions.Fraction`s; breakpoints, partitions
 and rate vectors carry no floating-point error.
 """
 

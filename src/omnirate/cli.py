@@ -44,8 +44,8 @@ from fractions import Fraction
 
 from .errors import (CapacityError, DomainError, ModelFormatError,
                      OmnirateError)
-from .model import partition_entropy, validate
-from .modelfile import _parse_value, load_model
+from .model import as_rational, partition_entropy, validate
+from .modelfile import load_model
 from .par import iter_parametric, run_parametric
 from .so import find_complimentary, lower_bound_alpha, plan_from_state
 from .verify import verify_model
@@ -132,10 +132,7 @@ def cmd_so(args) -> int:
         print(f"alpha-bar = {_fmt(lower_bound_alpha(model), d)}")
         plan = find_complimentary(model)
     else:
-        try:
-            override = _parse_value(args.alpha_bar)
-        except (ValueError, ZeroDivisionError):
-            raise DomainError(f"--alpha-bar must be a rational, got {args.alpha_bar!r}")
+        override = as_rational(args.alpha_bar)
         if override < 0:
             raise DomainError(f"alpha_bar {args.alpha_bar} outside "
                               f"[0, {_fmt(model.total_entropy, False)}]")

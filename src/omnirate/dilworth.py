@@ -61,10 +61,10 @@ class DilworthResult:
 
 
 def check_alpha(model: SourceModel, alpha) -> Fraction:
-    alpha = as_rational(alpha)
-    if not Fraction(0) <= alpha <= model.total_entropy:
+    value = as_rational(alpha)
+    if not 0 <= value <= model.total_entropy:
         raise DomainError(f"alpha {alpha} outside [0, {model.total_entropy}]")
-    return alpha
+    return value
 
 
 def check_carrier(model: SourceModel, carrier) -> tuple[int, ...]:

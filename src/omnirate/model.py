@@ -24,6 +24,7 @@ Two oracle flavours are provided:
 
 from __future__ import annotations
 
+import re
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from fractions import Fraction
@@ -49,16 +50,45 @@ MAX_TABLE_USERS = 20
 # at 16, 65536 at 12), and the scaled values about this many bits in all.
 MAX_SCALED_BITS = 1 << 28
 
+# Largest decimal exponent magnitude of a rational written as text: no digit
+# string `int` reads (4300 digits at most) reaches 10**4300, and a larger one
+# would only make `Fraction` spend seconds building a huge int for 9 bytes.
+MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")  # as `fractions` reads it
+
 
 def as_rational(value) -> Fraction:
-    """Coerce ints, strings like '5/2' or '6.5', and Fractions to an exact Fraction."""
+    """Coerce ints, strings like '5/2' or '6.5' (`_parse_value`), and
+    Fractions to an exact Fraction; anything else raises DomainError."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return _parse_value(value)
+        except (ValueError, ZeroDivisionError):
+            pass
     raise DomainError(f"not an exact rational: {value!r}")
+
+
+def _parse_value(text: str) -> Fraction:
+    """`Fraction(text)`: the same value, or the same exception, on every input.
+
+    The common forms, an optionally signed integer and `p/q` with plain
+    digits, are built from `int`s, which costs about half of what the
+    `fractions` regex does.  Everything else (decimals, exponents,
+    underscores, inner spaces, a sign after the `/`) goes to `Fraction`,
+    except that an exponent past +-`MAX_EXPONENT` raises ValueError.
+    """
+    num, slash, den = text.partition("/")
+    digits = num[1:] if num.startswith(("+", "-")) else num
+    if digits.isdecimal() and (den.isdecimal() or not slash):
+        return Fraction(int(num), int(den or 1))
+    exponent = _EXPONENT.search(text)
+    if exponent and abs(int(exponent[1])) > MAX_EXPONENT:
+        raise ValueError(f"exponent of {text!r} is past +-{MAX_EXPONENT}")
+    return Fraction(text)
 
 
 def subset_mask(users: Iterable[int]) -> int:

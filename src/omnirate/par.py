@@ -60,7 +60,8 @@ user's rate is the one value each iteration writes besides it.
 Probes run on block bitmasks and ints over the model's entropy scale d: a
 pending bracket carries its two partitions' entropies, so a probe sums one
 new partition, and its crossing H(V) - (h_down - h_up) / k is one
-`Fraction` over d * k.
+`Fraction` over d * k.  A rate segment is the int pair (c, s) of
+c / d + s * alpha; `ParState` reads it as `Fraction` and `AffineValue` views.
 
 The sweep can also run on a truncated axis [0, top], top < H(V): successive
 omniscience reads the state at one lower bound only (`so`).  The state at
@@ -94,9 +95,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator
 
-from .dilworth import coordinate_saturation
+from .dilworth import check_alpha, coordinate_saturation
 from .errors import DomainError, InternalError
-from .model import SourceModel, as_rational, mask_users, partition_entropy
+from .model import SourceModel, as_rational, mask_users, partition_entropy, subset_mask
 from .partition import AffineValue, Partition, Segmented
 from .sfm import FusionOracle, minimize, saturation_oracle
 
@@ -135,12 +136,12 @@ class ParState:
 
     `table` maps the alpha segments of the axis [0, table.top] to the
     partition there; the top is H(V) unless the sweep was started truncated
-    (see `initial_state`).  `rates[u - 1]` is user u's rate as a segmented
-    `AffineValue` on the same axis, written by iteration u and shared by
-    every later state.  `last_chain` and `last_probes` document the
-    iteration that produced this state (None and () for the base state).
-    Each probe issued exactly one submodular minimization, so the sweep's
-    SFM count is the sum of len(last_probes).
+    (see `initial_state`).  `rates[u - 1]` is user u's rate on that axis as
+    int pairs (c, s), c / d + s * alpha over the model's scale d, written by
+    iteration u and shared by every later state.  `last_chain` and
+    `last_probes` document the iteration that produced this state (None and
+    () for the base state).  Each probe issued one submodular minimization,
+    so the sweep's SFM count is the sum of len(last_probes).
     """
 
     model: SourceModel
@@ -157,8 +158,12 @@ class ParState:
     def partition_at(self, alpha) -> Partition:
         return self.table.value_at(alpha)
 
-    def rate_of(self, user: int, alpha: Fraction) -> Fraction:
-        return self.rates[user - 1].value_at(alpha).at(alpha)
+    def rate_of(self, user: int, alpha) -> Fraction:
+        if not 1 <= user <= self.carrier_size:
+            raise DomainError(f"user {user} is not in the carrier 1..{self.carrier_size}")
+        c, s = self.rates[user - 1].value_at(alpha)
+        p, q = as_rational(alpha).as_integer_ratio()
+        return Fraction(c * q + s * p * self.model.scale, self.model.scale * q)
 
     def rates_at(self, alpha) -> tuple[Fraction, ...]:
         alpha = as_rational(alpha)
@@ -166,9 +171,12 @@ class ParState:
 
     @property
     def rate_view(self) -> Segmented:
-        """Segmented affine rate vector, on the union of the users' segment ends."""
+        """Segmented `AffineValue` rate vector, on the union of the users' segment ends."""
+        d = self.model.scale
         uppers = sorted(set().union(*(r.uppers for r in self.rates)))
-        return Segmented((u, tuple(r.value_at(u) for r in self.rates)) for u in uppers)
+        return Segmented((u, tuple(AffineValue(Fraction(c, d), Fraction(s))
+                                   for c, s in (r.value_at(u) for r in self.rates)))
+                         for u in uppers)
 
 
 @dataclass(frozen=True)
@@ -198,18 +206,17 @@ def initial_state(model: SourceModel, top=None) -> ParState:
     `top` defaults to H(V).  A lower top truncates the axis without
     shifting it: the rate still refers to H(V).
     """
-    total = model.total_entropy
-    top = total if top is None else as_rational(top)
-    if not 0 <= top <= total:
-        raise DomainError(f"axis top {top} outside [0, {total}]")
+    top = model.total_entropy if top is None else check_alpha(model, top)
     return ParState(model, 1, Segmented.constant(top, Partition([(1,)])),
-                    (Segmented.constant(top, _tight_rate(model, 1)),))
+                    (Segmented.constant(top, _new_rate(model, 1)),))
 
 
-def _tight_rate(model: SourceModel, block: int) -> AffineValue:
-    """alpha - H(V) + H(block), a bitmask: the rate sum of every stored block."""
-    return AffineValue(Fraction(model.entropy_int(block) - model.total_int, model.scale),
-                       Fraction(1))
+def _new_rate(model: SourceModel, fused: int, stored=()) -> tuple[int, int]:
+    """The new user's rate (c, s) where its minimizer is the bitmask `fused`:
+    the k `stored` blocks B inside it are tight, so c / d + s * alpha is
+    H(fused) - sum (alpha - H(V) + H(B)) - H(V) + alpha."""
+    return (model.entropy_int(fused) - sum(map(model.entropy_int, stored))
+            + (len(stored) - 1) * model.total_int, 1 - len(stored))
 
 
 def _oracle_at(model: SourceModel, partition: Partition, alpha: Fraction,
@@ -289,6 +296,7 @@ def solve_chain_breakpoints(state: ParState, crossings) -> MinimizerChain:
     (the top set last, at the axis top), checked: the sets nest, the points
     are in order, and at the point a of each pair S_small < S_big the
     segmented rates satisfy r_a(S_big \\ S_small) = H(S_big) - H(S_small) exactly.
+    At a = p/q that is sum (c q + s p d) = (H(S_big) - H(S_small)) d q in ints.
     """
     chain = list(crossings)
     for small, big in zip(chain, chain[1:]):
@@ -297,10 +305,12 @@ def solve_chain_breakpoints(state: ParState, crossings) -> MinimizerChain:
     alphas = list(crossings.values())
     if alphas != sorted(alphas) or alphas[-1] != state.table.top:
         raise InternalError(f"critical points out of order: {alphas}")
-    entropy = state.model.entropy
+    d, entropy = state.model.scale, state.model.entropy_int
     for small, big, alpha in zip(chain, chain[1:], alphas):
-        sent = sum((state.rate_of(u, alpha) for u in big - small), Fraction(0))
-        if sent != entropy(big) - entropy(small):
+        p, q = alpha.as_integer_ratio()
+        pairs = [state.rates[u - 1].value_at(alpha) for u in big - small]
+        sent = q * sum(c for c, _ in pairs) + p * d * sum(s for _, s in pairs)
+        if sent != (entropy(subset_mask(big)) - entropy(subset_mask(small))) * q:
             raise InternalError(f"critical point {alpha} of {sorted(small)} < "
                                 f"{sorted(big)} misses its rate equation")
     return MinimizerChain(tuple(chain), tuple(alphas))
@@ -339,7 +349,7 @@ def parametric_iteration(state: ParState) -> ParState:
         top_set = minimize(fusion_oracle_at(state, top)).mask
         if top_set == inner:
             return ParState(model, user, extended,
-                            state.rates + (Segmented.constant(top, _tight_rate(model, inner)),),
+                            state.rates + (Segmented.constant(top, _new_rate(model, inner)),),
                             last_chain=MinimizerChain((mask_users(inner),), (top,)),
                             last_probes=tuple(probes))
         top_partition = extended.value_at(top).merge_mask(top_set)
@@ -351,21 +361,16 @@ def parametric_iteration(state: ParState) -> ParState:
         raise InternalError("minimizer chain must start at the new user's singleton")
     chain = solve_chain_breakpoints(state, dict(zip(map(mask_users, sets), crossings.values())))
 
-    total, d = model.total_int, model.scale
     partitions, rates = [], []
     for upper in sorted(set(extended.uppers).union(chain.alphas)):
         partition = extended.value_at(upper)
         fused = sets[bisect_left(chain.alphas, upper)]
-        # The k stored blocks B inside S_j - {i} are tight, so the new user
-        # gets H(S_j) - sum (alpha - H(V) + H(B)) - H(V) + alpha.
         stored = [b for b in partition.masks[:-1] if not b & ~fused]
         if inner + sum(stored) != fused:
             raise InternalError(f"minimizer {sorted(mask_users(fused))} is not a block "
                                 f"union on the segment ending at {upper}")
         partitions.append((upper, partition.merge_mask(fused)))
-        intercept = (model.entropy_int(fused) - sum(map(model.entropy_int, stored))
-                     + (len(stored) - 1) * total)
-        rates.append((upper, AffineValue(Fraction(intercept, d), Fraction(1 - len(stored)))))
+        rates.append((upper, _new_rate(model, fused, stored)))
 
     return ParState(
         model, user, Segmented(partitions), state.rates + (Segmented(rates),),

@@ -230,10 +230,10 @@ class Segmented:
 
     def value_at(self, alpha) -> Any:
         """The value on the segment containing alpha (half-open convention)."""
-        alpha = as_rational(alpha)
-        if not 0 <= alpha <= self.uppers[-1]:
+        value = as_rational(alpha)
+        if not 0 <= value <= self.uppers[-1]:
             raise DomainError(f"alpha {alpha} outside [0, {self.top}]")
-        return self.values[bisect_left(self.uppers, alpha)]
+        return self.values[bisect_left(self.uppers, value)]
 
     def map(self, fn: Callable[[Any], Any]) -> "Segmented":
         """Apply fn to every value; equal adjacent results are re-merged."""

@@ -101,16 +101,10 @@ def find_complimentary(model: SourceModel, alpha_bar=None) -> SOPlan | None:
     under that bound.  Callers overriding alpha_bar are responsible for
     keeping it at most the minimum sum-rate; `verify_complimentary` or the
     sweep itself can confirm that after the fact.  Either way the sweep
-    covers only the axis [0, alpha_bar].
+    covers only the axis [0, alpha_bar], which checks the bound.
     """
     sweep_all = alpha_bar is not None
-    if alpha_bar is None:
-        alpha_bar = lower_bound_alpha(model)
-    else:
-        alpha_bar = as_rational(alpha_bar)
-    if not Fraction(0) <= alpha_bar <= model.total_entropy:
-        raise DomainError(f"alpha_bar {alpha_bar} outside [0, {model.total_entropy}]")
-
+    alpha_bar = alpha_bar if sweep_all else lower_bound_alpha(model)
     for state in iter_parametric(model, alpha_bar):
         if sweep_all:
             if state.carrier_size < model.size:

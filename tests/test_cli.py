@@ -2,6 +2,7 @@ import csv
 import io
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -120,7 +121,7 @@ class TestPsp:
 
     def test_stdin_input(self, capsys, monkeypatch, five_user_path):
         import sys
-        text = open(five_user_path, encoding="utf-8").read()
+        text = Path(five_user_path).read_text(encoding="utf-8")
         monkeypatch.setattr(sys, "stdin", io.StringIO(text))
         code, out, _ = run_cli(capsys, "psp", "-")
         assert code == 0 and "R_CO = 13/2" in out

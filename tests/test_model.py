@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from omnirate import (BitPoolSource, CapacityError, DomainError, EntropyTable,
                       Partition, Violation, brute_min_sum_rate, mda_reference,
                       partition_entropy, run_parametric, validate)
-from omnirate.model import MAX_TABLE_USERS, mask_users, subset_mask
+from omnirate.model import MAX_TABLE_USERS, as_rational, mask_users, subset_mask
 
 from conftest import coprime_rank_sum_table, random_bitpool, rank_sum_table
 
@@ -317,6 +317,25 @@ def test_bitpool_submodular_on_random_subsets(seed):
 
 def test_partition_entropy(five_user):
     assert partition_entropy(five_user, [[1, 2, 5], [3], [4]]) == 9 + 4 + 4
+
+
+class TestAsRational:
+    def test_accepted_forms(self):
+        assert [as_rational(v) for v in (3, Fraction(5, 2), "13/2", "-4", " 6.5 ", "1.5e-3")] \
+            == [3, Fraction(5, 2), Fraction(13, 2), -4, Fraction(13, 2), Fraction(3, 2000)]
+
+    @pytest.mark.parametrize("value", ["abc", "1/0", "1e10000000", "", "1/", 0.5, None])
+    def test_refused_values_are_domain_errors(self, value):
+        with pytest.raises(DomainError, match="not an exact rational"):
+            as_rational(value)
+
+    def test_an_exponent_past_the_cap_fails_fast(self, five_user):
+        # refused by the exponent cap before `Fraction` builds a huge int
+        state, _ = run_parametric(five_user)
+        started = time.perf_counter()
+        with pytest.raises(DomainError, match="not an exact rational: '1e10000000'"):
+            state.partition_at("1e10000000")
+        assert time.perf_counter() - started < 1
 
 
 class TestIntEntropyScale:

@@ -1,13 +1,15 @@
+import dataclasses
 import gc
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from omnirate import (AffineValue, BitPoolSource, DomainError, EntropyTable,
                       InternalError, Partition, brute_min_sum_rate,
-                      check_achievable, coordinate_saturation, minimize_brute,
-                      par, sfm)
+                      check_achievable, coordinate_saturation, find_complimentary,
+                      minimize_brute, par, sfm)
 from omnirate.par import (MinimizerChain, ParState, extract_psp,
                           fusion_oracle_at, initial_state, iter_parametric,
                           mda_reference, parametric_iteration, run_parametric,
@@ -15,7 +17,8 @@ from omnirate.par import (MinimizerChain, ParState, extract_psp,
 from omnirate.model import mask_users, subset_mask
 from omnirate.partition import Segmented
 
-from conftest import (axis_caps, corpus_models, planted_pair_bitpool, random_alpha,
+from conftest import (axis_caps, coprime_rank_sum_table, corpus_models,
+                      planted_pair_bitpool, random_alpha,
                       random_bitpool, rank_sum_table, spread_bitpool, twin_bitpool)
 
 AF = AffineValue.of
@@ -219,6 +222,59 @@ class TestCriticalPointsFromProbes:
         crossings = dict(zip(chain.sets[::-1], chain.alphas[::-1]))
         with pytest.raises(InternalError, match="not nested"):
             solve_chain_breakpoints(golden_states[4], crossings)
+
+    def test_a_moved_intercept_raises_at_a_scale_above_one(self):
+        # On the scale-420 table, one user's stored intercept moved by one
+        # unit (1/420) breaks the rate equation of the next chain's pair
+        # that holds the user.
+        model = coprime_rank_sum_table()
+        assert model.scale == 420
+        states = list(iter_parametric(model))
+        moved = 0
+        for prev, state in zip(states, states[1:]):
+            chain = state.last_chain
+            crossings = dict(zip(chain.sets, chain.alphas))
+            assert solve_chain_breakpoints(prev, crossings) == chain
+            for small, big in zip(chain.sets, chain.sets[1:]):
+                user = min(big - small)
+                rates = list(prev.rates)
+                rates[user - 1] = rates[user - 1].map(lambda r: (r[0] + 1, r[1]))
+                copy = dataclasses.replace(prev, rates=tuple(rates))
+                with pytest.raises(InternalError, match="misses its rate equation"):
+                    solve_chain_breakpoints(copy, crossings)
+                moved += 1
+        assert moved >= 5
+
+
+class TestRateOf:
+    @pytest.mark.parametrize("user", [0, -1, 6])
+    def test_user_outside_the_carrier(self, golden_states, user):
+        with pytest.raises(DomainError, match=f"user {user} is not in the carrier 1..5"):
+            golden_states[5].rate_of(user, F(13, 2))
+
+    def test_user_past_a_prefix_carrier(self, golden_states):
+        with pytest.raises(DomainError, match="user 4 is not in the carrier 1..3"):
+            golden_states[3].rate_of(4, F(13, 2))
+
+    def test_alpha_is_coerced(self, golden_states):
+        state = golden_states[5]
+        rates = state.rates_at(F(13, 2))
+        assert [state.rate_of(u, "13/2") for u in state.users] == list(rates)
+        assert [state.rate_of(u, 0) for u in state.users] == list(state.rates_at(0))
+
+
+class TestAlphaRange:
+    @pytest.mark.parametrize("alpha", ["1e4300", "-1e4300", "21/2", F(-1, 3)])
+    def test_off_the_axis_named_as_given(self, five_user, golden_states, alpha):
+        # '1e4300' is inside the exponent cap but has too many digits for
+        # str(): every check names the value as the caller passed it.
+        calls = [lambda: golden_states[5].partition_at(alpha),
+                 lambda: coordinate_saturation(five_user, alpha),
+                 lambda: find_complimentary(five_user, alpha),
+                 lambda: next(iter_parametric(five_user, alpha))]
+        for call in calls:
+            with pytest.raises(DomainError, match=re.escape(f"alpha {alpha} outside [0, 10]")):
+                call()
 
 
 class TestRunParametric:
