@@ -41,6 +41,7 @@ import csv
 import random
 import sys
 from fractions import Fraction
+from functools import cache
 
 from .errors import (CapacityError, DomainError, ModelFormatError,
                      OmnirateError)
@@ -173,7 +174,10 @@ def cmd_verify(args) -> int:
     return EXIT_MISMATCH if failures else EXIT_OK
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; each subcommand's `cmd_*`
+    function reads the library functions it calls at call time."""
     parser = argparse.ArgumentParser(
         prog="omnirate",
         description="Exact minimum sum-rate and rate vectors for "

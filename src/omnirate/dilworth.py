@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .errors import DomainError
-from .model import SourceModel, as_rational
+from .model import SourceModel, as_rational, value_str
 from .partition import Partition
 from .sfm import minimize, saturation_oracle
 
@@ -62,8 +62,9 @@ class DilworthResult:
 
 def check_alpha(model: SourceModel, alpha) -> Fraction:
     value = as_rational(alpha)
-    if not 0 <= value <= model.total_entropy:
-        raise DomainError(f"alpha {alpha} outside [0, {model.total_entropy}]")
+    top = model.total_entropy
+    if not 0 <= value <= top:
+        raise DomainError(f"alpha {value_str(alpha)} outside [0, {value_str(top)}]")
     return value
 
 

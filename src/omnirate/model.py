@@ -24,24 +24,25 @@ Two oracle flavours are provided:
 
 from __future__ import annotations
 
-import re
+import fractions
+import sys
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
-from math import lcm
-from operator import gt, sub
+from math import gcd, lcm
+from operator import gt, mul, sub
 from typing import Iterable, Mapping, Sequence
 
 from .errors import CapacityError, DomainError
 
 # Full explicit tables need 2^n - 1 entries, and parse and `validate` cost
 # grows about 4x per two users.  `omnirate psp` on a 20-user rational
-# rank-sum table (a 40 MB file) takes 9-10 s and 217 MiB on a 2-vCPU host,
-# against about 2 s and 78 MiB at 18 users; the parser's dict of `Fraction`
-# values sets that peak.  At about 3x memory per two users, 24 users would
-# need some 2 GiB.  Larger tables are rejected, by the file parser at the
-# first id past the cap.
+# rank-sum table (a 40 MB file) takes 6-8 s and 157 MiB max RSS on a 2-vCPU
+# host, against about 2 s and 50 MiB at 18 users; the file's text and its
+# list of lines, read whole before parsing, set that peak.  At about 3x
+# memory per two users, 24 users would need some 1.4 GiB.  Larger tables
+# are rejected, by the file parser at the first id past the cap.
 MAX_TABLE_USERS = 20
 
 # A table's entropy scale is the lcm of the denominators of its 2^n values.
@@ -54,7 +55,6 @@ MAX_SCALED_BITS = 1 << 28
 # string `int` reads (4300 digits at most) reaches 10**4300, and a larger one
 # would only make `Fraction` spend seconds building a huge int for 9 bytes.
 MAX_EXPONENT = 4300
-_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")  # as `fractions` reads it
 
 
 def as_rational(value) -> Fraction:
@@ -73,22 +73,58 @@ def as_rational(value) -> Fraction:
 
 
 def _parse_value(text: str) -> Fraction:
-    """`Fraction(text)`: the same value, or the same exception, on every input.
+    """`Fraction(text)`: the same value, or the same exception, on every input
+    (`_parse_ratio`, with its exponent cap)."""
+    return Fraction(*_parse_ratio(text))
 
-    The common forms, an optionally signed integer and `p/q` with plain
-    digits, are built from `int`s, which costs about half of what the
-    `fractions` regex does.  Everything else (decimals, exponents,
-    underscores, inner spaces, a sign after the `/`) goes to `Fraction`,
-    except that an exponent past +-`MAX_EXPONENT` raises ValueError.
+
+def _parse_ratio(text: str) -> tuple[int, int]:
+    """`Fraction(text)` as its lowest-terms int pair (p, q), q > 0.
+
+    The text is read with the `fractions` module's own grammar and its
+    steps, so the value, or the exception, is that of `Fraction(text)` on
+    every input, except that an exponent past +-`MAX_EXPONENT` raises
+    ValueError before its power of ten is built.  No `Fraction` is made.
     """
-    num, slash, den = text.partition("/")
-    digits = num[1:] if num.startswith(("+", "-")) else num
-    if digits.isdecimal() and (den.isdecimal() or not slash):
-        return Fraction(int(num), int(den or 1))
-    exponent = _EXPONENT.search(text)
-    if exponent and abs(int(exponent[1])) > MAX_EXPONENT:
-        raise ValueError(f"exponent of {text!r} is past +-{MAX_EXPONENT}")
-    return Fraction(text)
+    m = fractions._RATIONAL_FORMAT.match(text)
+    if m is None:
+        raise ValueError(f"Invalid literal for Fraction: {text!r}")
+    p = int(m["num"] or "0")
+    if m["denom"]:
+        q = int(m["denom"])
+    else:
+        q = 1
+        if decimal := m["decimal"]:
+            decimal = decimal.replace("_", "")
+            q = 10 ** len(decimal)
+            p = p * q + int(decimal)
+        if exponent := m["exp"]:
+            exponent = int(exponent)
+            if abs(exponent) > MAX_EXPONENT:
+                raise ValueError(f"exponent of {text!r} is past +-{MAX_EXPONENT}")
+            if exponent >= 0:
+                p *= 10 ** exponent
+            else:
+                q *= 10 ** -exponent
+    if m["sign"] == "-":
+        p = -p
+    if not q:
+        raise ZeroDivisionError(f"Fraction({p}, 0)")
+    g = gcd(p, q)
+    return p // g, q // g
+
+
+def value_str(value) -> str:
+    """A value for a message: a str as given, a number as `str` gives it
+    unless one of its ints may be past Python's int-to-str digit limit
+    (where `str` raises ValueError); that one is named by its size in bits."""
+    if isinstance(value, str):
+        return value
+    limit = sys.get_int_max_str_digits()
+    bits = max(value.numerator.bit_length(), value.denominator.bit_length())
+    if limit and bits * 0.30103 >= limit:  # 0.30103 > log10(2): a sure bound
+        return f"<{bits}-bit rational>"
+    return str(value)
 
 
 def subset_mask(users: Iterable[int]) -> int:
@@ -239,52 +275,71 @@ class EntropyTable(SourceModel):
             raise CapacityError(
                 f"explicit tables are capped at {MAX_TABLE_USERS} users, got {size}"
             )
-        table: dict[int, Fraction] = {}
+        nums, dens = [0], [0]
         for subset, value in values.items():
             users = tuple(subset)
             if not all(1 <= u <= size for u in users):
                 raise DomainError(f"table key {sorted(users)} is outside 1..{size}")
-            add_table_entry(table, subset_mask(users), as_rational(value))
-        self._adopt(size, table)
+            add_table_entry(nums, dens, subset_mask(users),
+                            *as_rational(value).as_integer_ratio())
+        self._adopt(size, nums, dens)
 
     @classmethod
-    def from_masks(cls, size: int, table: dict[int, Fraction]) -> EntropyTable:
-        """A table on 1..size from entries already keyed by bitmask.
+    def from_masks(cls, size: int, table: Mapping[int, Fraction]) -> EntropyTable:
+        """A table on 1..size from `Fraction` entries already keyed by bitmask.
 
-        The keys must be nonempty, distinct and within 1..size (as
-        `add_table_entry` fills them), and size at most MAX_TABLE_USERS:
+        The keys must be nonempty, distinct and within 1..size, and size at
+        most MAX_TABLE_USERS.  Only coverage and the scale's budget are
+        checked here.
+        """
+        nums, dens = [0], [0]
+        for mask, value in table.items():
+            add_table_entry(nums, dens, mask, value.numerator, value.denominator)
+        return cls.from_ratios(size, nums, dens)
+
+    @classmethod
+    def from_ratios(cls, size: int, nums: list[int], dens: list[int]) -> EntropyTable:
+        """A table on 1..size from H(X) = nums[X] / dens[X] per bitmask X, as
+        `add_table_entry` fills the two lists; the table takes them over.
+
+        Every entry must be within 1..size, and size at most MAX_TABLE_USERS:
         `modelfile` checks each id against the cap at its line, before it
         shifts.  Only coverage and the scale's budget are checked here.
         """
         model = cls.__new__(cls)
-        model._adopt(size, table)
+        model._adopt(size, nums, dens)
         return model
 
-    def _adopt(self, size: int, table: dict[int, Fraction]) -> None:
-        """Scale the values by the lcm of their denominators into the flat list.
+    def _adopt(self, size: int, nums: list[int], dens: list[int]) -> None:
+        """Scale the numerators, in place, by the lcm of the denominators into
+        the flat list.  A 0 in `dens` marks a subset with no entry.
 
         CapacityError when that lcm has more than MAX_SCALED_BITS >> size bits.
         """
         super().__init__(size)
-        if len(table) != self._full_mask:
+        covered = len(dens) - dens.count(0)
+        if covered != self._full_mask:
             raise DomainError(
-                f"entropy table covers {len(table)} subsets but needs all "
+                f"entropy table covers {covered} subsets but needs all "
                 f"{self._full_mask} nonempty subsets of 1..{size}"
             )
         budget = MAX_SCALED_BITS >> size
+        distinct = set(dens)
+        distinct.discard(0)
         scale = 1
-        for d in {v.denominator for v in table.values()}:
+        for d in distinct:
             scale = lcm(scale, d)
             if scale.bit_length() > budget:
                 raise CapacityError(
                     f"the lcm of the denominators of the {size}-user table "
                     f"exceeds {budget} bits ({MAX_SCALED_BITS} bits over 2^{size} values)"
                 )
-        values = [0] * (self._full_mask + 1)
-        for mask, value in table.items():
-            values[mask] = value.numerator * (scale // value.denominator)
+        if scale > 1:
+            factor = {d: scale // d for d in distinct}
+            factor[0] = 0  # H(empty) = 0
+            nums[:] = map(mul, nums, map(factor.__getitem__, dens))
         self.scale = scale
-        self._values = values
+        self._values = nums
 
     def entropy_int(self, mask: int) -> int:
         """H(X) * scale, read straight from the flat list, so not cached."""
@@ -296,16 +351,22 @@ class EntropyTable(SourceModel):
         return f"EntropyTable({self._size} users)"
 
 
-def add_table_entry(table: dict[int, Fraction], mask: int, value: Fraction) -> None:
-    """Store H(X) = value under X's bitmask; the empty set and repeated keys are errors.
+def add_table_entry(nums: list[int], dens: list[int], mask: int, p: int, q: int) -> None:
+    """Store H(X) = p / q (lowest terms, q > 0) at X's bitmask in the two lists,
+    which grow by doubling to hold it; the empty set and repeated keys are errors.
 
     Ids must already be checked: every bit of `mask` names a user of the table.
     """
     if not mask:
         raise DomainError("the empty set must not appear in an entropy table")
-    if mask in table:
+    if mask >= len(dens):
+        grow = [0] * ((1 << mask.bit_length()) - len(dens))
+        nums += grow
+        dens += grow
+    elif dens[mask]:
         raise DomainError(f"duplicate table entry for {_set_str(mask)}")
-    table[mask] = value
+    nums[mask] = p
+    dens[mask] = q
 
 
 @dataclass(frozen=True)

@@ -35,11 +35,13 @@ the result.
 from __future__ import annotations
 
 import sys
-from fractions import Fraction
+from functools import reduce
+from math import gcd
+from operator import or_
 
 from .errors import CapacityError, DomainError, ModelFormatError
 from .model import (MAX_EXPONENT, MAX_TABLE_USERS, BitPoolSource, EntropyTable,  # noqa: F401
-                    SourceModel, _parse_value, add_table_entry, mask_users)
+                    SourceModel, _parse_ratio, _parse_value, add_table_entry, mask_users)
 
 # How many missing user ids a contiguity error names.
 _SHOWN_GAPS = 5
@@ -75,7 +77,10 @@ def _body(lines: list[str]):
     no = 0
     while lines:
         no += 1
-        line = lines.pop().split("#", 1)[0].strip()
+        line = lines.pop()
+        if "#" in line:
+            line = line[:line.index("#")]
+        line = line.strip()
         if line:
             yield no, line
 
@@ -133,9 +138,10 @@ def _parse_bitpool(body) -> BitPoolSource:
 
 
 def _parse_table(body) -> EntropyTable:
-    entries: dict[int, Fraction] = {}
+    # H(X) = nums[X] / dens[X] in lowest terms per mask X; dens[X] = 0 until X's line
+    nums: list[int] = [0]
+    dens: list[int] = [0]
     bits: dict[str, int] = {}  # id token -> its user's bit
-    seen = 0                   # every user any line names
     last_no = None
     for no, line in body:
         last_no = no
@@ -144,25 +150,48 @@ def _parse_table(body) -> EntropyTable:
         lhs, sep, rhs = line[1:].partition("=")
         if not sep:
             raise ModelFormatError("missing '=' in table line", no)
-        mask = 0
-        for tok in lhs.split(","):
-            bit = bits.get(tok)
-            if bit is None:
-                bit = bits[tok] = _table_bit(tok, no)
-            mask |= bit
-        text = rhs.strip()
+        tokens = lhs.split(",")
         try:
-            value = _parse_value(text)
+            mask = 0
+            for tok in tokens:
+                mask |= bits[tok]
+        except KeyError:  # a token not seen before: checked once, in order
+            mask = 0
+            for tok in tokens:
+                if tok not in bits:
+                    bits[tok] = _table_bit(tok, no)
+                mask |= bits[tok]
+        text = rhs.strip()
+        num, slash, den = text.partition("/")
+        try:
+            # plain digits p or p/q with q > 0 are read here, any other form
+            # (or a zero q) by `_parse_ratio`
+            q = 0
+            if num.isdecimal():
+                if not slash:
+                    p, q = int(num), 1
+                elif den.isdecimal():
+                    p, q = int(num), int(den)
+                    if q > 1 and (g := gcd(p, q)) > 1:
+                        p //= g
+                        q //= g
+            if not q:
+                p, q = _parse_ratio(text)
         except (ValueError, ZeroDivisionError):
             raise ModelFormatError(f"bad rational value {text!r}", no) from None
-        try:
-            add_table_entry(entries, mask, value)
-        except DomainError as exc:
-            raise ModelFormatError(str(exc), no) from None
-        seen |= mask
+        if 0 < mask < len(dens) and not dens[mask]:
+            nums[mask] = p
+            dens[mask] = q
+        else:  # the lists must grow, or the entry is an error
+            try:
+                add_table_entry(nums, dens, mask, p, q)
+            except DomainError as exc:
+                raise ModelFormatError(str(exc), no) from None
+    # every token in `bits` is on a line that parsed
+    seen = reduce(or_, bits.values(), 0)
     _check_contiguous(mask_users(seen), last_no)
     try:
-        return EntropyTable.from_masks(seen.bit_length(), entries)
+        return EntropyTable.from_ratios(seen.bit_length(), nums, dens)
     except DomainError as exc:
         raise ModelFormatError(str(exc)) from None
 

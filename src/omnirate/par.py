@@ -342,7 +342,7 @@ def parametric_iteration(state: ParState) -> ParState:
     singletons, whole = Partition.singletons(carrier), Partition.whole(carrier)
     extended = state.table.map(lambda p: p.with_user(user))
     probes: list[Probe] = []
-    if top == model.total_entropy:
+    if top.numerator * model.scale == model.total_int * top.denominator:  # top == H(V)
         top_set, top_partition = 2 * inner - 1, whole
     else:
         probes.append(Probe(top, singletons, whole))

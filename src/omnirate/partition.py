@@ -27,7 +27,7 @@ from operator import or_
 from typing import Any, Callable, Iterable, Iterator
 
 from .errors import DomainError
-from .model import as_rational, mask_users, subset_mask
+from .model import as_rational, mask_users, subset_mask, value_str
 
 
 class Partition:
@@ -60,6 +60,10 @@ class Partition:
 
     def __setattr__(self, name, value):
         raise AttributeError("Partition is immutable")
+
+    def __reduce__(self):
+        """Pickle and copy through `_of`, past the immutable `__setattr__`."""
+        return (Partition._of, (self.masks,))
 
     @classmethod
     def singletons(cls, carrier: Iterable[int]) -> "Partition":
@@ -232,7 +236,7 @@ class Segmented:
         """The value on the segment containing alpha (half-open convention)."""
         value = as_rational(alpha)
         if not 0 <= value <= self.uppers[-1]:
-            raise DomainError(f"alpha {alpha} outside [0, {self.top}]")
+            raise DomainError(f"alpha {value_str(alpha)} outside [0, {value_str(self.top)}]")
         return self.values[bisect_left(self.uppers, value)]
 
     def map(self, fn: Callable[[Any], Any]) -> "Segmented":

@@ -82,13 +82,14 @@ def plan_from_state(state: ParState, alpha_bar: Fraction) -> SOPlan | None:
     users = tuple(sorted(mask_users(block)))
     rates = tuple(state.rate_of(u, merge_alpha) for u in users)
     local_sum = sum(rates, Fraction(0))
-    expected = state.model.total_entropy - state.model.entropy_of_mask(block) + local_sum
+    model = state.model
+    expected = Fraction(model.total_int - model.entropy_int(block), model.scale) + local_sum
     if merge_alpha != expected:
         raise InternalError(
             f"merge point {merge_alpha} disagrees with H(V) - H(C) + R(C) = {expected}"
         )
     return SOPlan(frozenset(users), merge_alpha, users, rates, local_sum,
-                  state.carrier_size, state.model.size)
+                  state.carrier_size, model.size)
 
 
 def find_complimentary(model: SourceModel, alpha_bar=None) -> SOPlan | None:

@@ -391,3 +391,14 @@ class TestTableRoundTripThroughCli:
         code_b, out_b, _ = run_cli(capsys, "psp", str(table_path))
         assert code_a == code_b == 0
         assert out_a == out_b
+
+
+def test_parser_built_once_and_patches_still_apply(capsys, five_user_path, monkeypatch):
+    # The parser is cached; each command still reads `load_model` at call time.
+    from omnirate import cli
+    assert cli.build_parser() is cli.build_parser()
+    loaded = []
+    real = cli.load_model
+    monkeypatch.setattr(cli, "load_model", lambda path: loaded.append(path) or real(path))
+    code, _, _ = run_cli(capsys, "psp", five_user_path)
+    assert code == 0 and loaded == [five_user_path]

@@ -1,6 +1,7 @@
 import re
 import time
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -8,7 +9,7 @@ from hypothesis import example, given, strategies as st
 from omnirate import (BitPoolSource, CapacityError, EntropyTable,
                       ModelFormatError, format_bitpool, format_table,
                       parse_model, run_parametric, validate)
-from omnirate.model import MAX_TABLE_USERS
+from omnirate.model import MAX_TABLE_USERS, mask_users
 from omnirate.modelfile import MAX_EXPONENT, _parse_value
 
 BITPOOL_DOC = """\
@@ -122,6 +123,14 @@ class TestParseTable:
         with pytest.raises(ModelFormatError, match="line 3: the empty set"):
             parse_model(doc)
 
+    @pytest.mark.parametrize("line", ["H 1 = one", "H , = one", "H 1 = 1/0"])
+    def test_bad_value_reported_before_the_key_error(self, line):
+        # That line's key repeats line 2's or is empty; its value is checked first.
+        doc = f"type=table\nH 1 = 1\n{line}\nH 2 = 1\nH 1,2 = 2\n"
+        value = line.split("= ")[1]
+        with pytest.raises(ModelFormatError, match=re.escape(f"line 3: bad rational value '{value}'")):
+            parse_model(doc)
+
     def test_id_forms_name_the_same_user(self):
         # Spaces, empty tokens and repeats inside a key all name the same set.
         doc = "type=table\nH 1 = 1\nH  2 , = 1\nH 2,1,2 = 3/2\n"
@@ -195,6 +204,45 @@ class TestValueGrammar:
         message = re.escape(f"line 3: bad rational value '{text}'")
         with pytest.raises(ModelFormatError, match=message):
             parse_model(doc)
+
+
+def value_texts():
+    """Table values as ints, unreduced and signed p/q, decimals and exponents."""
+    sign = st.sampled_from(["", "+", "-"])
+    digits = st.integers(0, 10**8).map(str)
+    return st.one_of(
+        st.tuples(sign, digits).map("".join),
+        st.tuples(sign, digits, st.integers(1, 10**4)).map(lambda t: f"{t[0]}{t[1]}/{t[2]}"),
+        st.tuples(sign, digits, digits).map(lambda t: f"{t[0]}{t[1]}.{t[2]}"),
+        st.tuples(sign, digits, digits, st.sampled_from("eE"), st.integers(-12, 12))
+        .map(lambda t: f"{t[0]}{t[1]}.{t[2]}{t[3]}{t[4]}"),
+        st.sampled_from(["10/4", "-10/4", "+6/9", "0/7", "000/010", "-.5", "5.", "1_000"]),
+    )
+
+
+@st.composite
+def table_docs(draw):
+    """(size, {mask: value text}, document) with the lines in a drawn order."""
+    n = draw(st.integers(2, 4))
+    texts = {mask: draw(value_texts()) for mask in range(1, 1 << n)}
+    order = draw(st.permutations(sorted(texts)))
+    lines = [f"H {','.join(map(str, sorted(mask_users(mask))))} = {texts[mask]}" for mask in order]
+    return n, texts, "type=table\n" + "\n".join(lines) + "\n"
+
+
+class TestIntIngest:
+    @given(table_docs())
+    def test_matches_the_fraction_reference(self, drawn):
+        n, texts, doc = drawn
+        parsed = parse_model(doc)
+        reference = EntropyTable(n, {tuple(mask_users(m)): Fraction(t) for m, t in texts.items()})
+        assert parsed.scale == reference.scale
+        assert [parsed.entropy_int(m) for m in range(1 << n)] == \
+            [reference.entropy_int(m) for m in range(1 << n)]
+        # and straight from `Fraction`, past the adopt step both share
+        values = {mask: Fraction(text) for mask, text in texts.items()}
+        assert parsed.scale == lcm(*(v.denominator for v in values.values()))
+        assert all(parsed.entropy_of_mask(mask) == v for mask, v in values.items())
 
 
 class TestDirective:

@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import gc
+import pickle
 import random
 import re
 from fractions import Fraction
@@ -275,6 +277,40 @@ class TestAlphaRange:
         for call in calls:
             with pytest.raises(DomainError, match=re.escape(f"alpha {alpha} outside [0, 10]")):
                 call()
+
+
+    @pytest.mark.parametrize("alpha", [F(10**4300), F(-1, 10**4300), 10**4300],
+                             ids=["numerator", "denominator", "int"])
+    def test_off_the_axis_past_the_digit_limit(self, five_user, golden_states, alpha):
+        # str() of such a value raises ValueError; the message names its size.
+        calls = [lambda: golden_states[5].partition_at(alpha),
+                 lambda: coordinate_saturation(five_user, alpha)]
+        for call in calls:
+            with pytest.raises(DomainError, match=re.escape("-bit rational> outside [0, 10]")):
+                call()
+
+
+ROUND_TRIPS = [lambda obj: pickle.loads(pickle.dumps(obj)), copy.copy, copy.deepcopy]
+
+
+class TestPickleAndCopy:
+    @pytest.mark.parametrize("round_trip", ROUND_TRIPS, ids=["pickle", "copy", "deepcopy"])
+    def test_partition_and_psp(self, five_user, round_trip):
+        _, psp = run_parametric(five_user)
+        for partition in psp.partitions:
+            assert round_trip(partition) == partition
+        assert round_trip(psp) == psp
+
+    @pytest.mark.parametrize("round_trip", ROUND_TRIPS, ids=["pickle", "copy", "deepcopy"])
+    def test_state(self, golden_states, round_trip):
+        # The model compares by identity, so the state's other fields are checked.
+        state = golden_states[5]
+        copied = round_trip(state)
+        assert copied.table == state.table and copied.rates == state.rates
+        assert copied.last_chain == state.last_chain
+        assert copied.last_probes == state.last_probes
+        assert copied.model.bits_per_user == state.model.bits_per_user
+        assert copied.rates_at(F(13, 2)) == state.rates_at(F(13, 2))
 
 
 class TestRunParametric:
