@@ -13,8 +13,8 @@ Run:  python3 demos/successive_omniscience.py
 from fractions import Fraction
 
 from omnirate import (BitPoolSource, brute_min_sum_rate, decompose_rates,
-                      find_complimentary, lower_bound_alpha, run_parametric,
-                      verify_complimentary)
+                      find_complimentary, iter_parametric, lower_bound_alpha,
+                      plan_from_state, run_parametric, verify_complimentary)
 
 FIVE_USERS = ["abcdfgij", "abcfij", "efhi", "bcej", "bcdhi"]
 
@@ -43,9 +43,11 @@ def main():
     assert verify_complimentary(model, plan.subset, bound)
 
     print("\nplan under the tighter caller-supplied bound 25/4:")
-    override = find_complimentary(model, Fraction(25, 4))
+    tighter = Fraction(25, 4)
+    *_, last = iter_parametric(model, tighter)
+    override = plan_from_state(last, tighter)
     describe(model, override)
-    assert verify_complimentary(model, override.subset, Fraction(25, 4))
+    assert verify_complimentary(model, override.subset, tighter)
 
     print("\nsplitting the optimal global rate vector around the first plan:")
     local, residual = decompose_rates(psp.rates, plan)

@@ -22,8 +22,7 @@ from .par import (MinimizerChain, ParState, PSPResult, extract_psp,
                   mda_reference, parametric_iteration, run_parametric,
                   solve_chain_breakpoints)
 from .partition import (AffineValue, Partition, Segmented)
-from .sfm import (FusionOracle, SfmResult, minimize, minimize_brute,
-                  minimize_cut, minimize_mnp)
+from .sfm import FusionOracle, SfmResult, minimize, minimize_brute, minimize_cut
 from .so import (SOPlan, decompose_rates, find_complimentary,
                  lower_bound_alpha, plan_from_state, verify_complimentary)
 from .verify import Check, Verification, fusion_gaps, verify_model

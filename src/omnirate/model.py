@@ -285,19 +285,6 @@ class EntropyTable(SourceModel):
         self._adopt(size, nums, dens)
 
     @classmethod
-    def from_masks(cls, size: int, table: Mapping[int, Fraction]) -> EntropyTable:
-        """A table on 1..size from `Fraction` entries already keyed by bitmask.
-
-        The keys must be nonempty, distinct and within 1..size, and size at
-        most MAX_TABLE_USERS.  Only coverage and the scale's budget are
-        checked here.
-        """
-        nums, dens = [0], [0]
-        for mask, value in table.items():
-            add_table_entry(nums, dens, mask, value.numerator, value.denominator)
-        return cls.from_ratios(size, nums, dens)
-
-    @classmethod
     def from_ratios(cls, size: int, nums: list[int], dens: list[int]) -> EntropyTable:
         """A table on 1..size from H(X) = nums[X] / dens[X] per bitmask X, as
         `add_table_entry` fills the two lists; the table takes them over.

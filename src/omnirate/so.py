@@ -7,11 +7,12 @@ minimum sum-rate of a carrier).  Equivalently, f_alpha(C) equals the
 Dilworth truncation of C at any alpha <= R(V).
 
 The search rides the parametric sweep: evaluate the segmented partition at
-a lower bound alpha_bar <= R(V) and any nonsingleton block found there is
-complimentary.  The block's own solution comes for free: the alpha where
-its sub-blocks finish merging in the segmented partition equals
-H(V) - H(C) + R(C), and the stored rate vector evaluated there, restricted
-to C, attains local omniscience in C at sum rate R(C).
+the singleton lower bound alpha_bar <= R(V) (`lower_bound_alpha`) and any
+nonsingleton block found there is complimentary.  The block's own solution
+comes for free: the alpha where its sub-blocks finish merging in the
+segmented partition equals H(V) - H(C) + R(C), and the stored rate vector
+evaluated there, restricted to C, attains local omniscience in C at sum
+rate R(C).
 
 Both the block and its merge point lie at or below alpha_bar, so the sweep
 runs on the truncated axis [0, alpha_bar] only (see `par`): per user one
@@ -70,7 +71,9 @@ def plan_from_state(state: ParState, alpha_bar: Fraction) -> SOPlan | None:
     the complimentary subset (when alpha_bar is at most the minimum
     sum-rate).  Its rate vector is the stored one at the alpha where its
     sub-blocks finish merging: the lower end of the first segment of the
-    partition table that holds it.
+    partition table that holds it.  For a bound other than
+    `lower_bound_alpha`, read the last state of `iter_parametric(model,
+    alpha_bar)`.
     """
     partition = state.partition_at(alpha_bar)
     block = next((b for b in partition.masks if b & (b - 1)), None)
@@ -92,25 +95,16 @@ def plan_from_state(state: ParState, alpha_bar: Fraction) -> SOPlan | None:
                   state.carrier_size, model.size)
 
 
-def find_complimentary(model: SourceModel, alpha_bar=None) -> SOPlan | None:
+def find_complimentary(model: SourceModel) -> SOPlan | None:
     """Search the sweep for a complimentary subset; None if none shows up.
 
-    With the default bound the sweep stops at the first iteration whose
-    segmented partition has a nonsingleton block at alpha_bar (earliest
-    possible plan).  With a caller-supplied bound the fully swept ground
-    set is inspected instead, exposing the most-merged structure available
-    under that bound.  Callers overriding alpha_bar are responsible for
-    keeping it at most the minimum sum-rate; `verify_complimentary` or the
-    sweep itself can confirm that after the fact.  Either way the sweep
-    covers only the axis [0, alpha_bar], which checks the bound.
+    The sweep runs at alpha_bar = `lower_bound_alpha(model)` and stops at
+    the first iteration whose segmented partition has a nonsingleton block
+    there (earliest possible plan).
     """
-    sweep_all = alpha_bar is not None
-    alpha_bar = alpha_bar if sweep_all else lower_bound_alpha(model)
+    alpha_bar = lower_bound_alpha(model)
     for state in iter_parametric(model, alpha_bar):
-        if sweep_all:
-            if state.carrier_size < model.size:
-                continue
-        elif state.carrier_size == 1 or len(state.last_chain.sets[-1]) == 1:
+        if state.carrier_size == 1 or len(state.last_chain.sets[-1]) == 1:
             continue  # the new user is alone at alpha_bar: no block has formed
         plan = plan_from_state(state, alpha_bar)
         if plan is not None:

@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from omnirate import BitPoolSource, EntropyTable, lower_bound_alpha
+from omnirate import (BitPoolSource, EntropyTable, iter_parametric, lower_bound_alpha,
+                      plan_from_state)
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 FIVE_USER_PATH = REPO_ROOT / "models" / "example_5user.bitpool"
@@ -40,6 +41,13 @@ def twin_bitpool(rng: random.Random, max_users: int = 6, max_bits: int = 12) -> 
     for _ in range(rng.randint(1, len(pools) - 1)):
         pools[rng.randrange(len(pools))] = rng.choice(pools)
     return BitPoolSource(pools)
+
+
+def plan_at(model, bound):
+    """The plan at a caller's own bound: `plan_from_state` on the last state
+    of the sweep cut at that bound."""
+    *_, last = iter_parametric(model, bound)
+    return plan_from_state(last, bound)
 
 
 def axis_caps(rng: random.Random, model) -> tuple[Fraction, ...]:

@@ -16,14 +16,14 @@ from fractions import Fraction
 import pytest
 
 from omnirate import (check_achievable, decompose_rates, find_complimentary,
-                      lower_bound_alpha, minimize_brute, minimize_mnp, par,
-                      run_parametric)
+                      lower_bound_alpha, minimize_brute, par, run_parametric)
 from omnirate.cli import main
 from omnirate.par import extract_psp, iter_parametric
 from omnirate.partition import Partition
+from omnirate.sfm import minimize_mnp
 from omnirate.verify import fusion_gaps, verify_model
 
-from conftest import corpus_models, random_alpha
+from conftest import corpus_models, plan_at, random_alpha
 from test_par import EXPECTED_PARTITIONS, EXPECTED_RATES
 
 F = Fraction
@@ -101,7 +101,7 @@ def test_criterion_5_successive_omniscience(five_user):
     assert plan.local_rates == (F(2), F(0))
     assert plan.local_min_sum_rate == F(2)
 
-    override = find_complimentary(five_user, F(25, 4))
+    override = plan_at(five_user, F(25, 4))
     assert override.subset == frozenset({1, 2, 5})
     assert override.local_alpha == F(6)
     assert override.local_rates == (F(4), F(0), F(1))

@@ -1,13 +1,16 @@
 import csv
 import io
+import random
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from omnirate import format_table, parse_model
+from omnirate import BitPoolSource, format_bitpool, format_table, parse_model, run_parametric
 from omnirate.cli import _fmt, main
+
+from conftest import plan_at
 
 F = Fraction
 
@@ -189,6 +192,35 @@ class TestSo:
         assert "complimentary subset: {1,2,5}" in out
         assert "alpha_C = 6" in out
         assert "local rate vector: (4, 0, 1)" in out
+
+    def test_override_prints_the_cut_sweeps_plan(self, capsys, tmp_path):
+        # --alpha-bar B prints the plan that `plan_from_state` reads off the
+        # last state of the sweep cut at B, for random bounds up to R_CO(V).
+        rng = random.Random(2510)
+        path = tmp_path / "pool.bitpool"
+        plans = 0
+        for _ in range(8):
+            universe = [f"b{k}" for k in range(rng.randint(4, 10))]
+            model = BitPoolSource([rng.sample(universe, rng.randint(1, len(universe)))
+                                   for _ in range(rng.randint(6, 8))])
+            path.write_text(format_bitpool(model))
+            rate = run_parametric(model)[1].min_sum_rate
+            for bound in (rate * F(rng.randrange(0, 1001), 1000), rate):
+                code, out, _ = run_cli(capsys, "so", str(path), "--alpha-bar", str(bound))
+                plan = plan_at(model, bound)
+                expected = [f"alpha-bar = {bound}"]
+                if plan is None:
+                    expected.append("no complimentary subset")
+                else:
+                    plans += 1
+                    subset = "{" + ",".join(map(str, plan.local_users)) + "}"
+                    expected += [f"complimentary subset: {subset}",
+                                 f"found at iteration: {plan.found_at_iteration}",
+                                 f"alpha_C = {plan.local_alpha}",
+                                 f"local rate vector: ({', '.join(map(str, plan.local_rates))})",
+                                 f"R_CO({subset}) = {plan.local_min_sum_rate}"]
+                assert (code, out) == (0, "\n".join(expected) + "\n")
+        assert 4 <= plans < 16  # both outcomes are printed
 
     def test_override_sweeps_once(self, capsys, five_user_path, monkeypatch):
         # The bound check and the plan share one sweep of the 5 users.

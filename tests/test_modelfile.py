@@ -274,6 +274,13 @@ class TestRoundTrips:
         _, psp_b = run_parametric(table)
         assert psp_a == psp_b
 
+    def test_table_dump_past_the_cap(self, monkeypatch):
+        # A table the parser would refuse: no line is built, no entropy read.
+        pool = BitPoolSource([f"b{u}" for u in range(MAX_TABLE_USERS + 1)])
+        monkeypatch.setattr(pool, "entropy_int", None)
+        with pytest.raises(CapacityError, match="capped at 20 users, got 21"):
+            format_table(pool)
+
     def test_fixture_file_matches_builtin(self, five_user, five_user_path):
         with open(five_user_path, encoding="utf-8") as fh:
             model = parse_model(fh.read())

@@ -7,6 +7,7 @@ import pytest
 from omnirate import (BitPoolSource, CapacityError, DomainError, Partition,
                       brute_dilworth, brute_min_sum_rate, check_achievable,
                       dilworth_truncation, partitions_of)
+from omnirate.model import MAX_TABLE_USERS
 
 from conftest import random_alpha, random_bitpool
 
@@ -114,3 +115,10 @@ class TestCheckAchievable:
     def test_slack_added_stays_achievable(self, five_user):
         rates = [Fraction(9, 2) + 1, 0, Fraction(1, 2), Fraction(1, 2), 1]
         assert check_achievable(five_user, rates)
+
+    def test_carrier_past_the_table_cap(self, monkeypatch):
+        # 2^21 - 2 constraints: refused before any subset's entropy is read.
+        pool = BitPoolSource([f"b{u}" for u in range(MAX_TABLE_USERS + 1)])
+        monkeypatch.setattr(pool, "entropy_int", None)
+        with pytest.raises(CapacityError, match="at most 20 users, got 21"):
+            check_achievable(pool, [1] * 21)

@@ -10,7 +10,7 @@ import pytest
 
 from omnirate import (AffineValue, BitPoolSource, DomainError, EntropyTable,
                       InternalError, Partition, brute_min_sum_rate,
-                      check_achievable, coordinate_saturation, find_complimentary,
+                      check_achievable, coordinate_saturation,
                       minimize_brute, par, sfm)
 from omnirate.par import (MinimizerChain, ParState, extract_psp,
                           fusion_oracle_at, initial_state, iter_parametric,
@@ -272,7 +272,6 @@ class TestAlphaRange:
         # str(): every check names the value as the caller passed it.
         calls = [lambda: golden_states[5].partition_at(alpha),
                  lambda: coordinate_saturation(five_user, alpha),
-                 lambda: find_complimentary(five_user, alpha),
                  lambda: next(iter_parametric(five_user, alpha))]
         for call in calls:
             with pytest.raises(DomainError, match=re.escape(f"alpha {alpha} outside [0, 10]")):
@@ -506,8 +505,8 @@ class TestMdaReference:
 
     def twelve_user_table(self):
         pool = self.twelve_user_pool()
-        return EntropyTable.from_masks(
-            12, {mask: pool.entropy_of_mask(mask) for mask in range(1, 1 << 12)})
+        return EntropyTable(
+            12, {mask_users(mask): pool.entropy_of_mask(mask) for mask in range(1, 1 << 12)})
 
     @pytest.mark.parametrize("n", [24, 32])
     def test_spread_bitpool_past_the_brute_limit(self, n, monkeypatch):

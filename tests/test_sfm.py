@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st, target
 
 from omnirate import (BitPoolSource, CapacityError, DomainError, FusionOracle,
-                      InternalError, find_complimentary, lower_bound_alpha,
-                      minimize, minimize_brute, minimize_cut, minimize_mnp, par,
-                      sfm)
-from omnirate.model import MAX_TABLE_USERS, mask_users, subset_mask
+                      InternalError, lower_bound_alpha, minimize, minimize_brute,
+                      minimize_cut, par, sfm)
+from omnirate.model import MAX_TABLE_USERS, SourceModel, mask_users, subset_mask
 from omnirate.par import fusion_oracle_at, initial_state, iter_parametric
+from omnirate.sfm import minimize_mnp
 
 from conftest import (coprime_rank_sum_table, planted_pair_bitpool, random_bitpool,
                       rank_sum_table, spread_bitpool)
@@ -52,11 +52,12 @@ class TestBruteOnGoldenSource:
     def test_mnp_iteration_cap_raises(self, five_user, monkeypatch):
         from omnirate import SolverError
         o = oracle_for(five_user, 6, [[1], [2]], 2, {1: 4, 2: -4})
+        monkeypatch.setattr(sfm, "_MNP_ITERATION_CAP", 0)
         with pytest.raises(SolverError):
-            minimize_mnp(o, iteration_cap=0)
+            minimize_mnp(o)
         # A table lattice of 12 non-anchor blocks is solved by brute
         # enumeration: min-norm-point is no backend of minimize.
-        def unreachable(oracle, iteration_cap=0):
+        def unreachable(oracle):
             raise SolverError("minimize reached min-norm-point")
 
         monkeypatch.setattr(sfm, "minimize_mnp", unreachable)
@@ -87,16 +88,35 @@ class TestBruteOnGoldenSource:
         with pytest.raises(CapacityError, match="capped at 3 non-anchor blocks, got 4"):
             minimize_brute(past)
 
-    def test_mnp_iteration_cap_boundary(self, five_user):
+    def test_mnp_iteration_cap_boundary(self, five_user, monkeypatch):
         # The top probe of user 5 needs exactly two min-norm-point
         # iterations: a cap of 2 solves it, a cap of 1 raises.
         from omnirate import SolverError
         state = list(iter_parametric(five_user))[3]
         o = fusion_oracle_at(state, Fraction(23, 4))
         assert len(o.non_anchor_blocks) == 3
-        assert minimize_mnp(o, iteration_cap=2) == minimize_brute(o)
+        monkeypatch.setattr(sfm, "_MNP_ITERATION_CAP", 2)
+        assert minimize_mnp(o) == minimize_brute(o)
+        monkeypatch.setattr(sfm, "_MNP_ITERATION_CAP", 1)
         with pytest.raises(SolverError):
-            minimize_mnp(o, iteration_cap=1)
+            minimize_mnp(o)
+
+    def test_brute_limit_is_the_largest_table_lattice(self):
+        # A source past the table cap that is no bit pool gets a lattice of
+        # MAX_TABLE_USERS non-anchor blocks to brute enumeration, which
+        # refuses it before reading any entropy.
+        class Unread(SourceModel):
+            scale = 1
+
+            def _entropy_of_mask(self, mask):
+                raise AssertionError("brute enumeration read an entropy")
+
+        model = Unread(MAX_TABLE_USERS + 1)
+        o = oracle_for(model, 1, [[u] for u in model.users], 1,
+                       {u: 0 for u in model.users})
+        assert len(o.non_anchor_blocks) == MAX_TABLE_USERS == 20
+        with pytest.raises(CapacityError, match="capped at 19 non-anchor blocks, got 20"):
+            minimize(o)
 
 
 class TestFifthUserProbe:
@@ -567,9 +587,9 @@ class TestMinCut:
 
     def test_top_probes_of_successive_omniscience(self, monkeypatch):
         # Every top probe at the bound, on the whole lattice of i - 1 blocks,
-        # of 16-24-user spread and planted-pair pools.  An explicit bound
-        # sweeps every user (the default stops at the first plan, a prefix
-        # of the same probes), so the lattices reach 23 blocks.
+        # of 16-24-user spread and planted-pair pools.  The sweep cut at the
+        # bound runs every user (`find_complimentary` stops at the first
+        # plan, a prefix of the same probes), so the lattices reach 23 blocks.
         rng = random.Random(2718)
         models = [make(rng, n) for make in (spread_bitpool, planted_pair_bitpool)
                   for n in (16, 20, 24)]
@@ -586,7 +606,7 @@ class TestMinCut:
                 return real_minimize(oracle)
 
             monkeypatch.setattr(par, "minimize", recorded)
-            find_complimentary(model, bound)
+            list(iter_parametric(model, bound))
             assert len(tops) == model.size - 1
             for oracle in tops:
                 cut = minimize_cut(oracle)

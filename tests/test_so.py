@@ -9,7 +9,7 @@ from omnirate import (BitPoolSource, DecompositionError, DomainError,
                       par, plan_from_state, run_parametric,
                       verify_complimentary)
 
-from conftest import (corpus_models, planted_pair_bitpool, rank_sum_table,
+from conftest import (corpus_models, plan_at, planted_pair_bitpool, rank_sum_table,
                       random_bitpool, twin_bitpool)
 
 F = Fraction
@@ -42,7 +42,7 @@ class TestFindComplimentary:
         assert plan.local_min_sum_rate == 2
 
     def test_override_inspects_full_sweep(self, five_user):
-        plan = find_complimentary(five_user, F(25, 4))
+        plan = plan_at(five_user, F(25, 4))
         assert plan.subset == frozenset({1, 2, 5})
         assert plan.found_at_iteration == 5
         assert plan.local_alpha == 6
@@ -58,7 +58,7 @@ class TestFindComplimentary:
 
     def test_bound_out_of_range(self, five_user):
         with pytest.raises(DomainError):
-            find_complimentary(five_user, F(11))
+            plan_at(five_user, F(11))
 
     def test_plan_defining_inequality(self):
         # H(V) - H(C) + R(C) <= R(V), both sides from the brute oracle.
@@ -109,7 +109,7 @@ class TestTruncatedSearch:
             found += plan is not None
             rate = run_parametric(model)[1].min_sum_rate
             for bound in (rate * F(rng.randrange(0, 1001), 1000), rate):
-                assert find_complimentary(model, bound) == whole_axis_plan(model, bound)
+                assert plan_at(model, bound) == whole_axis_plan(model, bound)
         assert found > len(models) // 4
 
     def test_random_bitpools(self):
@@ -194,7 +194,7 @@ class TestDecomposeRates:
         assert residual == total and set(local) == {0}
 
     def test_triple_plan(self, five_user):
-        plan = find_complimentary(five_user, F(25, 4))
+        plan = plan_at(five_user, F(25, 4))
         total = (F(9, 2), F(0), F(1, 2), F(1, 2), F(1))
         _, residual = decompose_rates(total, plan)
         assert residual == (F(1, 2), F(0), F(1, 2), F(1, 2), F(0))
