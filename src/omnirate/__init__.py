@@ -8,7 +8,7 @@ and rate vectors carry no floating-point error.
 """
 
 from .dilworth import (AlphaFunction, DilworthResult, coordinate_saturation,
-                       dilworth_truncation, partition_value)
+                       dilworth_truncation)
 from .errors import (CapacityError, DecompositionError, DomainError,
                      InternalError, ModelFormatError, OmnirateError,
                      SolverError)

@@ -105,9 +105,3 @@ def coordinate_saturation(model: SourceModel, alpha, carrier=None) -> DilworthRe
 def dilworth_truncation(model: SourceModel, alpha, carrier=None) -> Fraction:
     """min over partitions P of the carrier of sum_{C in P} f_alpha(C)."""
     return coordinate_saturation(model, alpha, carrier).value
-
-
-def partition_value(model: SourceModel, alpha, partition: Partition) -> Fraction:
-    """f_alpha[P] = sum of f_alpha(C) over the blocks of P."""
-    f_alpha = AlphaFunction(model, as_rational(alpha))
-    return sum((f_alpha(block) for block in partition), Fraction(0))

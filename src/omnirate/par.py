@@ -36,16 +36,18 @@ blocks of P(alpha') inside m(b) (restriction), with the blocks meeting m(a)
 contracted into one anchor (contraction): m(alpha') is a union of blocks
 that contains m(a), so it contains every block meeting m(a).  The search
 hands each lower child the bracket (inner, m(alpha)) and each upper child
-(m(alpha), outer), starting from ({i}, V_i).
+(m(alpha), outer), starting from ({i}, V_i).  A collapsed child bracket
+(inner == outer) holds no crossing, since m cannot switch from a set to
+itself, so it is pruned: every probe has inner strictly inside outer.
 
 The critical points come from the same search.  At a terminal probe
 (m(alpha) fused into the stored partition gives back p_down), p_down and
 p_up are adjacent pieces of the lower envelope over the probe's bracket
 (the Eisner-Severance argument), so m switches from the bracket's inner set
 to its outer set exactly at the probe's alpha: the inner set's critical
-point whenever inner != outer.  The walk emits them in order (lower child
-before upper), and `solve_chain_breakpoints` checks that order rather than
-sorting, and each point exactly: r_alpha(S_{j-1} \\ S_j) = H(S_{j-1}) - H(S_j).
+point.  The walk emits them in order (lower child before upper), and
+`solve_chain_breakpoints` checks that order rather than sorting, and each
+point exactly: r_alpha(S_{j-1} \\ S_j) = H(S_{j-1}) - H(S_j).
 
 Every stored block B is tight: on each segment its users' rates sum to
 f_alpha(B) = alpha - H(V) + H(B), as in coordinate saturation.  So a probe's
@@ -90,7 +92,6 @@ an optimal rate vector (`extract_psp`).
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator
@@ -262,9 +263,9 @@ def fusion_oracle_at(state: ParState, alpha) -> FusionOracle:
 
 def _chain_search(model, table, p_down, p_up, inner, outer, probes) -> dict:
     """Probe where the lines of `p_down` (strictly finer) and `p_up` cross, on
-    the bracket (inner, outer) of user bitmasks, and walk both sides, lower
-    first, unless fusing gives p_down; return {inner mask: alpha} of the
-    terminal probes, in order."""
+    the bracket (inner, outer) of user bitmasks, and walk both sides whose
+    bracket has not collapsed, lower first, unless fusing gives p_down;
+    return {inner mask: alpha} of the terminal probes, in order."""
     if p_down == p_up or not p_down.refines(p_up):
         raise DomainError("need p_down strictly finer than p_up")
     total, d, entropy = model.total_int, model.scale, model.entropy_int
@@ -279,15 +280,16 @@ def _chain_search(model, table, p_down, p_up, inner, outer, probes) -> dict:
         partition = table.value_at(alpha)
         found = minimize(_oracle_at(model, partition, alpha, inner, outer)).mask
         fused = partition.merge_mask(found)
-        if fused == p_down:
-            # terminal: m switches from inner to outer at alpha
-            if inner != outer:
-                crossings[inner] = alpha
-        else:
-            # the lower side is pushed last, so the whole of it is walked first
-            h_fused = sum(map(entropy, fused.masks))
-            pending += [(fused, p_up, found, outer, h_fused, h_up),
-                        (p_down, fused, inner, found, h_down, h_fused)]
+        if fused == p_down:  # terminal: m switches from inner to outer at alpha
+            crossings[inner] = alpha
+            continue
+        # collapsed brackets are pruned; the lower side is pushed last, so the
+        # whole of it is walked first
+        h_fused = sum(map(entropy, fused.masks))
+        if found != outer:
+            pending.append((fused, p_up, found, outer, h_fused, h_up))
+        if found != inner:
+            pending.append((p_down, fused, inner, found, h_down, h_fused))
     return crossings
 
 
@@ -303,11 +305,12 @@ def solve_chain_breakpoints(state: ParState, crossings) -> MinimizerChain:
         if not small < big:
             raise InternalError(f"chain sets not nested: {sorted(small)} vs {sorted(big)}")
     alphas = list(crossings.values())
-    if alphas != sorted(alphas) or alphas[-1] != state.table.top:
+    cuts = [alpha.as_integer_ratio() for alpha in alphas]
+    if (any(p * b > a * q for (p, q), (a, b) in zip(cuts, cuts[1:]))
+            or cuts[-1] != state.table.ends[-1]):
         raise InternalError(f"critical points out of order: {alphas}")
     d, entropy = state.model.scale, state.model.entropy_int
-    for small, big, alpha in zip(chain, chain[1:], alphas):
-        p, q = alpha.as_integer_ratio()
+    for small, big, alpha, (p, q) in zip(chain, chain[1:], alphas, cuts):
         pairs = [state.rates[u - 1].value_at(alpha) for u in big - small]
         sent = q * sum(c for c, _ in pairs) + p * d * sum(s for _, s in pairs)
         if sent != (entropy(subset_mask(big)) - entropy(subset_mask(small))) * q:
@@ -340,7 +343,8 @@ def parametric_iteration(state: ParState) -> ParState:
     inner = 1 << (user - 1)
     carrier = range(1, user + 1)
     singletons, whole = Partition.singletons(carrier), Partition.whole(carrier)
-    extended = state.table.map(lambda p: p.with_user(user))
+    # `with_user` past its carrier check, so that every segment shares one `inner`
+    extended = state.table.map(lambda p: Partition._of((*p.masks, inner)))
     probes: list[Probe] = []
     if top.numerator * model.scale == model.total_int * top.denominator:  # top == H(V)
         top_set, top_partition = 2 * inner - 1, whole
@@ -361,16 +365,25 @@ def parametric_iteration(state: ParState) -> ParState:
         raise InternalError("minimizer chain must start at the new user's singleton")
     chain = solve_chain_breakpoints(state, dict(zip(map(mask_users, sets), crossings.values())))
 
+    # One walk merges the table's int ends i with the chain's j, both sorted up to
+    # top; equal adjacent chain ends are empty segments, so j skips them.
     partitions, rates = [], []
-    for upper in sorted(set(extended.uppers).union(chain.alphas)):
-        partition = extended.value_at(upper)
-        fused = sets[bisect_left(chain.alphas, upper)]
+    ends, cuts = extended.ends, [alpha.as_integer_ratio() for alpha in chain.alphas]
+    i = j = 0
+    while i < len(ends):
+        (p, q), cut = ends[i], cuts[j]
+        order = cut[0] * q - p * cut[1]  # the sign of chain end - table end
+        upper = chain.alphas[j] if order < 0 else extended.uppers[i]
+        partition, fused = extended.values[i], sets[j]
         stored = [b for b in partition.masks[:-1] if not b & ~fused]
         if inner + sum(stored) != fused:
             raise InternalError(f"minimizer {sorted(mask_users(fused))} is not a block "
                                 f"union on the segment ending at {upper}")
         partitions.append((upper, partition.merge_mask(fused)))
         rates.append((upper, _new_rate(model, fused, stored)))
+        i += order >= 0
+        while order <= 0 and j < len(cuts) and cuts[j] == cut:
+            j += 1
 
     return ParState(
         model, user, Segmented(partitions), state.rates + (Segmented(rates),),

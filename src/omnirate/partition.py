@@ -19,7 +19,6 @@ demand, so a kept result (a whole principal sequence, say) holds only ints.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -186,28 +185,32 @@ class Segmented:
     to uppers[-1] == top, and `values[k]` is the value on segment k, which is
     [0, uppers[0]] for k == 0 and (uppers[k-1], uppers[k]] above it.  So
     uppers[0] == 0 is the closed point [0, 0].  Equal neighbouring values are
-    merged on construction, so every end is a breakpoint.
+    merged on construction, so every end is a breakpoint.  `ends` holds the
+    same ends as lowest-terms int pairs (p, q), which lookups and the
+    construction check compare by cross-multiplying.
     """
 
-    __slots__ = ("uppers", "values")
+    __slots__ = ("uppers", "ends", "values")
 
     def __init__(self, pieces: Iterable[tuple[Fraction, Any]]):
         """Build from (upper, value) pairs in increasing order of upper."""
-        uppers: list[Fraction] = []
-        values: list[Any] = []
+        uppers, ends, values = [], [], []
         for upper, value in pieces:
-            if upper < 0 or (uppers and upper <= uppers[-1]):
+            p, q = upper.as_integer_ratio()
+            if p < 0 or (ends and p * ends[-1][1] <= ends[-1][0] * q):
                 raise DomainError(
                     f"segment ends must be nonnegative and strictly increasing, got {upper}"
                 )
             if values and values[-1] == value:
-                uppers[-1] = upper
+                uppers[-1], ends[-1] = upper, (p, q)
             else:
                 uppers.append(upper)
+                ends.append((p, q))
                 values.append(value)
         if not uppers:
             raise DomainError("a segmented container needs at least one segment")
         self.uppers = tuple(uppers)
+        self.ends = tuple(ends)
         self.values = tuple(values)
 
     @classmethod
@@ -233,11 +236,20 @@ class Segmented:
         return hash((self.uppers, self.values))
 
     def value_at(self, alpha) -> Any:
-        """The value on the segment containing alpha (half-open convention)."""
-        value = as_rational(alpha)
-        if not 0 <= value <= self.uppers[-1]:
+        """The value on the segment containing alpha (half-open convention):
+        a bisect over the int ends, comparing p / q by cross-multiplying."""
+        p, q = as_rational(alpha).as_integer_ratio()
+        ends = self.ends
+        if p < 0 or p * ends[-1][1] > ends[-1][0] * q:
             raise DomainError(f"alpha {value_str(alpha)} outside [0, {value_str(self.top)}]")
-        return self.values[bisect_left(self.uppers, value)]
+        lo, hi = 0, len(ends) - 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if ends[mid][0] * q < p * ends[mid][1]:
+                lo = mid + 1
+            else:
+                hi = mid
+        return self.values[lo]
 
     def map(self, fn: Callable[[Any], Any]) -> "Segmented":
         """Apply fn to every value; equal adjacent results are re-merged."""

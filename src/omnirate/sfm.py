@@ -49,7 +49,7 @@ from math import lcm
 from typing import Sequence
 
 from .errors import CapacityError, DomainError, InternalError, SolverError
-from .model import MAX_TABLE_USERS, BitPoolSource, SourceModel, mask_users, subset_mask
+from .model import MAX_TABLE_USERS, BitPoolSource, SourceModel, mask_users
 
 # Bit-pool lattices with more non-anchor blocks than this go to the min cut:
 # per call on fresh bench models, the bipartite-flow cut ties brute
@@ -74,8 +74,7 @@ class FusionOracle:
     `scale`, a positive multiple of the model's entropy scale; `alpha` is
     the sum-rate estimate.
     Submodularity of the evaluator needs no check: it holds for any rates.
-    `saturation_oracle` builds every production oracle; `from_fractions`
-    takes user sets and `Fraction` rates, which is how the tests build theirs.
+    `saturation_oracle` builds every production oracle.
     """
 
     model: SourceModel
@@ -83,14 +82,6 @@ class FusionOracle:
     blocks: tuple[int, ...]
     rates: tuple[int, ...]
     scale: int
-
-    @classmethod
-    def from_fractions(cls, model, alpha, blocks, rates: Sequence[Fraction]) -> FusionOracle:
-        """The oracle on user-set `blocks` with `Fraction` `rates`, scaled over the
-        lcm of the model's entropy scale and the rates' denominators."""
-        scale = lcm(model.scale, *(r.denominator for r in rates))
-        ints = tuple(r.numerator * (scale // r.denominator) for r in rates)
-        return cls(model, alpha, tuple(map(subset_mask, blocks)), ints, scale)
 
     @property
     def anchor(self) -> int:

@@ -1,12 +1,14 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from pathlib import Path
 
 import pytest
 
-from omnirate import (BitPoolSource, EntropyTable, iter_parametric, lower_bound_alpha,
-                      plan_from_state)
+from omnirate import (AlphaFunction, BitPoolSource, EntropyTable, FusionOracle,
+                      iter_parametric, lower_bound_alpha, plan_from_state)
+from omnirate.model import as_rational, subset_mask
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 FIVE_USER_PATH = REPO_ROOT / "models" / "example_5user.bitpool"
@@ -159,3 +161,19 @@ def corpus_models(count: int = 200, seed: int = 7151):
     while len(models) < count:
         models.append(random_bitpool(rng))
     return models
+
+
+def oracle_from_fractions(model, alpha, blocks, rates) -> FusionOracle:
+    """The fusion oracle on user-set `blocks` (anchor last) with `Fraction`
+    `rates`, scaled over the lcm of the model's entropy scale and the rates'
+    denominators: the way the tests build an oracle by hand."""
+    scale = lcm(model.scale, *(r.denominator for r in rates))
+    ints = tuple(r.numerator * (scale // r.denominator) for r in rates)
+    return FusionOracle(model, alpha, tuple(map(subset_mask, blocks)), ints, scale)
+
+
+def partition_value(model, alpha, partition) -> Fraction:
+    """f_alpha[P] = sum of f_alpha(C) over the blocks of P: the reference
+    value of a partition, straight from the entropies."""
+    f_alpha = AlphaFunction(model, as_rational(alpha))
+    return sum((f_alpha(block) for block in partition), Fraction(0))

@@ -6,11 +6,11 @@ import pytest
 
 from omnirate import (DomainError, Partition, brute_dilworth,
                       coordinate_saturation, dilworth, dilworth_truncation,
-                      mda_reference, partition_value, run_parametric)
+                      mda_reference, run_parametric)
 from omnirate.dilworth import AlphaFunction
 from omnirate.model import mask_users
 
-from conftest import random_alpha, random_bitpool, rank_sum_table
+from conftest import partition_value, random_alpha, random_bitpool, rank_sum_table
 
 
 class TestCoordinateSaturation:

@@ -561,6 +561,14 @@ class TestBracketedProbes:
         alphas = []
         prev = []
         real_minimize = par.minimize
+        real_oracle_at = par._oracle_at
+        brackets = []
+
+        def proper(model, partition, alpha, inner, outer):
+            # collapsed brackets are pruned: no probe runs on inner == outer
+            assert inner & ~outer == 0 and inner != outer
+            brackets.append(inner)
+            return real_oracle_at(model, partition, alpha, inner, outer)
 
         def checked(oracle):
             state = prev[-1]
@@ -574,6 +582,7 @@ class TestBracketedProbes:
             return result
 
         monkeypatch.setattr(par, "minimize", checked)
+        monkeypatch.setattr(par, "_oracle_at", proper)
         for model in models:
             for top in tops(model):
                 state = initial_state(model, top)
@@ -584,6 +593,11 @@ class TestBracketedProbes:
                     assert alphas == [p.alpha for p in state.last_probes]
         # the brackets do shrink the lattices, not only keep the answers
         assert blocks["restricted"] < blocks["full"]
+        assert len(brackets) > len(models)
+
+    def test_golden_probe_count(self, golden_states):
+        # 12 before collapsed brackets were pruned; `omnirate verify` prints it
+        assert sum(len(state.last_probes) for state in golden_states.values()) == 9
 
     def test_random_bitpools(self, monkeypatch):
         rng = random.Random(4051)

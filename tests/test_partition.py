@@ -1,10 +1,14 @@
+import copy
+import pickle
 import random
+from bisect import bisect_left
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from omnirate import AffineValue, DomainError, Partition, Segmented
+from omnirate import AffineValue, DomainError, Partition, Segmented, iter_parametric
+from omnirate.model import as_rational, value_str
 
 AF = AffineValue.of
 
@@ -274,3 +278,110 @@ class TestSegmented:
         assert seg.value_at(0) == "point"
         assert seg.value_at(Fraction(1, 7)) == "rest"
         assert seg.uppers == (Fraction(0), Fraction(10))
+
+
+class FractionSegmented:
+    """The reference: `Segmented` as it was with `Fraction` ends only, checked
+    by `Fraction` comparisons and looked up by a bisect over them."""
+
+    def __init__(self, pieces):
+        uppers, values = [], []
+        for upper, value in pieces:
+            if upper < 0 or (uppers and upper <= uppers[-1]):
+                raise DomainError(
+                    f"segment ends must be nonnegative and strictly increasing, got {upper}"
+                )
+            if values and values[-1] == value:
+                uppers[-1] = upper
+            else:
+                uppers.append(upper)
+                values.append(value)
+        if not uppers:
+            raise DomainError("a segmented container needs at least one segment")
+        self.uppers, self.values = tuple(uppers), tuple(values)
+
+    def value_at(self, alpha):
+        value = as_rational(alpha)
+        if not 0 <= value <= self.uppers[-1]:
+            raise DomainError(f"alpha {value_str(alpha)} outside [0, {value_str(self.uppers[-1])}]")
+        return self.values[bisect_left(self.uppers, value)]
+
+
+def outcome(call):
+    """What a call gives: ("value", v), or ("error", its DomainError message)."""
+    try:
+        return "value", call()
+    except DomainError as exc:
+        return "error", str(exc)
+
+
+# Large primes (and 1): random ends over them have large, coprime denominators.
+PRIMES = (1, 1_000_003, 998_244_353, 1_000_000_007, 2**31 - 1, 2**61 - 1)
+TINY = Fraction(1, 2**89 - 1)
+
+
+@st.composite
+def segment_pieces(draw):
+    """(upper, value) pieces: ends over large prime denominators, mostly in
+    increasing order, at times with a swapped or repeated end, and values
+    from a small set so that equal neighbours merge."""
+    count = draw(st.integers(1, 8))
+    ends = sorted({Fraction(draw(st.integers(0, 50 * q)), q)
+                   for q in draw(st.lists(st.sampled_from(PRIMES), min_size=count,
+                                          max_size=count))})
+    tamper = draw(st.sampled_from(["none", "none", "swap", "repeat", "negative"]))
+    if tamper == "swap" and len(ends) > 1:
+        k = draw(st.integers(1, len(ends) - 1))
+        ends[k - 1], ends[k] = ends[k], ends[k - 1]
+    elif tamper == "repeat":
+        k = draw(st.integers(0, len(ends) - 1))
+        ends.insert(k, ends[k])
+    elif tamper == "negative":
+        ends.insert(0, -ends[-1] - TINY)
+    values = draw(st.lists(st.integers(0, 2), min_size=len(ends), max_size=len(ends)))
+    return list(zip(ends, values))
+
+
+def queries(ends):
+    """Each end, just below and above it, 0, top, below 0 and above top, as
+    Fractions, as strings, and as ints where the value is one (or floored)."""
+    top = max(ends)
+    points = {Fraction(0), top, -TINY, top + TINY, Fraction(-1), top + 1}
+    for end in ends:
+        points |= {end, end - TINY, end + TINY}
+    for point in sorted(points):
+        yield point
+        yield str(point)
+        yield point.numerator // point.denominator
+
+
+class TestIntEndsAgainstFractionEnds:
+    """`Segmented`'s int-pair ends against the `Fraction` reference: the same
+    segments, values and `DomainError` messages."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(segment_pieces())
+    def test_construction_and_lookup(self, pieces):
+        expected = outcome(lambda: FractionSegmented(pieces))
+        built = outcome(lambda: Segmented(pieces))
+        if expected[0] == "error":
+            assert built == expected
+            return
+        reference, seg = expected[1], built[1]
+        assert (seg.uppers, seg.values) == (reference.uppers, reference.values)
+        assert seg.ends == tuple(u.as_integer_ratio() for u in reference.uppers)
+        for alpha in queries([upper for upper, _ in pieces]):
+            assert outcome(lambda: seg.value_at(alpha)) == outcome(
+                lambda: reference.value_at(alpha))
+
+    @pytest.mark.parametrize("round_trip", [lambda x: pickle.loads(pickle.dumps(x)),
+                                            copy.copy, copy.deepcopy],
+                             ids=["pickle", "copy", "deepcopy"])
+    def test_state_round_trips_with_int_ends(self, five_user, round_trip):
+        *_, state = iter_parametric(five_user)
+        copied = round_trip(state)
+        for before, after in zip((state.table, *state.rates), (copied.table, *copied.rates)):
+            assert after.ends == before.ends and after.uppers == before.uppers
+            for alpha in (*before.uppers, Fraction(13, 2) - TINY, Fraction(0)):
+                assert after.value_at(alpha) == before.value_at(alpha)
+        assert copied.rates_at(Fraction(13, 2)) == state.rates_at(Fraction(13, 2))

@@ -12,8 +12,8 @@ from omnirate.model import MAX_TABLE_USERS, SourceModel, mask_users, subset_mask
 from omnirate.par import fusion_oracle_at, initial_state, iter_parametric
 from omnirate.sfm import minimize_mnp
 
-from conftest import (coprime_rank_sum_table, planted_pair_bitpool, random_bitpool,
-                      rank_sum_table, spread_bitpool)
+from conftest import (coprime_rank_sum_table, oracle_from_fractions, planted_pair_bitpool,
+                      random_bitpool, rank_sum_table, spread_bitpool)
 
 
 def lattice_oracle(model, alpha, blocks, anchor, rates):
@@ -21,7 +21,7 @@ def lattice_oracle(model, alpha, blocks, anchor, rates):
     `rates` summed per block."""
     blocks = [b for b in map(frozenset, blocks) if b != anchor] + [frozenset(anchor)]
     sums = [sum((Fraction(rates[u]) for u in b), Fraction(0)) for b in blocks]
-    return FusionOracle.from_fractions(model, Fraction(alpha), blocks, sums)
+    return oracle_from_fractions(model, Fraction(alpha), blocks, sums)
 
 
 def oracle_for(model, alpha, blocks, anchor_user, rates):
