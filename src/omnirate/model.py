@@ -30,7 +30,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
-from math import gcd, lcm
+from math import lcm
 from operator import gt, mul, sub
 from typing import Iterable, Mapping, Sequence
 
@@ -73,45 +73,13 @@ def as_rational(value) -> Fraction:
 
 
 def _parse_value(text: str) -> Fraction:
-    """`Fraction(text)`: the same value, or the same exception, on every input
-    (`_parse_ratio`, with its exponent cap)."""
-    return Fraction(*_parse_ratio(text))
-
-
-def _parse_ratio(text: str) -> tuple[int, int]:
-    """`Fraction(text)` as its lowest-terms int pair (p, q), q > 0.
-
-    The text is read with the `fractions` module's own grammar and its
-    steps, so the value, or the exception, is that of `Fraction(text)` on
-    every input, except that an exponent past +-`MAX_EXPONENT` raises
-    ValueError before its power of ten is built.  No `Fraction` is made.
-    """
+    """`Fraction(text)`: the same value, or the same exception, on every input,
+    except that an exponent past +-`MAX_EXPONENT` raises ValueError before
+    its power of ten is built."""
     m = fractions._RATIONAL_FORMAT.match(text)
-    if m is None:
-        raise ValueError(f"Invalid literal for Fraction: {text!r}")
-    p = int(m["num"] or "0")
-    if m["denom"]:
-        q = int(m["denom"])
-    else:
-        q = 1
-        if decimal := m["decimal"]:
-            decimal = decimal.replace("_", "")
-            q = 10 ** len(decimal)
-            p = p * q + int(decimal)
-        if exponent := m["exp"]:
-            exponent = int(exponent)
-            if abs(exponent) > MAX_EXPONENT:
-                raise ValueError(f"exponent of {text!r} is past +-{MAX_EXPONENT}")
-            if exponent >= 0:
-                p *= 10 ** exponent
-            else:
-                q *= 10 ** -exponent
-    if m["sign"] == "-":
-        p = -p
-    if not q:
-        raise ZeroDivisionError(f"Fraction({p}, 0)")
-    g = gcd(p, q)
-    return p // g, q // g
+    if m and m["exp"] and abs(int(m["exp"])) > MAX_EXPONENT:
+        raise ValueError(f"exponent of {text!r} is past +-{MAX_EXPONENT}")
+    return Fraction(text)
 
 
 def value_str(value) -> str:

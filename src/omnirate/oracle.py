@@ -9,6 +9,7 @@ paths they are used to check.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Iterator
 
 from .dilworth import AlphaFunction, check_alpha, check_carrier
@@ -119,9 +120,16 @@ def check_achievable(model: SourceModel, rates, carrier=None) -> bool:
     True iff r(X) >= H(X | carrier \\ X) for every nonempty X strictly
     inside the carrier (2^n - 2 constraints).  Rates must be exact
     (`as_rational`), one per carrier user; a float or Decimal, or a vector
-    of another length, raises DomainError.  The cost grows about 4x per two
-    users: at MAX_TABLE_USERS (20) a random bit pool's check took 26-30 s
-    and 108 MiB peak (2-vCPU Xeon).  A larger carrier raises CapacityError.
+    of another length, raises DomainError, and a carrier of more than
+    MAX_TABLE_USERS users CapacityError.
+
+    The subsets are walked in Gray-code order, each step toggling one user,
+    with the rates as ints over the lcm of the model's scale and their
+    denominators, so each constraint is r(X) + H(carrier \\ X) >= H(carrier)
+    in ints.  Entropies are read uncached (`_entropy_of_mask`), so the walk
+    leaves the model's cache as it was.  At MAX_TABLE_USERS (20) a random
+    bit pool's check of its optimal rates, all 2^20 - 2 constraints, took
+    1.3-1.4 s and under 2 KiB of tracemalloc peak (2-vCPU Xeon).
     """
     users = check_carrier(model, carrier)
     if len(users) > MAX_TABLE_USERS:
@@ -132,16 +140,18 @@ def check_achievable(model: SourceModel, rates, carrier=None) -> bool:
         raise DomainError(
             f"rate vector length {len(rates)} does not match carrier size {len(users)}"
         )
-    h_total = model.entropy(users)
-    n = len(users)
-    for mask in range(1, (1 << n) - 1):
-        subset_rate = Fraction(0)
-        complement = []
-        for k in range(n):
-            if mask & (1 << k):
-                subset_rate += rates[k]
-            else:
-                complement.append(users[k])
-        if subset_rate < h_total - model.entropy(complement):
+    scale = lcm(model.scale, *(r.denominator for r in rates))
+    ints = [r.numerator * (scale // r.denominator) for r in rates]
+    factor = scale // model.scale
+    entropy = model._entropy_of_mask
+    bits = [1 << (u - 1) for u in users]
+    complement = sum(bits)
+    bound = entropy(complement) * factor
+    rate = 0  # r(X) * scale, X the carrier users outside `complement`
+    for step in range(1, 1 << len(users)):
+        k = (step & -step).bit_length() - 1
+        complement ^= bits[k]
+        rate += -ints[k] if complement & bits[k] else ints[k]
+        if complement and rate + entropy(complement) * factor < bound:
             return False
     return True

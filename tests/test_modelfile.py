@@ -1,3 +1,4 @@
+import random
 import re
 import time
 from fractions import Fraction
@@ -6,11 +7,13 @@ from math import lcm
 import pytest
 from hypothesis import example, given, strategies as st
 
-from omnirate import (BitPoolSource, CapacityError, EntropyTable,
+from omnirate import (BitPoolSource, CapacityError, DomainError, EntropyTable,
                       ModelFormatError, format_bitpool, format_table,
                       parse_model, run_parametric, validate)
 from omnirate.model import MAX_TABLE_USERS, mask_users
 from omnirate.modelfile import MAX_EXPONENT, _parse_value
+
+from conftest import FIVE_USER_BITS, random_bitpool, rank_sum_table
 
 BITPOOL_DOC = """\
 # comments and blank lines are fine
@@ -206,6 +209,15 @@ class TestValueGrammar:
             parse_model(doc)
 
 
+def entropy_by_entropy(model) -> str:
+    """The table document of `model`, one `SourceModel.entropy` per line."""
+    lines = ["type=table"]
+    for mask in range(1, 1 << model.size):
+        users = sorted(mask_users(mask))
+        lines.append(f"H {','.join(map(str, users))} = {model.entropy(users)}")
+    return "\n".join(lines) + "\n"
+
+
 def value_texts():
     """Table values as ints, unreduced and signed p/q, decimals and exponents."""
     sign = st.sampled_from(["", "+", "-"])
@@ -273,6 +285,23 @@ class TestRoundTrips:
         _, psp_a = run_parametric(five_user)
         _, psp_b = run_parametric(table)
         assert psp_a == psp_b
+
+    def test_table_dump_text_and_cache(self):
+        # The text is the subset-by-subset dump from `entropy`, byte for byte,
+        # and a bit pool's cache holds only H(empty) afterwards.
+        rng = random.Random(4242)
+        models = [BitPoolSource(FIVE_USER_BITS),
+                  *(random_bitpool(rng, max_users=8) for _ in range(10)),
+                  *(rank_sum_table(rng, rng.randint(2, 7)) for _ in range(10))]
+        for model in models:
+            text = format_table(model)
+            assert model._cache == {0: 0}
+            assert text == entropy_by_entropy(model)
+
+    def test_bitpool_dump_of_a_table(self, five_user):
+        table = parse_model(format_table(five_user))
+        with pytest.raises(DomainError, match="format_table dumps any model"):
+            format_bitpool(table)
 
     def test_table_dump_past_the_cap(self, monkeypatch):
         # A table the parser would refuse: no line is built, no entropy read.

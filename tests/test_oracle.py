@@ -1,15 +1,16 @@
 import random
 from decimal import Decimal
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from omnirate import (BitPoolSource, CapacityError, DomainError, Partition,
                       brute_dilworth, brute_min_sum_rate, check_achievable,
-                      dilworth_truncation, partitions_of)
+                      dilworth_truncation, partitions_of, run_parametric)
 from omnirate.model import MAX_TABLE_USERS
 
-from conftest import random_alpha, random_bitpool
+from conftest import random_alpha, random_bitpool, rank_sum_table, spread_bitpool
 
 BELL = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203, 7: 877, 8: 4140}
 
@@ -116,9 +117,51 @@ class TestCheckAchievable:
         rates = [Fraction(9, 2) + 1, 0, Fraction(1, 2), Fraction(1, 2), 1]
         assert check_achievable(five_user, rates)
 
+    def test_agrees_with_each_constraint(self):
+        # Against r(X) >= H(carrier) - H(carrier \ X) subset by subset, in
+        # Fractions: optimal, nudged and free rates, on whole and partial
+        # carriers of bit pools and rational tables.  No entropy is cached.
+        rng = random.Random(4243)
+        outcomes = []
+        for k in range(60):
+            model = random_bitpool(rng, 7, 10) if k % 2 else rank_sum_table(rng, rng.randint(2, 6))
+            _, psp = run_parametric(model)
+            nudged = list(psp.rates)
+            nudged[rng.randrange(model.size)] += Fraction(rng.choice([-1, 1]), rng.randint(1, 30))
+            users = sorted(rng.sample(model.users, rng.randint(1, model.size)))
+            free = [Fraction(rng.randint(-2, 12), rng.randint(1, 6)) for _ in users]
+            for rates, carrier in ((psp.rates, None), (nudged, None), (free, users)):
+                if isinstance(model, BitPoolSource):
+                    model = BitPoolSource(model.bits_per_user)
+                outcome = check_achievable(model, rates, carrier)
+                assert model._cache == {0: 0}
+                assert outcome == meets_each_constraint(model, rates, carrier or model.users)
+                outcomes.append(outcome)
+        assert outcomes.count(True) > 90 and outcomes.count(False) > 40
+
+    def test_sixteen_users(self):
+        model = spread_bitpool(random.Random(16), 16)
+        _, psp = run_parametric(model)
+        rates = list(psp.rates)
+        assert check_achievable(model, rates)
+        rates[-1] -= Fraction(1, 3)
+        assert not check_achievable(model, rates)
+
     def test_carrier_past_the_table_cap(self, monkeypatch):
         # 2^21 - 2 constraints: refused before any subset's entropy is read.
         pool = BitPoolSource([f"b{u}" for u in range(MAX_TABLE_USERS + 1)])
         monkeypatch.setattr(pool, "entropy_int", None)
         with pytest.raises(CapacityError, match="at most 20 users, got 21"):
             check_achievable(pool, [1] * 21)
+
+
+def meets_each_constraint(model, rates, users) -> bool:
+    """r(X) >= H(users) - H(users \\ X) for every nonempty X strictly inside
+    `users`, one subset at a time, in Fractions."""
+    total = model.entropy(users)
+    for size in range(1, len(users)):
+        for inside in combinations(range(len(users)), size):
+            rest = [u for k, u in enumerate(users) if k not in inside]
+            if sum(rates[k] for k in inside) < total - model.entropy(rest):
+                return False
+    return True

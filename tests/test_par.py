@@ -699,9 +699,12 @@ class TestTruncatedAxis:
         return singleton_tops
 
     def test_random_bitpools(self):
-        rng = random.Random(5150)
-        self.check_clipped(rng, [random_bitpool(rng, max_users=8, max_bits=10)
-                                 for _ in range(100)])
+        # and 32-64-user pools of the two bench recipes, past brute force
+        rng, big = random.Random(5150), random.Random(5154)
+        self.check_clipped(rng, [*(random_bitpool(rng, max_users=8, max_bits=10)
+                                   for _ in range(100)),
+                                 *(recipe(big, n) for recipe in (spread_bitpool, planted_pair_bitpool)
+                                   for n in (32, 48, 64))])
 
     def test_bitpools_with_identical_users(self):
         rng = random.Random(5151)

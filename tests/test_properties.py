@@ -12,13 +12,16 @@ from itertools import combinations
 
 from hypothesis import given, settings, strategies as st
 
-from omnirate import coordinate_saturation, format_table, parse_model, validate
+from omnirate import (BitPoolSource, EntropyTable, Partition, coordinate_saturation,
+                      format_table, parse_model, run_parametric, validate)
+from omnirate.model import mask_users
 from omnirate.par import fusion_oracle_at, iter_parametric
 from omnirate.partition import AffineValue, Segmented
 from omnirate.verify import fusion_gaps, verify_model
 
 from conftest import (axis_caps, corpus_models, planted_pair_bitpool, random_alpha,
-                      random_bitpool, rank_sum_table, state_segments, twin_bitpool)
+                      random_bitpool, rank_sum_table, spread_bitpool, state_segments,
+                      twin_bitpool)
 
 F = Fraction
 
@@ -167,6 +170,71 @@ class TestSweepAgreesWithSaturation:
                 fixed = coordinate_saturation(model, alpha)
                 assert final.partition_at(alpha) == fixed.partition
                 assert final.rates_at(alpha) == fixed.rates
+
+
+class TestMetamorphicRelations:
+    """Relations between two sweeps that need no reference solver, so they
+    reach past the brute-force horizon: 32-64-user bit pools of the two
+    bench recipes, and rank-sum tables of up to 12 users."""
+
+    def sources(self, rng):
+        return [*(recipe(rng, n) for recipe in (spread_bitpool, planted_pair_bitpool)
+                  for n in (32, 48, 64)),
+                *(rank_sum_table(rng, n) for n in (6, 9, 12))]
+
+    def test_scaling(self):
+        # Every bit repeated c times, or every table value times c: every
+        # critical point of every state, and every rate, is c times the
+        # original's, and the partitions stay.
+        rng = random.Random(6031)
+        for model in self.sources(rng):
+            n = model.size
+            if isinstance(model, BitPoolSource):
+                c = rng.randint(2, 3)
+                scaled = BitPoolSource([[f"{bit}.{k}" for bit in pool for k in range(c)]
+                                        for pool in model.bits_per_user])
+            else:
+                c = F(rng.randint(2, 9), rng.randint(1, 5))
+                scaled = EntropyTable(n, {tuple(mask_users(m)): c * model.entropy_of_mask(m)
+                                          for m in range(1, 1 << n)})
+            for state, big in zip(iter_parametric(model), iter_parametric(scaled), strict=True):
+                assert big.table.uppers == tuple(c * a for a in state.table.uppers)
+                assert big.table.values == state.table.values
+            _, psp = run_parametric(model)
+            _, big = run_parametric(scaled)
+            assert big.partitions == psp.partitions
+            assert big.finest_maximizer == psp.finest_maximizer
+            assert big.critical_points == tuple(c * a for a in psp.critical_points)
+            assert big.min_sum_rate == c * psp.min_sum_rate
+            assert big.rates == tuple(c * r for r in psp.rates)
+
+    def test_relabelling(self):
+        # Users permuted: the partitions map under the permutation, and the
+        # critical points, R_CO and the rate sum stay.
+        rng = random.Random(6032)
+        for model in self.sources(rng):
+            n = model.size
+            perm = list(range(1, n + 1))
+            rng.shuffle(perm)  # user u becomes perm[u - 1]
+            if isinstance(model, BitPoolSource):
+                pools = [None] * n
+                for u, pool in enumerate(model.bits_per_user):
+                    pools[perm[u] - 1] = pool
+                moved_model = BitPoolSource(pools)
+            else:
+                moved_model = EntropyTable(n, {tuple(perm[u - 1] for u in mask_users(m)):
+                                               model.entropy_of_mask(m) for m in range(1, 1 << n)})
+
+            def moved(partition):
+                return Partition([[perm[u - 1] for u in block] for block in partition])
+
+            _, psp = run_parametric(model)
+            _, other = run_parametric(moved_model)
+            assert other.partitions == tuple(map(moved, psp.partitions))
+            assert other.finest_maximizer == moved(psp.finest_maximizer)
+            assert other.critical_points == psp.critical_points
+            assert other.min_sum_rate == psp.min_sum_rate
+            assert sum(other.rates) == sum(psp.rates)
 
 
 @settings(max_examples=50, deadline=None)
