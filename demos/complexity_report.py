@@ -1,12 +1,15 @@
 """Measure how many submodular minimizations each solver spends.
 
-The sweep's breakpoint search is a divide-and-conquer recursion: every
-probe costs one plain submodular minimization, and the number of probes
-per user tracks the number of distinct minimizer-chain sets it uncovers.
-Each probe's minimization runs only on the sublattice its parent probes
-leave open, so the table also reports how many non-anchor blocks those
-bracketed lattices have, and how many of the sweep's minimizations each
-backend solved (brute enumeration / min cut).
+The sweep's breakpoint search is a divide-and-conquer recursion, and the
+number of probes per user tracks the number of distinct minimizer-chain
+sets it uncovers.  A probe whose bracketed lattice has one block beyond
+the anchor, and whose upper partition is the stored one fused with the
+bracket's outer set, has its minimizer forced and costs nothing; every
+other probe costs one plain submodular minimization.  Each minimization
+runs only on the sublattice its parent probes leave open, so the table
+also reports how many non-anchor blocks those bracketed lattices have,
+and how many of the sweep's minimizations each backend solved (brute
+enumeration / min cut).
 A true parametric solver could share work across all probes of one user
 and bring the per-user cost down to a single minimization-equivalent;
 this implementation deliberately keeps plain minimizations (simple and
@@ -72,7 +75,7 @@ def sfm_blocks(module, solve, model):
 
 
 def sweep_probes(model):
-    # one minimization per probe, so the probe record is the count
+    # the probe record holds the minimizations only, not the forced probes
     return sum(len(s.last_probes) for s in iter_parametric(model))
 
 
@@ -105,7 +108,8 @@ def main(seed=20240):
             base_calls.append(len(sfm_blocks(omnirate.dilworth, mda_reference, model)[1]))
         mean = sum(sweep_calls) / len(sweep_calls)
         base_mean = sum(base_calls) / len(base_calls)
-        block_stats = f"{max(blocks)} / {sum(blocks) / len(blocks):.2f}"
+        # a row whose sweeps only had forced probes ran no minimization
+        block_stats = f"{max(blocks)} / {sum(blocks) / len(blocks):.2f}" if blocks else "-"
         backend_stats = "/".join(str(backends[b]) for b in BACKENDS.values())
         print(f"{users:5d} {mean:11.1f} {mean / users:11.2f} "
               f"{sum(probe_rates) / len(probe_rates):12.2f} "
@@ -114,18 +118,22 @@ def main(seed=20240):
               f"{base_mean:14.1f} {base_mean / users:14.2f}")
     print(
         "\nreading the table: the sweep visits each user once and spends one\n"
-        "minimization per chain probe, so calls/user grows slowly with the\n"
-        "breakpoint count; 'so/user' is the same count for the successive-\n"
-        "omniscience search, per user its sweep on [0, alpha_bar] adds (one\n"
-        "minimization at alpha_bar, plus the chain search below it once a\n"
-        "block forms); 'blocks' is the largest and the mean number of\n"
-        "non-anchor blocks a sweep minimization sees on its bracketed\n"
-        "lattice, and 'brute/cut' the sweep calls each backend solved\n"
-        f"over the 15 sources (bit pools go to the min cut above {sfm.CUT_CROSSOVER}\n"
-        "blocks).  The baseline multiplies a full |V|-step truncation\n"
-        "by however many alpha updates it needs.  With a shared parametric\n"
-        "minimizer the sweep column would flatten to ~1 call-equivalent per\n"
-        "user; that substitution changes constants only, never outputs."
+        "minimization per chain probe whose bracket leaves its answer open; a\n"
+        "probe with one block beyond the anchor, whose upper partition is the\n"
+        "stored one fused with the bracket's outer set, is forced and costs\n"
+        "none (at 2 users every chain probe is, and 'blocks' reads '-').  So\n"
+        "calls/user grows slowly with the breakpoint count; 'so/user' is the\n"
+        "same count for the successive-omniscience search, per user its\n"
+        "sweep on [0, alpha_bar] adds (one minimization at alpha_bar, plus\n"
+        "the chain search below it once a block forms); 'blocks' is the\n"
+        "largest and the mean number of non-anchor blocks a sweep\n"
+        "minimization sees on its bracketed lattice, and 'brute/cut' the\n"
+        "sweep calls each backend solved over the 15 sources (bit pools go\n"
+        f"to the min cut above {sfm.CUT_CROSSOVER} blocks).  The baseline multiplies a full\n"
+        "|V|-step truncation by however many alpha updates it needs.  With a\n"
+        "shared parametric minimizer the sweep column would flatten to ~1\n"
+        "call-equivalent per user; that substitution changes constants only,\n"
+        "never outputs."
     )
 
 

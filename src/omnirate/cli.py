@@ -26,8 +26,8 @@ Commands (model files per `omnirate.modelfile`; pass '-' to read stdin):
         Prints each check of `omnirate.verify.verify_model` as ok or FAIL:
         the sweep against the fixed-point baseline and brute force (ground
         sets up to 8 users), also at ten seeded alphas, and the chain and
-        strong-map structure; then the sweep's submodular minimizations (one
-        per probe).  Exit 1 on any failed check.
+        strong-map structure; then the sweep's submodular minimizations (its
+        unforced probes).  Exit 1 on any failed check.
 
 Exit codes: 0 success; 1 verification mismatch or other solve-time error;
 2 I/O problems; 3 parse or validation problems (including a too-large

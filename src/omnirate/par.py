@@ -17,8 +17,8 @@ segmented quantity: a nested chain of user sets
 switching at critical points a_q < ... < a_1 < a_0 = H(V) (the axis top),
 with S_q active on [0, a_q] and S_j on (a_{j+1}, a_j].  The chain sets are
 found by a divide-and-conquer search (`_chain_search`) that probes the
-crossing alpha of two partition cost lines and searches both sides;
-each probe issues one plain submodular minimization.
+crossing alpha of two partition cost lines and searches both sides; each
+probe issues one submodular minimization unless its bracket forces it.
 
 Each probe's minimization runs on a bracketed sublattice, not on the whole
 fusion lattice of its alpha.  Three facts make that exact:
@@ -48,6 +48,16 @@ to its outer set exactly at the probe's alpha: the inner set's critical
 point.  The walk emits them in order (lower child before upper), and
 `solve_chain_breakpoints` checks that order rather than sorting, and each
 point exactly: r_alpha(S_{j-1} \\ S_j) = H(S_{j-1}) - H(S_j).
+
+A probe needs no minimization when its bracket forces the answer: with A
+the union of the blocks of P(alpha) meeting inner, if one block of P(alpha)
+inside outer is not in A and P(alpha) v outer = p_up, then m(alpha) = A.
+The search gives p_up = P(alpha*) v outer for an alpha* >= alpha, and P(alpha)
+refines P(alpha*), so P(alpha) v outer refines p_up: equal block counts mean
+equal partitions.  Were m(alpha) = outer, p_up would be the finest optimal
+partition at alpha; p_down, whose line meets p_up's there, would be optimal
+too and so coarsen p_up, yet it strictly refines it.  The bracket leaves A
+and outer only, so m(alpha) = A: a forced probe builds no oracle, no `Probe`.
 
 Every stored block B is tight: on each segment its users' rates sum to
 f_alpha(B) = alpha - H(V) + H(B), as in coordinate saturation.  So a probe's
@@ -141,8 +151,9 @@ class ParState:
     int pairs (c, s), c / d + s * alpha over the model's scale d, written by
     iteration u and shared by every later state.  `last_chain` and
     `last_probes` document the iteration that produced this state (None and
-    () for the base state).  Each probe issued one submodular minimization,
-    so the sweep's SFM count is the sum of len(last_probes).
+    () for the base state).  `last_probes` holds the probes that ran an SFM,
+    so the sweep's SFM count is the sum of len(last_probes); a forced probe
+    (module docstring) shows only in `last_chain`, as its critical point.
     """
 
     model: SourceModel
@@ -220,17 +231,10 @@ def _new_rate(model: SourceModel, fused: int, stored=()) -> tuple[int, int]:
             + (len(stored) - 1) * model.total_int, 1 - len(stored))
 
 
-def _oracle_at(model: SourceModel, partition: Partition, alpha: Fraction,
-               inner: int, outer: int) -> FusionOracle:
-    """Fusion oracle at `alpha` on the sublattice between the user bitmasks
-    `inner` and `outer`.
-
-    The blocks of `partition` inside `outer` are kept (restriction)
-    and those meeting `inner` fuse into the anchor (contraction); every block
-    is tight, so `saturation_oracle` gives each its rate from its entropy.
-    `outer` must be a union of blocks holding `inner`, which the bracket
-    argument guarantees; a violation means the search state is corrupt.
-    """
+def _bracket_blocks(partition: Partition, alpha: Fraction, inner: int, outer: int) -> tuple:
+    """The blocks of `partition` meeting `inner` (the anchor's parts) and the
+    rest inside `outer`, a union of blocks holding `inner` by the bracket
+    argument: a violation means the search state is corrupt."""
     anchor_blocks, rest = [], []
     for b in partition.masks:
         if b & inner:
@@ -242,7 +246,17 @@ def _oracle_at(model: SourceModel, partition: Partition, alpha: Fraction,
             f"bracket {sorted(mask_users(inner))} <= {sorted(mask_users(outer))} "
             f"is not a block union at alpha {alpha}"
         )
-    # The new user's singleton, the partition's last block, is the last anchor part.
+    return anchor_blocks, rest
+
+
+def _oracle_at(model: SourceModel, partition: Partition, alpha: Fraction,
+               inner: int, outer: int) -> FusionOracle:
+    """Fusion oracle at `alpha` between the user bitmasks `inner` and `outer`:
+    the blocks of `partition` inside `outer` are kept (restriction) and those
+    meeting `inner` fuse into the anchor (contraction), the new user's
+    singleton last; every block is tight, so `saturation_oracle` gives each
+    its rate from its entropy."""
+    anchor_blocks, rest = _bracket_blocks(partition, alpha, inner, outer)
     return saturation_oracle(model, alpha, rest, anchor_blocks)
 
 
@@ -276,9 +290,14 @@ def _chain_search(model, table, p_down, p_up, inner, outer, probes) -> dict:
         p_down, p_up, inner, outer, h_down, h_up = pending.pop()
         k = len(p_down) - len(p_up)
         alpha = Fraction(total * k - h_down + h_up, d * k)
-        probes.append(Probe(alpha, p_down, p_up))
         partition = table.value_at(alpha)
-        found = minimize(_oracle_at(model, partition, alpha, inner, outer)).mask
+        anchor_blocks, rest = _bracket_blocks(partition, alpha, inner, outer)
+        # forced: one block beyond the anchor, and P(alpha) v outer has p_up's block count
+        if len(rest) == 1 and len(partition) + 1 - len(anchor_blocks) - len(rest) == len(p_up):
+            found = sum(anchor_blocks)
+        else:
+            probes.append(Probe(alpha, p_down, p_up))
+            found = minimize(_oracle_at(model, partition, alpha, inner, outer)).mask
         fused = partition.merge_mask(found)
         if fused == p_down:  # terminal: m switches from inner to outer at alpha
             crossings[inner] = alpha

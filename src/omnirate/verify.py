@@ -26,7 +26,8 @@ class Check:
 
 @dataclass(frozen=True)
 class Verification:
-    """The checks in order, and the sweep's SFM calls (one per probe)."""
+    """The checks in order, and the sweep's SFM calls: its recorded probes
+    (forced probes issue none and show only in `last_chain`)."""
 
     checks: tuple[Check, ...]
     sweep_minimizations: int

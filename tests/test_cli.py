@@ -324,7 +324,7 @@ ok   alpha=843/100: saturation vs brute finest minimizer
 ok   alpha=843/100: sweep state matches fixed-alpha saturation
 ok   minimizer chains are strictly nested
 ok   fusion gaps shrink strictly as alpha grows
-submodular minimizations used by the sweep: 9
+submodular minimizations used by the sweep: 5
 all checks passed
 """
 

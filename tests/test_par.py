@@ -4,6 +4,7 @@ import gc
 import pickle
 import random
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -102,8 +103,11 @@ class TestChainSearch:
         probes = after.last_probes
         crossings = dict(zip(after.last_chain.sets[:-1], after.last_chain.alphas[:-1]))
         assert crossings == {frozenset({2}): F(4)}
-        # crossing of the two-singleton line with the one-block line
-        assert probes[0].alpha == 10 - (8 + 6 - 8)
+        # crossing of the two-singleton line with the one-block line; the
+        # bracket ({2}, {1, 2}) has one block beyond the anchor, so the
+        # probe's minimizer is forced and it issues no minimization
+        assert crossings[frozenset({2})] == 10 - (8 + 6 - 8)
+        assert probes == ()
         chain = solve_chain_breakpoints(state, {**crossings, carrier: F(10)})
         assert chain.sets == (frozenset({2}), carrier)
         assert chain.alphas == (F(4), F(10))
@@ -596,8 +600,9 @@ class TestBracketedProbes:
         assert len(brackets) > len(models)
 
     def test_golden_probe_count(self, golden_states):
-        # 12 before collapsed brackets were pruned; `omnirate verify` prints it
-        assert sum(len(state.last_probes) for state in golden_states.values()) == 9
+        # 12 before collapsed brackets were pruned, 9 before forced probes
+        # skipped their minimization; `omnirate verify` prints it
+        assert sum(len(state.last_probes) for state in golden_states.values()) == 5
 
     def test_random_bitpools(self, monkeypatch):
         rng = random.Random(4051)
@@ -642,9 +647,11 @@ class TestBracketedProbes:
 
         monkeypatch.setattr(par, "_oracle_at", checked)
         monkeypatch.setattr(par, "parametric_iteration", iteration)
+        # forced probes build no oracle, so the corpus is twice what the
+        # same floors took when every probe built one
         rng = random.Random(6131)
-        for model in [*corpus_models(),
-                      *(rank_sum_table(rng, rng.randint(2, 7)) for _ in range(20))]:
+        for model in [*corpus_models(400),
+                      *(rank_sum_table(rng, rng.randint(2, 7)) for _ in range(40))]:
             run_parametric(model)
         assert len(probes) > 1000 and sum(probes) > 100
 
@@ -666,6 +673,86 @@ class TestBracketedProbes:
             par._oracle_at(model, partition, alpha, subset_mask({5}), subset_mask({1, 5}))
         with pytest.raises(InternalError):   # the lower end leaves the upper
             par._oracle_at(model, partition, alpha, subset_mask({4, 5}), subset_mask({3, 5}))
+
+
+class TestForcedProbes:
+    """Every probe the chain search answers without a minimization, checked.
+
+    A forced probe records nothing, so each call of `_bracket_blocks` from
+    `_chain_search` is taken as one probe, with its `p_up` read off the
+    search's frame; a probe whose `_oracle_at` follows ran an SFM, the others
+    were forced.  Each forced answer, the anchor's union, must be the minimal
+    minimizer of the whole pre-update lattice at the probe's alpha (brute
+    force up to 12 non-anchor blocks, the min cut past that), and the stored
+    partition fused with the bracket's outer set must be p_up as a partition.
+    """
+
+    def check_sweeps(self, models, monkeypatch, tops=lambda model: (None,)):
+        real_blocks, real_oracle_at = par._bracket_blocks, par._oracle_at
+        search = par._chain_search.__code__
+        probes = []  # [alpha, partition, outer, p_up, anchor blocks, minimized]
+
+        def blocks(partition, alpha, inner, outer):
+            anchor_blocks, rest = real_blocks(partition, alpha, inner, outer)
+            caller = sys._getframe(1)
+            if caller.f_code is search:
+                probes.append([alpha, partition, outer, caller.f_locals["p_up"],
+                               anchor_blocks, False])
+            return anchor_blocks, rest
+
+        def oracle_at(model, partition, alpha, inner, outer):
+            probes[-1][-1] = True
+            return real_oracle_at(model, partition, alpha, inner, outer)
+
+        monkeypatch.setattr(par, "_bracket_blocks", blocks)
+        monkeypatch.setattr(par, "_oracle_at", oracle_at)
+        forced = minimized = 0
+        for model in models:
+            for top in tops(model):
+                state = initial_state(model, top)
+                while state.carrier_size < model.size:
+                    prev, state = state, parametric_iteration(state)
+                    searched = [p for p in probes if p[-1]]
+                    assert len(searched) == len(state.last_probes) - (
+                        state.table.top != model.total_entropy)  # the cut axis's top probe
+                    for alpha, partition, outer, p_up, anchor_blocks, _ in (
+                            p for p in probes if not p[-1]):
+                        whole = fusion_oracle_at(prev, alpha)
+                        reference = (minimize_brute if len(whole.non_anchor_blocks) <= 12
+                                     else sfm.minimize_cut)(whole).minimal
+                        assert mask_users(sum(anchor_blocks)) == reference
+                        assert partition.merge_mask(outer) == p_up
+                        forced += 1
+                    minimized += len(searched)
+                    probes.clear()
+        # the rule fires, and not on every probe
+        assert forced > len(models) and minimized > 0
+        return forced, minimized
+
+    def test_random_bitpools(self, monkeypatch):
+        rng = random.Random(4051)
+        models = [random_bitpool(rng, max_users=7, max_bits=12) for _ in range(60)]
+        self.check_sweeps(models, monkeypatch)
+
+    def test_rational_rank_sum_tables(self, monkeypatch):
+        rng = random.Random(20231)
+        models = [rank_sum_table(rng, rng.randint(2, 7)) for _ in range(60)]
+        self.check_sweeps(models, monkeypatch)
+
+    def test_truncated_axes(self, monkeypatch):
+        rng = random.Random(4052)
+        models = [random_bitpool(rng, max_users=7, max_bits=12) for _ in range(30)]
+        models += [rank_sum_table(rng, rng.randint(2, 6)) for _ in range(15)]
+        self.check_sweeps(models, monkeypatch,
+                          lambda model: axis_caps(rng, model)[:3])
+
+    def test_bench_recipes_past_brute_force(self, monkeypatch):
+        rng = random.Random(5155)
+        models = [recipe(rng, n) for recipe in (spread_bitpool, planted_pair_bitpool)
+                  for n in (32, 48, 64)]
+        forced, minimized = self.check_sweeps(models, monkeypatch)
+        # most chain probes of these recipes are forced
+        assert forced > minimized
 
 
 def clipped(table: Segmented, cap) -> Segmented:

@@ -138,8 +138,9 @@ class TestTruncatedSearch:
         monkeypatch.setattr(par, "minimize", counted)
         find_complimentary(five_user)
         # user 2 only: one probe at the bound, whose minimizer {1, 2} leads
-        # to one chain probe below it
-        assert alphas == [F(23, 4), F(4)]
+        # to one chain probe below it, at 4; that probe's bracket ({2}, {1, 2})
+        # has one block beyond the anchor, so its minimizer is forced
+        assert alphas == [F(23, 4)]
 
 
 class TestSingletonTops:
