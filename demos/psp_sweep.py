@@ -42,7 +42,7 @@ def main():
     final = None
     minimizations = 0
     for state in iter_parametric(model):
-        minimizations += len(state.last_probes)  # one minimization per probe
+        minimizations += len(state.last_probes)  # one per recorded probe; forced probes run none
         show_state(state, minimizations)
         if state.carrier_size >= 2:
             local = extract_psp(state)

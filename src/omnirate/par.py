@@ -108,7 +108,7 @@ from typing import Iterator
 
 from .dilworth import check_alpha, coordinate_saturation
 from .errors import DomainError, InternalError
-from .model import SourceModel, as_rational, mask_users, partition_entropy, subset_mask
+from .model import SourceModel, as_rational, mask_users, partition_entropy
 from .partition import AffineValue, Partition, Segmented
 from .sfm import FusionOracle, minimize, saturation_oracle
 
@@ -128,17 +128,21 @@ class Probe:
 
 @dataclass(frozen=True)
 class MinimizerChain:
-    """Nested minimal-minimizer sets with their critical points.
+    """Nested minimal-minimizer sets, as user bitmasks, with their critical points.
 
-    sets[0] = {i} is active on [0, alphas[0]] and sets[m] on
-    (alphas[m-1], alphas[m]]; alphas[-1] is the axis top and sets[-1] the
+    masks[0] = {i} is active on [0, alphas[0]] and masks[m] on
+    (alphas[m-1], alphas[m]]; alphas[-1] is the axis top and masks[-1] the
     set active there (V_i on the whole axis [0, H(V)]).  Adjacent equal
     alphas denote an empty segment (the set is never the minimizer below
-    the top).
+    the top).  `sets` is the frozenset view, built when read.
     """
 
-    sets: tuple[frozenset[int], ...]
+    masks: tuple[int, ...]
     alphas: tuple[Fraction, ...]
+
+    @property
+    def sets(self) -> tuple[frozenset[int], ...]:
+        return tuple(map(mask_users, self.masks))
 
 
 @dataclass(frozen=True)
@@ -249,23 +253,13 @@ def _bracket_blocks(partition: Partition, alpha: Fraction, inner: int, outer: in
     return anchor_blocks, rest
 
 
-def _oracle_at(model: SourceModel, partition: Partition, alpha: Fraction,
-               inner: int, outer: int) -> FusionOracle:
-    """Fusion oracle at `alpha` between the user bitmasks `inner` and `outer`:
-    the blocks of `partition` inside `outer` are kept (restriction) and those
-    meeting `inner` fuse into the anchor (contraction), the new user's
-    singleton last; every block is tight, so `saturation_oracle` gives each
-    its rate from its entropy."""
-    anchor_blocks, rest = _bracket_blocks(partition, alpha, inner, outer)
-    return saturation_oracle(model, alpha, rest, anchor_blocks)
-
-
 def fusion_oracle_at(state: ParState, alpha) -> FusionOracle:
     """The fusion problem the next user would solve at `alpha` on top of `state`.
 
     It evaluates f~ on the whole pre-update lattice of the next iteration:
     a cut axis's top probe minimizes it and the checks read it, while the
-    other probes minimize over bracketed sublattices (`_oracle_at`).
+    chain search's probes minimize over bracketed sublattices, the same
+    builder on the blocks that `_bracket_blocks` keeps and contracts.
     """
     user = state.carrier_size + 1
     if user > state.model.size:
@@ -279,7 +273,9 @@ def _chain_search(model, table, p_down, p_up, inner, outer, probes) -> dict:
     """Probe where the lines of `p_down` (strictly finer) and `p_up` cross, on
     the bracket (inner, outer) of user bitmasks, and walk both sides whose
     bracket has not collapsed, lower first, unless fusing gives p_down;
-    return {inner mask: alpha} of the terminal probes, in order."""
+    return {inner mask: alpha} of the terminal probes, in order.  Any other
+    probe's fused partition must have a block count strictly between theirs,
+    or InternalError, so even a wrong minimizer cannot make the walk loop."""
     if p_down == p_up or not p_down.refines(p_up):
         raise DomainError("need p_down strictly finer than p_up")
     total, d, entropy = model.total_int, model.scale, model.entropy_int
@@ -297,11 +293,14 @@ def _chain_search(model, table, p_down, p_up, inner, outer, probes) -> dict:
             found = sum(anchor_blocks)
         else:
             probes.append(Probe(alpha, p_down, p_up))
-            found = minimize(_oracle_at(model, partition, alpha, inner, outer)).mask
+            found = minimize(saturation_oracle(model, alpha, rest, anchor_blocks)).mask
         fused = partition.merge_mask(found)
         if fused == p_down:  # terminal: m switches from inner to outer at alpha
             crossings[inner] = alpha
             continue
+        if not len(p_up) < len(fused) < len(p_down):
+            raise InternalError(f"probe at alpha {alpha} fuses to {fused}, not strictly "
+                                f"between {p_down} and {p_up}")
         # collapsed brackets are pruned; the lower side is pushed last, so the
         # whole of it is walked first
         h_fused = sum(map(entropy, fused.masks))
@@ -313,29 +312,34 @@ def _chain_search(model, table, p_down, p_up, inner, outer, probes) -> dict:
 
 
 def solve_chain_breakpoints(state: ParState, crossings) -> MinimizerChain:
-    """The minimizer chain from each set's critical point, in the order given
-    (the top set last, at the axis top), checked: the sets nest, the points
-    are in order, and at the point a of each pair S_small < S_big the
-    segmented rates satisfy r_a(S_big \\ S_small) = H(S_big) - H(S_small) exactly.
+    """The minimizer chain from each set's critical point, {user bitmask:
+    alpha} in the order given (the top set last, at the axis top), checked:
+    the sets nest up from the new user's singleton, the points are in order,
+    and at the point a of each pair S_small < S_big the segmented rates
+    satisfy r_a(S_big \\ S_small) = H(S_big) - H(S_small) exactly.
     At a = p/q that is sum (c q + s p d) = (H(S_big) - H(S_small)) d q in ints.
     """
-    chain = list(crossings)
-    for small, big in zip(chain, chain[1:]):
-        if not small < big:
-            raise InternalError(f"chain sets not nested: {sorted(small)} vs {sorted(big)}")
-    alphas = list(crossings.values())
+    masks, alphas = tuple(crossings), tuple(crossings.values())
+    for small, big in zip(masks, masks[1:]):
+        if small & ~big:  # keys are distinct, so a subset is a strict one
+            raise InternalError(f"chain sets not nested: {sorted(mask_users(small))} "
+                                f"vs {sorted(mask_users(big))}")
+    if masks[0] != 1 << state.carrier_size:
+        raise InternalError("minimizer chain must start at the new user's singleton")
     cuts = [alpha.as_integer_ratio() for alpha in alphas]
     if (any(p * b > a * q for (p, q), (a, b) in zip(cuts, cuts[1:]))
             or cuts[-1] != state.table.ends[-1]):
-        raise InternalError(f"critical points out of order: {alphas}")
+        raise InternalError(f"critical points out of order: {list(alphas)}")
     d, entropy = state.model.scale, state.model.entropy_int
-    for small, big, alpha, (p, q) in zip(chain, chain[1:], alphas, cuts):
-        pairs = [state.rates[u - 1].value_at(alpha) for u in big - small]
-        sent = q * sum(c for c, _ in pairs) + p * d * sum(s for _, s in pairs)
-        if sent != (entropy(subset_mask(big)) - entropy(subset_mask(small))) * q:
-            raise InternalError(f"critical point {alpha} of {sorted(small)} < "
-                                f"{sorted(big)} misses its rate equation")
-    return MinimizerChain(tuple(chain), tuple(alphas))
+    for small, big, alpha, (p, q) in zip(masks, masks[1:], alphas, cuts):
+        sent, rest = 0, big & ~small
+        while rest:  # the users of S_big \ S_small, lowest bit first
+            c, s = state.rates[(rest & -rest).bit_length() - 1].value_at(alpha)
+            sent, rest = sent + q * c + p * d * s, rest & (rest - 1)
+        if sent != (entropy(big) - entropy(small)) * q:
+            raise InternalError(f"critical point {alpha} of {sorted(mask_users(small))} < "
+                                f"{sorted(mask_users(big))} misses its rate equation")
+    return MinimizerChain(masks, alphas)
 
 
 def parametric_iteration(state: ParState) -> ParState:
@@ -373,16 +377,13 @@ def parametric_iteration(state: ParState) -> ParState:
         if top_set == inner:
             return ParState(model, user, extended,
                             state.rates + (Segmented.constant(top, _new_rate(model, inner)),),
-                            last_chain=MinimizerChain((mask_users(inner),), (top,)),
+                            last_chain=MinimizerChain((inner,), (top,)),
                             last_probes=tuple(probes))
         top_partition = extended.value_at(top).merge_mask(top_set)
     crossings = _chain_search(model, extended, singletons, top_partition, inner,
                               top_set, probes)
     crossings[top_set] = top
-    sets = list(crossings)
-    if sets[0] != inner:
-        raise InternalError("minimizer chain must start at the new user's singleton")
-    chain = solve_chain_breakpoints(state, dict(zip(map(mask_users, sets), crossings.values())))
+    chain = solve_chain_breakpoints(state, crossings)
 
     # One walk merges the table's int ends i with the chain's j, both sorted up to
     # top; equal adjacent chain ends are empty segments, so j skips them.
@@ -393,7 +394,7 @@ def parametric_iteration(state: ParState) -> ParState:
         (p, q), cut = ends[i], cuts[j]
         order = cut[0] * q - p * cut[1]  # the sign of chain end - table end
         upper = chain.alphas[j] if order < 0 else extended.uppers[i]
-        partition, fused = extended.values[i], sets[j]
+        partition, fused = extended.values[i], chain.masks[j]
         stored = [b for b in partition.masks[:-1] if not b & ~fused]
         if inner + sum(stored) != fused:
             raise InternalError(f"minimizer {sorted(mask_users(fused))} is not a block "

@@ -113,14 +113,11 @@ class Partition:
             raise DomainError(f"user {user} does not exceed the carrier {sorted(self.carrier)}")
         return Partition._of(self.masks + (bit,))
 
-    def merge_blocks(self, fused: Iterable[int]) -> "Partition":
-        """Replace the blocks whose union is `fused` by the single block `fused`."""
-        return self.merge_mask(subset_mask(fused))
-
     def merge_mask(self, fused: int) -> "Partition":
-        """`merge_blocks` with `fused` a user bitmask: it must be a union of whole
-        blocks, or DomainError.  It takes the place of its lowest block, which
-        keeps the order canonical; if it is one block already, this is returned."""
+        """Replace the blocks whose union is the user bitmask `fused` by one block:
+        it must be a union of whole blocks, or DomainError.  It takes the place of
+        its lowest block, which keeps the order canonical; if it is one block
+        already, this is returned."""
         merged, covered = [], 0
         for b in self.masks:
             if not b & fused:
@@ -153,15 +150,6 @@ class AffineValue:
     @classmethod
     def of(cls, intercept, slope=0) -> "AffineValue":
         return cls(as_rational(intercept), as_rational(slope))
-
-    def at(self, alpha: Fraction) -> Fraction:
-        return self.intercept + self.slope * alpha
-
-    def __add__(self, other: "AffineValue") -> "AffineValue":
-        return AffineValue(self.intercept + other.intercept, self.slope + other.slope)
-
-    def __sub__(self, other: "AffineValue") -> "AffineValue":
-        return AffineValue(self.intercept - other.intercept, self.slope - other.slope)
 
     def __str__(self) -> str:
         if self.slope == 0:

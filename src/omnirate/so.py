@@ -104,7 +104,7 @@ def find_complimentary(model: SourceModel) -> SOPlan | None:
     """
     alpha_bar = lower_bound_alpha(model)
     for state in iter_parametric(model, alpha_bar):
-        if state.carrier_size == 1 or len(state.last_chain.sets[-1]) == 1:
+        if state.carrier_size == 1 or state.last_chain.masks[-1].bit_count() == 1:
             continue  # the new user is alone at alpha_bar: no block has formed
         plan = plan_from_state(state, alpha_bar)
         if plan is not None:

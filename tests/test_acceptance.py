@@ -172,13 +172,14 @@ def test_criterion_8_complexity_accounting(monkeypatch):
     """Measured solver-call growth report (no numeric pass/fail).
 
     The breakpoint search is a divide-and-conquer recursion issuing one
-    plain submodular minimization per probe, not a single parametric solve
-    that shares work across probes, so per-user call counts grow with the
-    number of breakpoints instead of staying O(1); the table below records
-    the observed totals so the claim stays measured rather than asserted.
+    plain submodular minimization per recorded probe (a forced probe runs
+    none and records none), not a single parametric solve that shares work
+    across probes, so per-user call counts grow with the number of
+    breakpoints instead of staying O(1); the table below records the
+    observed totals so the claim stays measured rather than asserted.
     The counts are read off the probe record; the sweep's minimize calls
-    are counted alongside to confirm one call per probe, and every call
-    is checked against both backends.
+    are counted alongside to confirm one call per recorded probe, and every
+    call is checked against both backends.
     """
     calls = []
     real_minimize = par.minimize
@@ -215,7 +216,8 @@ def test_criterion_8_complexity_accounting(monkeypatch):
     print(table)
     print(
         "note: the breakpoint search substitutes divide-and-conquer plain\n"
-        "minimizations for a shared parametric solver, so calls/user grows\n"
+        "minimizations (one per recorded probe; forced probes run none)\n"
+        "for a shared parametric solver, so calls/user grows\n"
         "with the breakpoint count instead of staying near one\n"
         "minimization-equivalent per user; growth is reported, not asserted."
     )

@@ -101,14 +101,14 @@ class TestChainSearch:
         carrier = frozenset({1, 2})
         after = parametric_iteration(state)
         probes = after.last_probes
-        crossings = dict(zip(after.last_chain.sets[:-1], after.last_chain.alphas[:-1]))
-        assert crossings == {frozenset({2}): F(4)}
+        crossings = dict(zip(after.last_chain.masks[:-1], after.last_chain.alphas[:-1]))
+        assert crossings == {subset_mask({2}): F(4)}
         # crossing of the two-singleton line with the one-block line; the
         # bracket ({2}, {1, 2}) has one block beyond the anchor, so the
         # probe's minimizer is forced and it issues no minimization
-        assert crossings[frozenset({2})] == 10 - (8 + 6 - 8)
+        assert crossings[subset_mask({2})] == 10 - (8 + 6 - 8)
         assert probes == ()
-        chain = solve_chain_breakpoints(state, {**crossings, carrier: F(10)})
+        chain = solve_chain_breakpoints(state, {**crossings, subset_mask(carrier): F(10)})
         assert chain.sets == (frozenset({2}), carrier)
         assert chain.alphas == (F(4), F(10))
         assert after.last_chain == chain
@@ -116,7 +116,7 @@ class TestChainSearch:
     def test_fifth_user_chain_and_probes(self, golden_states):
         st = golden_states[5]
         assert st.last_chain == MinimizerChain(
-            (frozenset({5}), frozenset({1, 2, 5}), frozenset({1, 2, 3, 4, 5})),
+            (subset_mask({5}), subset_mask({1, 2, 5}), subset_mask({1, 2, 3, 4, 5})),
             (F(6), F(13, 2), F(10)),
         )
         assert st.last_probes[0].alpha == F(23, 4)
@@ -142,7 +142,31 @@ class TestChainSearch:
         p = Partition.singletons(carrier)
         with pytest.raises(DomainError):
             par._chain_search(golden_states[1].model, golden_states[1].table, p, p,
-                              frozenset({2}), carrier, [])
+                              subset_mask({2}), subset_mask(carrier), [])
+
+    def test_sets_are_the_masks_view(self, golden_states):
+        for state in golden_states.values():
+            if state.last_chain is not None:
+                chain = state.last_chain
+                assert chain.sets == tuple(map(mask_users, chain.masks))
+                assert all(type(m) is int for m in chain.masks)
+        assert golden_states[5].last_chain.sets[1] == frozenset({1, 2, 5})
+
+    def test_a_wrong_minimizer_raises_instead_of_looping(self, five_user, monkeypatch):
+        # A planted minimizer that returns the bracket's outer set: without the
+        # progress check, a probe whose fused partition is p_up would push its
+        # own bracket again and the search would never end.
+        calls = []
+
+        def outer_set(oracle):
+            calls.append(oracle.alpha)
+            assert len(calls) < 1000, "the chain search does not end"
+            return sfm.SfmResult(F(0), sum(oracle.blocks))
+
+        monkeypatch.setattr(par, "minimize", outer_set)
+        with pytest.raises(InternalError, match="not strictly between"):
+            run_parametric(five_user)
+        assert calls
 
 
 def solved_breakpoints(state: ParState, sets) -> tuple[Fraction, ...]:
@@ -160,11 +184,12 @@ def solved_breakpoints(state: ParState, sets) -> tuple[Fraction, ...]:
     for small, big in zip(sets, sets[1:]):
         target = model.entropy(big) - model.entropy(small)
         for k, (lower, upper, rates) in enumerate(state.rate_view):
-            total = sum((rates[u - 1] for u in big - small), AF(0, 0))
-            assert total.slope != 0 or total.intercept != target
-            if total.slope == 0:
+            moved = [rates[u - 1] for u in big - small]
+            intercept, slope = sum(r.intercept for r in moved), sum(r.slope for r in moved)
+            assert slope != 0 or intercept != target
+            if slope == 0:
                 continue
-            root = (target - total.intercept) / total.slope
+            root = (target - intercept) / slope
             if root <= upper and (lower < root or k == 0 <= root):
                 alphas.append(root)
                 break
@@ -204,28 +229,35 @@ class TestCriticalPointsFromProbes:
         # User 5's chain {5} < {1,2,5} < V at 6 < 13/2 < 10; each move keeps
         # the order of the critical points.
         chain = golden_states[5].last_chain
-        crossings = dict(zip(chain.sets, chain.alphas))
+        crossings = dict(zip(chain.masks, chain.alphas))
         assert solve_chain_breakpoints(golden_states[4], crossings) == chain
-        crossings[chain.sets[moved]] = to
+        crossings[chain.masks[moved]] = to
         with pytest.raises(InternalError):
             solve_chain_breakpoints(golden_states[4], crossings)
 
     def test_out_of_order_or_unnested_crossings_raise(self, golden_states):
-        v = frozenset({1, 2, 3, 4, 5})
+        v = subset_mask({1, 2, 3, 4, 5})
         state = golden_states[4]
         with pytest.raises(InternalError, match="out of order"):
-            solve_chain_breakpoints(state, {frozenset({5}): F(13, 2),
-                                            frozenset({1, 2, 5}): F(6), v: F(10)})
+            solve_chain_breakpoints(state, {subset_mask({5}): F(13, 2),
+                                            subset_mask({1, 2, 5}): F(6), v: F(10)})
         with pytest.raises(InternalError, match="not nested"):
-            solve_chain_breakpoints(state, {frozenset({3, 5}): F(6),
-                                            frozenset({1, 2, 5}): F(13, 2), v: F(10)})
+            solve_chain_breakpoints(state, {subset_mask({3, 5}): F(6),
+                                            subset_mask({1, 2, 5}): F(13, 2), v: F(10)})
+
+    def test_a_chain_off_the_new_singleton_raises(self, golden_states):
+        # nested and in order, but starting at {1, 5}, not at user 5 alone
+        with pytest.raises(InternalError, match="start at the new user's singleton"):
+            solve_chain_breakpoints(golden_states[4], {subset_mask({1, 5}): F(6),
+                                                       subset_mask({1, 2, 5}): F(13, 2),
+                                                       subset_mask({1, 2, 3, 4, 5}): F(10)})
 
     def test_crossings_out_of_walk_order_raise(self, golden_states):
         # User 5's true chain and points, handed over top set first: the
         # chain is read in the order given, not sorted into shape.
         chain = golden_states[5].last_chain
-        assert solve_chain_breakpoints(golden_states[4], dict(zip(chain.sets, chain.alphas))) == chain
-        crossings = dict(zip(chain.sets[::-1], chain.alphas[::-1]))
+        assert solve_chain_breakpoints(golden_states[4], dict(zip(chain.masks, chain.alphas))) == chain
+        crossings = dict(zip(chain.masks[::-1], chain.alphas[::-1]))
         with pytest.raises(InternalError, match="not nested"):
             solve_chain_breakpoints(golden_states[4], crossings)
 
@@ -239,7 +271,7 @@ class TestCriticalPointsFromProbes:
         moved = 0
         for prev, state in zip(states, states[1:]):
             chain = state.last_chain
-            crossings = dict(zip(chain.sets, chain.alphas))
+            crossings = dict(zip(chain.masks, chain.alphas))
             assert solve_chain_breakpoints(prev, crossings) == chain
             for small, big in zip(chain.sets, chain.sets[1:]):
                 user = min(big - small)
@@ -565,14 +597,14 @@ class TestBracketedProbes:
         alphas = []
         prev = []
         real_minimize = par.minimize
-        real_oracle_at = par._oracle_at
+        real_blocks = par._bracket_blocks
         brackets = []
 
-        def proper(model, partition, alpha, inner, outer):
+        def proper(partition, alpha, inner, outer):
             # collapsed brackets are pruned: no probe runs on inner == outer
             assert inner & ~outer == 0 and inner != outer
             brackets.append(inner)
-            return real_oracle_at(model, partition, alpha, inner, outer)
+            return real_blocks(partition, alpha, inner, outer)
 
         def checked(oracle):
             state = prev[-1]
@@ -586,7 +618,7 @@ class TestBracketedProbes:
             return result
 
         monkeypatch.setattr(par, "minimize", checked)
-        monkeypatch.setattr(par, "_oracle_at", proper)
+        monkeypatch.setattr(par, "_bracket_blocks", proper)
         for model in models:
             for top in tops(model):
                 state = initial_state(model, top)
@@ -623,16 +655,16 @@ class TestBracketedProbes:
                           lambda model: axis_caps(rng, model)[:3])
 
     def test_block_rates_equal_per_user_sums(self, monkeypatch):
-        # The int block sums of `_oracle_at` over its scale against one
-        # Fraction sum of the evaluated per-user rates per block, on every
-        # probe: the extended state's rates, the new user's at alpha - H(V).
-        real_oracle_at = par._oracle_at
+        # The int block sums of each probe's `saturation_oracle` over its
+        # scale against one Fraction sum of the evaluated per-user rates per
+        # block: the extended state's rates, the new user's at alpha - H(V).
+        real_oracle = par.saturation_oracle
         real_iteration = par.parametric_iteration
         extending = []
         probes = []
 
-        def checked(model, partition, alpha, inner, outer):
-            oracle = real_oracle_at(model, partition, alpha, inner, outer)
+        def checked(model, alpha, blocks, anchor_parts):
+            oracle = real_oracle(model, alpha, blocks, anchor_parts)
             rates = tuple(F(r, oracle.scale) for r in oracle.rates)
             user_rates = (*extending[-1].rates_at(alpha), alpha - model.total_entropy)
             assert rates == tuple(
@@ -645,7 +677,7 @@ class TestBracketedProbes:
             extending.append(state)
             return real_iteration(state)
 
-        monkeypatch.setattr(par, "_oracle_at", checked)
+        monkeypatch.setattr(par, "saturation_oracle", checked)
         monkeypatch.setattr(par, "parametric_iteration", iteration)
         # forced probes build no oracle, so the corpus is twice what the
         # same floors took when every probe built one
@@ -660,19 +692,25 @@ class TestBracketedProbes:
         alpha = F(23, 4)
         model = golden_states[4].model
         partition = golden_states[4].table.value_at(alpha).with_user(5)
-        oracle = par._oracle_at(model, partition, alpha, subset_mask({3, 5}),
-                                subset_mask({1, 2, 3, 5}))
+
+        def oracle_at(inner, outer):
+            # a probe's oracle, as the chain search builds it from its split
+            anchor_blocks, rest = par._bracket_blocks(partition, alpha, subset_mask(inner),
+                                                      subset_mask(outer))
+            return sfm.saturation_oracle(model, alpha, rest, anchor_blocks)
+
+        oracle = oracle_at({3, 5}, {1, 2, 3, 5})
         assert (mask_users(oracle.anchor) == frozenset({3, 5})
                 and mask_users(oracle.blocks[0]) == frozenset({1, 2}))
         # the whole bracket is the lattice `fusion_oracle_at` builds directly
-        whole = par._oracle_at(model, partition, alpha, subset_mask({5}), subset_mask(range(1, 6)))
+        whole = oracle_at({5}, range(1, 6))
         reference = fusion_oracle_at(golden_states[4], alpha)
         assert (whole.blocks, whole.rates, whole.scale) == (
             reference.blocks, reference.rates, reference.scale)
         with pytest.raises(InternalError):   # the upper end splits {1,2}
-            par._oracle_at(model, partition, alpha, subset_mask({5}), subset_mask({1, 5}))
+            oracle_at({5}, {1, 5})
         with pytest.raises(InternalError):   # the lower end leaves the upper
-            par._oracle_at(model, partition, alpha, subset_mask({4, 5}), subset_mask({3, 5}))
+            oracle_at({4, 5}, {3, 5})
 
 
 class TestForcedProbes:
@@ -680,15 +718,15 @@ class TestForcedProbes:
 
     A forced probe records nothing, so each call of `_bracket_blocks` from
     `_chain_search` is taken as one probe, with its `p_up` read off the
-    search's frame; a probe whose `_oracle_at` follows ran an SFM, the others
-    were forced.  Each forced answer, the anchor's union, must be the minimal
+    search's frame; a probe whose `minimize` call from `_chain_search`
+    follows ran an SFM, the others were forced.  Each forced answer, the anchor's union, must be the minimal
     minimizer of the whole pre-update lattice at the probe's alpha (brute
     force up to 12 non-anchor blocks, the min cut past that), and the stored
     partition fused with the bracket's outer set must be p_up as a partition.
     """
 
     def check_sweeps(self, models, monkeypatch, tops=lambda model: (None,)):
-        real_blocks, real_oracle_at = par._bracket_blocks, par._oracle_at
+        real_blocks, real_minimize = par._bracket_blocks, par.minimize
         search = par._chain_search.__code__
         probes = []  # [alpha, partition, outer, p_up, anchor blocks, minimized]
 
@@ -700,12 +738,13 @@ class TestForcedProbes:
                                anchor_blocks, False])
             return anchor_blocks, rest
 
-        def oracle_at(model, partition, alpha, inner, outer):
-            probes[-1][-1] = True
-            return real_oracle_at(model, partition, alpha, inner, outer)
+        def minimize(oracle):
+            if sys._getframe(1).f_code is search:  # not a cut axis's top probe
+                probes[-1][-1] = True
+            return real_minimize(oracle)
 
         monkeypatch.setattr(par, "_bracket_blocks", blocks)
-        monkeypatch.setattr(par, "_oracle_at", oracle_at)
+        monkeypatch.setattr(par, "minimize", minimize)
         forced = minimized = 0
         for model in models:
             for top in tops(model):

@@ -16,7 +16,7 @@ from omnirate import (BitPoolSource, EntropyTable, Partition, coordinate_saturat
                       format_table, parse_model, run_parametric, validate)
 from omnirate.model import mask_users
 from omnirate.par import fusion_oracle_at, iter_parametric
-from omnirate.partition import AffineValue, Segmented
+from omnirate.partition import Segmented
 from omnirate.verify import fusion_gaps, verify_model
 
 from conftest import (axis_caps, corpus_models, planted_pair_bitpool, random_alpha,
@@ -107,8 +107,9 @@ class TestTightBlocks:
                 for state in iter_parametric(model, top):
                     for _, _, partition, rates in state_segments(state):
                         for b in partition.blocks:
-                            block_rates = (rates[u - 1] for u in b)
-                            assert sum(block_rates, AffineValue(F(0), F(0))) == AffineValue(
+                            block_rates = [rates[u - 1] for u in b]
+                            assert (sum(r.intercept for r in block_rates),
+                                    sum(r.slope for r in block_rates)) == (
                                 model.entropy(b) - model.total_entropy, F(1))
                             blocks += 1
         return blocks

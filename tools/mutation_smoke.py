@@ -13,7 +13,8 @@ Exit status 0 when every mutant is killed, 1 when one survives or
 the unmutated tests fail, 2 when a mutant's pattern does not occur exactly
 once in its file.  Only the standard library is used to drive the runs;
 pytest and hypothesis must be installed for the tests themselves.  The
-whole list of 13 took 118-167 s on a 2-vCPU Xeon (Python 3.11, two runs).
+whole list of 17 took 166-345 s on a shared 2-vCPU Xeon (Python 3.11, two
+runs).
 """
 
 from __future__ import annotations
@@ -33,10 +34,7 @@ SFM_TESTS = ("tests/test_sfm.py", "tests/test_par.py")
 SEGMENT_TESTS = ("tests/test_partition.py", "tests/test_par.py")
 VALUE_TESTS = ("tests/test_modelfile.py", "tests/test_model.py")
 ACHIEVABLE_TESTS = ("tests/test_oracle.py", "tests/test_par.py", "tests/test_so.py")
-# A wrong forced answer can send other sweeps of test_par.py into an endless
-# search (pytest runs a module's classes in file order, whatever the order of
-# its arguments), so these mutants run the forced-probe checks alone.
-FORCED_TESTS = ("tests/test_par.py::TestForcedProbes",)
+PAR_TESTS = ("tests/test_par.py",)
 
 # (name, file, pattern, replacement, covering test modules)
 MUTANTS = [
@@ -72,12 +70,18 @@ MUTANTS = [
      ACHIEVABLE_TESTS),
     ("achievable-whole-carrier-checked", "src/omnirate/oracle.py",
      "if complement and rate +", "if rate +", ACHIEVABLE_TESTS),
-    # The chain search's forced probes and its bracket children.
+    # The chain search's forced probes, its progress check and its bracket
+    # children.  A wrong forced answer makes a probe fuse to p_up, which the
+    # progress check turns into InternalError instead of an endless search.
     ("par-forced-two-blocks", "src/omnirate/par.py",
-     "if len(rest) == 1 and", "if len(rest) <= 2 and", FORCED_TESTS),
+     "if len(rest) == 1 and", "if len(rest) <= 2 and", PAR_TESTS),
     ("par-forced-ignores-p-up", "src/omnirate/par.py",
      "if len(rest) == 1 and len(partition) + 1 - len(anchor_blocks) - len(rest) == len(p_up):",
-     "if len(rest) == 1:", FORCED_TESTS),
+     "if len(rest) == 1:", PAR_TESTS),
+    ("par-progress-check-removed", "src/omnirate/par.py",
+     "if not len(p_up) < len(fused) < len(p_down):", "if False:", PAR_TESTS),
+    ("par-chain-start-unchecked", "src/omnirate/par.py",
+     "if masks[0] != 1 << state.carrier_size:", "if False:", PAR_TESTS),
     ("par-children-swapped", "src/omnirate/par.py",
      "        if found != outer:\n"
      "            pending.append((fused, p_up, found, outer, h_fused, h_up))\n"
@@ -87,7 +91,14 @@ MUTANTS = [
      "            pending.append((p_down, fused, inner, found, h_down, h_fused))\n"
      "        if found != outer:\n"
      "            pending.append((fused, p_up, found, outer, h_fused, h_up))\n",
-     ("tests/test_par.py",)),
+     PAR_TESTS),
+    # Coordinate saturation's fuse, and the plan's first nonsingleton block.
+    ("dilworth-no-fuse", "src/omnirate/dilworth.py",
+     "partition = partition.with_user(user).merge_mask(result.mask)",
+     "partition = partition.with_user(user)", ("tests/test_dilworth.py",)),
+    ("so-plan-takes-a-singleton", "src/omnirate/so.py",
+     "for b in partition.masks if b & (b - 1)", "for b in partition.masks if b",
+     ("tests/test_so.py",)),
 ]
 
 
