@@ -31,7 +31,7 @@ def show_state(state, minimizations):
                          for s in state.last_chain.sets)
         alphas = ", ".join(str(a) for a in state.last_chain.alphas)
         print(f"  minimizer chain: {sets}   switching at alpha = {alphas}")
-        print(f"  probes tried: {[str(p.alpha) for p in state.last_probes]}")
+        print(f"  probes tried: {list(map(str, state.last_probes))}")
 
 
 def main():

@@ -57,7 +57,7 @@ refines P(alpha*), so P(alpha) v outer refines p_up: equal block counts mean
 equal partitions.  Were m(alpha) = outer, p_up would be the finest optimal
 partition at alpha; p_down, whose line meets p_up's there, would be optimal
 too and so coarsen p_up, yet it strictly refines it.  The bracket leaves A
-and outer only, so m(alpha) = A: a forced probe builds no oracle, no `Probe`.
+and outer only, so m(alpha) = A: a forced probe builds no oracle and runs no SFM.
 
 Every stored block B is tight: on each segment its users' rates sum to
 f_alpha(B) = alpha - H(V) + H(B), as in coordinate saturation.  So a probe's
@@ -114,19 +114,6 @@ from .sfm import FusionOracle, minimize, saturation_oracle
 
 
 @dataclass(frozen=True)
-class Probe:
-    """One divide-and-conquer probe: the alpha tried and its bracketing pair.
-
-    The probe at the top of a cut axis is not a crossing; it records the
-    whole lattice's pair (singletons, one block).
-    """
-
-    alpha: Fraction
-    p_down: Partition
-    p_up: Partition
-
-
-@dataclass(frozen=True)
 class MinimizerChain:
     """Nested minimal-minimizer sets, as user bitmasks, with their critical points.
 
@@ -155,7 +142,8 @@ class ParState:
     int pairs (c, s), c / d + s * alpha over the model's scale d, written by
     iteration u and shared by every later state.  `last_chain` and
     `last_probes` document the iteration that produced this state (None and
-    () for the base state).  `last_probes` holds the probes that ran an SFM,
+    () for the base state).  `last_probes` holds the alpha of each probe
+    that ran an SFM, in the order they ran (a cut axis's top probe first),
     so the sweep's SFM count is the sum of len(last_probes); a forced probe
     (module docstring) shows only in `last_chain`, as its critical point.
     """
@@ -165,7 +153,7 @@ class ParState:
     table: Segmented
     rates: tuple[Segmented, ...]
     last_chain: MinimizerChain | None = field(default=None, compare=False)
-    last_probes: tuple[Probe, ...] = field(default=(), compare=False)
+    last_probes: tuple[Fraction, ...] = field(default=(), compare=False)
 
     @property
     def users(self) -> tuple[int, ...]:
@@ -269,17 +257,18 @@ def fusion_oracle_at(state: ParState, alpha) -> FusionOracle:
                              (1 << (user - 1),))
 
 
-def _chain_search(model, table, p_down, p_up, inner, outer, probes) -> dict:
+def _chain_search(model, table, p_down, p_up, inner, outer) -> tuple[dict, tuple]:
     """Probe where the lines of `p_down` (strictly finer) and `p_up` cross, on
     the bracket (inner, outer) of user bitmasks, and walk both sides whose
     bracket has not collapsed, lower first, unless fusing gives p_down;
-    return {inner mask: alpha} of the terminal probes, in order.  Any other
+    return {inner mask: alpha} of the terminal probes, in order, and the
+    alphas of the probes that ran an SFM, in the order they ran.  Any other
     probe's fused partition must have a block count strictly between theirs,
     or InternalError, so even a wrong minimizer cannot make the walk loop."""
     if p_down == p_up or not p_down.refines(p_up):
         raise DomainError("need p_down strictly finer than p_up")
     total, d, entropy = model.total_int, model.scale, model.entropy_int
-    crossings = {}
+    crossings, probes = {}, []
     pending = [(p_down, p_up, inner, outer, sum(map(entropy, p_down.masks)),
                 sum(map(entropy, p_up.masks)))]
     while pending:
@@ -292,7 +281,7 @@ def _chain_search(model, table, p_down, p_up, inner, outer, probes) -> dict:
         if len(rest) == 1 and len(partition) + 1 - len(anchor_blocks) - len(rest) == len(p_up):
             found = sum(anchor_blocks)
         else:
-            probes.append(Probe(alpha, p_down, p_up))
+            probes.append(alpha)
             found = minimize(saturation_oracle(model, alpha, rest, anchor_blocks)).mask
         fused = partition.merge_mask(found)
         if fused == p_down:  # terminal: m switches from inner to outer at alpha
@@ -308,7 +297,7 @@ def _chain_search(model, table, p_down, p_up, inner, outer, probes) -> dict:
             pending.append((fused, p_up, found, outer, h_fused, h_up))
         if found != inner:
             pending.append((p_down, fused, inner, found, h_down, h_fused))
-    return crossings
+    return crossings, tuple(probes)
 
 
 def solve_chain_breakpoints(state: ParState, crossings) -> MinimizerChain:
@@ -365,23 +354,20 @@ def parametric_iteration(state: ParState) -> ParState:
     top = state.table.top
     inner = 1 << (user - 1)
     carrier = range(1, user + 1)
-    singletons, whole = Partition.singletons(carrier), Partition.whole(carrier)
     # `with_user` past its carrier check, so that every segment shares one `inner`
     extended = state.table.map(lambda p: Partition._of((*p.masks, inner)))
-    probes: list[Probe] = []
     if top.numerator * model.scale == model.total_int * top.denominator:  # top == H(V)
-        top_set, top_partition = 2 * inner - 1, whole
+        top_probes, top_set, top_partition = (), 2 * inner - 1, Partition.whole(carrier)
     else:
-        probes.append(Probe(top, singletons, whole))
-        top_set = minimize(fusion_oracle_at(state, top)).mask
+        top_probes, top_set = (top,), minimize(fusion_oracle_at(state, top)).mask
         if top_set == inner:
             return ParState(model, user, extended,
                             state.rates + (Segmented.constant(top, _new_rate(model, inner)),),
                             last_chain=MinimizerChain((inner,), (top,)),
-                            last_probes=tuple(probes))
+                            last_probes=top_probes)
         top_partition = extended.value_at(top).merge_mask(top_set)
-    crossings = _chain_search(model, extended, singletons, top_partition, inner,
-                              top_set, probes)
+    crossings, probes = _chain_search(model, extended, Partition.singletons(carrier),
+                                      top_partition, inner, top_set)
     crossings[top_set] = top
     chain = solve_chain_breakpoints(state, crossings)
 
@@ -408,7 +394,7 @@ def parametric_iteration(state: ParState) -> ParState:
     return ParState(
         model, user, Segmented(partitions), state.rates + (Segmented(rates),),
         last_chain=chain,
-        last_probes=tuple(probes),
+        last_probes=top_probes + probes,
     )
 
 

@@ -187,7 +187,8 @@ class Segmented:
             p, q = upper.as_integer_ratio()
             if p < 0 or (ends and p * ends[-1][1] <= ends[-1][0] * q):
                 raise DomainError(
-                    f"segment ends must be nonnegative and strictly increasing, got {upper}"
+                    "segment ends must be nonnegative and strictly increasing, "
+                    f"got {value_str(upper)}"
                 )
             if values and values[-1] == value:
                 uppers[-1], ends[-1] = upper, (p, q)

@@ -51,10 +51,12 @@ from typing import Sequence
 from .errors import CapacityError, DomainError, InternalError, SolverError
 from .model import MAX_TABLE_USERS, BitPoolSource, SourceModel, mask_users
 
-# Bit-pool lattices with more non-anchor blocks than this go to the min cut:
-# per call on fresh bench models, the bipartite-flow cut ties brute
-# enumeration at 5 blocks and overtakes it at 6 (CHANGES.md has the per-k
-# table).
+# Bit-pool lattices with more non-anchor blocks than this go to the min cut.
+# One pass over the seed-1 bench inputs sends brute 1749 lattices of 2-5
+# blocks and the cut 223 of 6-9 on `sweep-bitpool`, and brute 1020 of 1-5 and
+# the cut 810 of 6-14 on `plan-bitpool`.  Sending every bit-pool lattice to
+# the cut made `sweep-bitpool` passes about 18% slower and left `plan-bitpool`
+# level within noise (2-vCPU Xeon; CHANGES.md has the runs).
 CUT_CROSSOVER = 5
 # Brute enumeration's cap: the largest lattice `minimize` sends it from an
 # explicit table, whose anchor is one of its MAX_TABLE_USERS users.  Those

@@ -64,7 +64,7 @@ def test_criterion_3_chain_search_trace(five_user):
     assert chain.sets == (frozenset({5}), frozenset({1, 2, 5}),
                           frozenset({1, 2, 3, 4, 5}))
     assert chain.alphas == (F(6), F(13, 2), F(10))
-    assert final.last_probes[0].alpha == F(23, 4)
+    assert final.last_probes[0] == F(23, 4)
     report(3, "user-5 chain {5} < {1,2,5} < V at (6, 13/2, 10), first probe 23/4 -- pass")
 
 

@@ -11,8 +11,8 @@ import pytest
 
 from omnirate import (AffineValue, BitPoolSource, DomainError, EntropyTable,
                       InternalError, Partition, brute_min_sum_rate,
-                      check_achievable, coordinate_saturation,
-                      minimize_brute, par, sfm)
+                      check_achievable, coordinate_saturation, find_complimentary,
+                      lower_bound_alpha, minimize_brute, par, sfm)
 from omnirate.par import (MinimizerChain, ParState, extract_psp,
                           fusion_oracle_at, initial_state, iter_parametric,
                           mda_reference, parametric_iteration, run_parametric,
@@ -119,7 +119,7 @@ class TestChainSearch:
             (subset_mask({5}), subset_mask({1, 2, 5}), subset_mask({1, 2, 3, 4, 5})),
             (F(6), F(13, 2), F(10)),
         )
-        assert st.last_probes[0].alpha == F(23, 4)
+        assert st.last_probes[0] == F(23, 4)
 
     def test_third_user_breakpoint(self, golden_states):
         st = golden_states[3]
@@ -142,7 +142,7 @@ class TestChainSearch:
         p = Partition.singletons(carrier)
         with pytest.raises(DomainError):
             par._chain_search(golden_states[1].model, golden_states[1].table, p, p,
-                              subset_mask({2}), subset_mask(carrier), [])
+                              subset_mask({2}), subset_mask(carrier))
 
     def test_sets_are_the_masks_view(self, golden_states):
         for state in golden_states.values():
@@ -335,17 +335,26 @@ class TestPickleAndCopy:
         for partition in psp.partitions:
             assert round_trip(partition) == partition
         assert round_trip(psp) == psp
+        plan = find_complimentary(five_user)
+        assert plan is not None and round_trip(plan) == plan
 
-    @pytest.mark.parametrize("round_trip", ROUND_TRIPS, ids=["pickle", "copy", "deepcopy"])
-    def test_state(self, golden_states, round_trip):
+    @pytest.mark.parametrize(
+        "round_trip, axis", [(r, a) for a in ("whole", "cut") for r in ROUND_TRIPS],
+        ids=["pickle", "copy", "deepcopy", "pickle-cut", "copy-cut", "deepcopy-cut"])
+    def test_state(self, five_user, golden_states, round_trip, axis):
         # The model compares by identity, so the state's other fields are checked.
-        state = golden_states[5]
+        if axis == "whole":
+            state, alpha = golden_states[5], F(13, 2)
+        else:  # a cut axis's record starts with its top probe
+            *_, state = iter_parametric(five_user, lower_bound_alpha(five_user))
+            alpha = F(11, 2)
+            assert state.last_probes[0] == state.table.top == F(23, 4)
         copied = round_trip(state)
         assert copied.table == state.table and copied.rates == state.rates
         assert copied.last_chain == state.last_chain
         assert copied.last_probes == state.last_probes
         assert copied.model.bits_per_user == state.model.bits_per_user
-        assert copied.rates_at(F(13, 2)) == state.rates_at(F(13, 2))
+        assert copied.rates_at(alpha) == state.rates_at(alpha)
 
 
 class TestRunParametric:
@@ -626,7 +635,7 @@ class TestBracketedProbes:
                     prev.append(state)
                     alphas.clear()
                     state = parametric_iteration(state)
-                    assert alphas == [p.alpha for p in state.last_probes]
+                    assert alphas == list(state.last_probes)
         # the brackets do shrink the lattices, not only keep the answers
         assert blocks["restricted"] < blocks["full"]
         assert len(brackets) > len(models)
@@ -914,28 +923,46 @@ class TestStateInvariants:
                 psp = extract_psp(state)
                 assert len(psp.critical_points) <= state.carrier_size
 
-    def test_probe_bracketing(self):
+    def test_probe_bracketing(self, monkeypatch):
         # Every probe lands strictly above the lower edge of p_down's segment
         # and at or below the upper edge of p_up's (taking H(V) for partitions
         # that never appear, e.g. the one-block partition of a decomposable
-        # source).
+        # source).  Each probe's bracket is read off `_chain_search`'s frame
+        # at its `minimize` call; a cut axis's top probe, minimized outside
+        # the search, has the whole lattice's pair (singletons, one block).
+        search, real_minimize = par._chain_search.__code__, par.minimize
+        brackets = []
+
+        def minimize(oracle):
+            caller = sys._getframe(1)
+            if caller.f_code is search:
+                brackets.append((caller.f_locals["p_down"], caller.f_locals["p_up"]))
+            else:
+                carrier = mask_users(sum(oracle.blocks))
+                brackets.append((Partition.singletons(carrier), Partition.whole(carrier)))
+            return real_minimize(oracle)
+
+        monkeypatch.setattr(par, "minimize", minimize)
         rng = random.Random(780)
         for _ in range(15):
             model = random_bitpool(rng, max_users=6, max_bits=8)
-            for state in iter_parametric(model):
-                if state.last_chain is None:
-                    continue
-                spans = {part: (k, lo, hi)
-                         for k, (lo, hi, part) in enumerate(state.table)}
-                for probe in state.last_probes:
-                    down = spans.get(probe.p_down)
-                    up = spans.get(probe.p_up)
-                    lo = down[1] if down is not None else Fraction(0)
-                    hi = up[2] if up is not None else model.total_entropy
-                    # only segment 0 is closed below
-                    assert lo < probe.alpha or (down is not None and down[0] == 0
-                                                and probe.alpha == lo)
-                    assert probe.alpha <= hi
+            for top in (None, lower_bound_alpha(model)):
+                for state in iter_parametric(model, top):
+                    if state.last_chain is None:
+                        continue
+                    assert len(brackets) == len(state.last_probes)
+                    spans = {part: (k, lo, hi)
+                             for k, (lo, hi, part) in enumerate(state.table)}
+                    for alpha, (p_down, p_up) in zip(state.last_probes, brackets):
+                        down = spans.get(p_down)
+                        up = spans.get(p_up)
+                        lo = down[1] if down is not None else Fraction(0)
+                        hi = up[2] if up is not None else model.total_entropy
+                        # only segment 0 is closed below
+                        assert lo < alpha or (down is not None and down[0] == 0
+                                              and alpha == lo)
+                        assert alpha <= hi
+                    brackets.clear()
 
     def test_probe_record_counts_minimizations(self, five_user, monkeypatch):
         # One submodular minimization per probe: the probe record is the
@@ -951,7 +978,7 @@ class TestStateInvariants:
         seen = 0
         for state in iter_parametric(five_user):
             start, seen = seen, seen + len(state.last_probes)
-            assert calls[start:] == [p.alpha for p in state.last_probes]
+            assert calls[start:] == list(state.last_probes)
         assert seen > 0
 
     def test_truncated_probe_record_counts_minimizations(self, monkeypatch):
@@ -972,8 +999,8 @@ class TestStateInvariants:
                 seen = len(calls)
                 for state in iter_parametric(model, top):
                     start, seen = seen, seen + len(state.last_probes)
-                    assert calls[start:] == [p.alpha for p in state.last_probes]
-                    assert all(p.alpha <= top for p in state.last_probes)
+                    assert calls[start:] == list(state.last_probes)
+                    assert all(alpha <= top for alpha in state.last_probes)
                 if top < model.total_entropy:
                     with pytest.raises(DomainError):
                         extract_psp(state)

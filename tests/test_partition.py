@@ -263,6 +263,16 @@ class TestSegmented:
         with pytest.raises(DomainError):
             Segmented([(Fraction(-1), "a")])
 
+    @pytest.mark.parametrize("pieces", [
+        [(Fraction(-10**5000, 3), "a")],
+        [(Fraction(10**5000), "a"), (Fraction(10**5000 - 1), "b")],
+    ], ids=["negative", "not-increasing"])
+    def test_bad_end_past_the_digit_limit(self, pieces):
+        # str() of such an end raises ValueError; the message names its size,
+        # as the huge-alpha checks of `value_at` do.
+        with pytest.raises(DomainError, match="-bit rational>$"):
+            Segmented(pieces)
+
     def test_degenerate_first_piece(self):
         seg = Segmented([
             (Fraction(0), "point"),
