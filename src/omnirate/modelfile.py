@@ -152,17 +152,13 @@ def _parse_table(body) -> EntropyTable:
         lhs, sep, rhs = line[1:].partition("=")
         if not sep:
             raise ModelFormatError("missing '=' in table line", no)
-        tokens = lhs.split(",")
-        try:
-            mask = 0
-            for tok in tokens:
+        mask = 0
+        for tok in lhs.split(","):
+            try:
                 mask |= bits[tok]
-        except KeyError:  # a token not seen before: checked once, in order
-            mask = 0
-            for tok in tokens:
-                if tok not in bits:
-                    bits[tok] = _table_bit(tok, no)
-                mask |= bits[tok]
+            except KeyError:  # a token not seen before: checked once, in order
+                bit = bits[tok] = _table_bit(tok, no)
+                mask |= bit
         text = rhs.strip()
         num, slash, den = text.partition("/")
         try:

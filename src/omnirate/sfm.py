@@ -23,18 +23,17 @@ non-anchor blocks):
 
 `minimize_mnp`, the Fujishige-Wolfe minimum-norm-point algorithm on the
 base polytope of f~ contracted onto the anchor, is the reference that tests
-check both backends against.
+check both backends against; no production path calls it.
 
 All solvers work on user bitmasks and ints.  The oracle holds its blocks
 as user bitmasks and their rate sums as ints over one shared denominator
 `scale`, a multiple of the model's entropy scale, so a call converts
-nothing: brute reads entropies from `SourceModel.entropy_int` and compares
-plain ints, the cut reads each bit's holders from
-`BitPoolSource.bit_holders` and keeps every set of blocks in its network
-as one bitmask, and min-norm-point, the independent reference, reads
-`Fraction`s from `SourceModel.entropy_of_mask`.  Nothing is rounded: the
-min-norm-point's linear algebra is fraction-free and the flow is over
-ints, so the answers are the exact ones.
+nothing: brute and the cut read entropies from `SourceModel.entropy_int`,
+brute comparing plain ints and the cut only the anchor's, reading each
+bit's holders from `BitPoolSource.bit_holders` and keeping every set of
+blocks in its network as one bitmask; min-norm-point, the independent
+reference, reads `Fraction`s from `SourceModel.entropy_of_mask`.  Nothing
+is rounded, so the answers are the exact ones.
 
 Every solver returns the same canonical answer: the minimum value and the
 minimal minimizer (the intersection of all minimizers) as a user bitmask.
@@ -290,58 +289,33 @@ def _affine_minimizer(vertices: list[tuple[Fraction, ...]]):
     The vertices are scaled to ints by the lcm of their coordinates'
     denominators; the affine minimizer's coefficients do not depend on that
     scale.  The bordered Gram system [[0, 1^T], [1, G]] (mu, lam) = (1, 0),
-    with G symmetric and filled by halves, is then solved by fraction-free
-    Gauss-Jordan elimination (Bareiss 1968): step t replaces every entry
-    off the pivot row by (p*a - b*c) / p', where p is the current pivot and
-    p' the previous one.  By Sylvester's determinant identity each entry
-    after step t is the determinant of a (t+1)-by-(t+1) matrix of entries
-    of the row-permuted system, an int, so every division is exact; a
-    nonzero remainder would mean corrupted state and raises InternalError.
-    At the end every diagonal entry is the determinant det, so
-    lam_i = num_i / det and the point is sum(num_i * v_i) / (det * scale).
+    with G symmetric and filled by halves, is then solved by Gauss-Jordan
+    elimination over `Fraction`s; a singular one raises InternalError.
     """
     m = len(vertices)
-    n = len(vertices[0])
     scale = lcm(*(c.denominator for v in vertices for c in v))
     ints = [[c.numerator * (scale // c.denominator) for c in v] for v in vertices]
     size = m + 1
-    aug = [[0] * (size + 1) for _ in range(size)]
-    aug[0][size] = 1
-    for i in range(m):
-        aug[0][i + 1] = aug[i + 1][0] = 1
-        for j in range(i, m):
-            aug[i + 1][j + 1] = aug[j + 1][i + 1] = sum(
-                a * b for a, b in zip(ints[i], ints[j]))
+    aug = [[0, *[1] * m, 1], *([1, *[0] * m, 0] for _ in range(m))]
+    for i, u in enumerate(ints, 1):
+        for j in range(i, size):
+            aug[i][j] = aug[j][i] = sum(a * b for a, b in zip(u, ints[j - 1]))
 
-    prev = 1
     for col in range(size):
         pivot = next((r for r in range(col, size) if aug[r][col]), None)
         if pivot is None:
             raise InternalError("degenerate corral in min-norm-point solver")
         aug[col], aug[pivot] = aug[pivot], aug[col]
-        prow = aug[col]
-        p = prow[col]
+        p = aug[col][col]
+        prow = aug[col] = [Fraction(v, p) for v in aug[col]]
         for r in range(size):
-            if r == col:
-                continue
-            row = aug[r]
-            factor = row[col]
-            updated = []
-            for v, w in zip(row, prow):
-                q, rem = divmod(p * v - factor * w, prev)
-                if rem:
-                    raise InternalError("inexact division in fraction-free elimination")
-                updated.append(q)
-            aug[r] = updated
-        prev = p
+            if r != col:
+                factor = aug[r][col]
+                aug[r] = [v - factor * w for v, w in zip(aug[r], prow)]
 
-    det = prev
-    nums = [aug[j + 1][size] for j in range(m)]
-    lambdas = [Fraction(num, det) for num in nums]
-    point = tuple(
-        Fraction(sum(num * v[c] for num, v in zip(nums, ints)), det * scale)
-        for c in range(n)
-    )
+    lambdas = [aug[j + 1][size] for j in range(m)]
+    point = tuple(sum(lam * v[c] for lam, v in zip(lambdas, ints)) / scale
+                  for c in range(len(vertices[0])))
     return lambdas, point
 
 
@@ -380,11 +354,10 @@ def minimize_cut(oracle: FusionOracle) -> SfmResult:
     if not isinstance(model, BitPoolSource):
         raise DomainError("the min-cut solver needs a bit-pool source")
     anchor_mask, masks = oracle.anchor, oracle.non_anchor_blocks
-    anchor_bits = model.bits_of_mask(anchor_mask)
     weights, groups = _closure_network(model, anchor_mask, masks, oracle.rates, oracle.scale)
     left, reached, paths = _max_flow(weights, list(groups), list(groups.values()))
     minimal = sum(1 << j for j, mask in enumerate(masks) if mask & reached)
-    value = _min_value(oracle, anchor_bits.bit_count() * oracle.scale - sum(left.values()))
+    value = _min_value(oracle, model.entropy_int(anchor_mask) * oracle.scale - sum(left.values()))
     return SfmResult(value, _fused(oracle, minimal), paths)
 
 

@@ -30,7 +30,7 @@ from fractions import Fraction
 
 from .dilworth import AlphaFunction, dilworth_truncation
 from .errors import DecompositionError, DomainError, InternalError
-from .model import SourceModel, as_rational, mask_users
+from .model import SourceModel, as_rational, mask_users, value_str
 from .par import ParState, iter_parametric
 
 
@@ -69,7 +69,8 @@ def plan_from_state(state: ParState, alpha_bar: Fraction) -> SOPlan | None:
 
     The first nonsingleton block of the segmented partition at alpha_bar is
     the complimentary subset (when alpha_bar is at most the minimum
-    sum-rate).  Its rate vector is the stored one at the alpha where its
+    sum-rate; past it the block can be the whole ground set, which raises
+    DomainError).  Its rate vector is the stored one at the alpha where its
     sub-blocks finish merging: the lower end of the first segment of the
     partition table that holds it.  For a bound other than
     `lower_bound_alpha`, read the last state of `iter_parametric(model,
@@ -82,10 +83,13 @@ def plan_from_state(state: ParState, alpha_bar: Fraction) -> SOPlan | None:
     merge_alpha = next((lower for lower, _, p in state.table if block in p.masks), None)
     if merge_alpha is None:
         raise InternalError("block found at alpha_bar but absent from the table")
+    model = state.model
+    if block.bit_count() == model.size:  # the ground set merges at R_CO
+        raise DomainError(f"alpha_bar {value_str(alpha_bar)} is past R_CO = "
+                          f"{value_str(merge_alpha)}: the ground set is not complimentary")
     users = tuple(sorted(mask_users(block)))
     rates = tuple(state.rate_of(u, merge_alpha) for u in users)
     local_sum = sum(rates, Fraction(0))
-    model = state.model
     expected = Fraction(model.total_int - model.entropy_int(block), model.scale) + local_sum
     if merge_alpha != expected:
         raise InternalError(

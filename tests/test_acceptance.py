@@ -179,7 +179,8 @@ def test_criterion_8_complexity_accounting(monkeypatch):
     observed totals so the claim stays measured rather than asserted.
     The counts are read off the probe record; the sweep's minimize calls
     are counted alongside to confirm one call per recorded probe, and every
-    call is checked against both backends.
+    call is checked against brute enumeration and the min-norm-point
+    reference.
     """
     calls = []
     real_minimize = par.minimize

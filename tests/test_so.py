@@ -60,6 +60,19 @@ class TestFindComplimentary:
         with pytest.raises(DomainError):
             plan_at(five_user, F(11))
 
+    @pytest.mark.parametrize("bound", [F(7), F(10)])
+    def test_bound_past_min_sum_rate_refuses_the_ground_set(self, five_user, bound):
+        # Past R_CO = 13/2 the first nonsingleton block is the ground set,
+        # which is not a proper subset, on the cut axis and the whole one.
+        with pytest.raises(DomainError, match="R_CO = 13/2"):
+            plan_at(five_user, bound)
+        with pytest.raises(DomainError, match="R_CO = 13/2"):
+            whole_axis_plan(five_user, bound)
+
+    def test_bound_at_min_sum_rate(self, five_user):
+        assert plan_at(five_user, F(13, 2)).subset == frozenset({1, 2, 5})
+        assert whole_axis_plan(five_user, F(13, 2)).subset == frozenset({1, 2, 5})
+
     def test_plan_defining_inequality(self):
         # H(V) - H(C) + R(C) <= R(V), both sides from the brute oracle.
         rng = random.Random(2024)
